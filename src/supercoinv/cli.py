@@ -304,8 +304,7 @@ def check_steinberg(n, ctx):
             in_kernel = not pairing
             if not row:
                 continue
-            probe = _IntEchelon()
-            probe.pivots = dict(ech.pivots)
+            probe = ech.fork()
             in_ideal = not probe.add(_int_row(
                 {k: v for k, v in row.items() if v}))
             if in_ideal != in_kernel:

@@ -25,16 +25,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .combinatorics import (Partition, QZPolynomial, ResourceRefused,
                             SubsetOfN, enumerate_artin, enumerate_signed_artin,
                             j_of_signed, kostka, partitions, staircase,
                             subsets)
 from .exactalg import MPoly, QMatrix, _IntEchelon, _int_row
-from .superspace import (SuperElement, antisymmetrize, coinvariant_generators,
-                         euler_d, f_J, odot, vandermonde,
-                         young_subgroup_order)
+from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
+                         coinvariant_generators, euler_d, f_J, odot,
+                         vandermonde)
 
 
 class IntegrityError(Exception):
@@ -116,17 +116,6 @@ class BidegreeTable:
 
     def __repr__(self):
         return f"BidegreeTable(n={self.n}, {self.nonzero()})"
-
-    def to_json(self):
-        def enc(v):
-            return v if isinstance(v, int) else v.to_json()
-        return {"n": self.n,
-                "entries": [[i, j, enc(v)] for (i, j), v in
-                            sorted(self.entries.items())]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], {(i, j): v for i, j, v in data["entries"]})
 
 
 def monomials(nvars, deg):
@@ -223,6 +212,15 @@ class CoinvariantEngine:
                                     if all(e[i] <= i for i in range(n))]
         self.de = [euler_d(1, SuperElement.from_mpoly(MPoly.elementary(n, d)))
                    for d in range(1, n + 1)]
+        # partials_e[d - 1][v]: (d/dx_v) e_d as {exponent: int}, read off the
+        # theta_v terms of de_d
+        self.partials_e = []
+        for de in self.de:
+            by_v = {}
+            for (exp, (v,)), c in de.terms.items():
+                by_v.setdefault(v, {})[exp] = int(c)
+            self.partials_e.append(by_v)
+        self._nf_partials = {}
         self._echelons = {}
 
     def _fill_nf_degree(self, d):
@@ -256,16 +254,10 @@ class CoinvariantEngine:
 
     def nf(self, exp):
         """Normal form of a monomial modulo the bosonic ideal, as a dict
-        from substaircase exponents to integer coefficients."""
-        d = sum(exp)
-        if d > self.top:
-            # degrees beyond the top substaircase degree reduce to zero;
-            # verified explicitly by quotient_hilbert for the two rows
-            # above the bound and true in general by degree preservation
-            if d not in self._nf_degrees_done:
-                self._fill_nf_degree(d)
-            return self._nf[exp]
-        self._fill_nf_degree(d)
+        from substaircase exponents to integer coefficients.  Degrees above
+        the top substaircase degree reduce to zero; quotient_hilbert
+        certifies that for the two rows above the bound."""
+        self._fill_nf_degree(sum(exp))
         return self._nf[exp]
 
     def reduced_basis(self, i, j):
@@ -289,8 +281,32 @@ class CoinvariantEngine:
                     del row[col]
         return row
 
+    def _nf_times_partial(self, b, v, d):
+        """Normal form of b * (d/dx_v) e_d as an integer dict over the
+        substaircase exponents; independent of the theta factor."""
+        key = (b, v, d)
+        out = self._nf_partials.get(key)
+        if out is None:
+            out = {}
+            for m, c in self.partials_e[d - 1][v].items():
+                for a, c2 in self.nf(tuple(x + y for x, y in zip(b, m))).items():
+                    s = out.get(a, 0) + c * c2
+                    if s:
+                        out[a] = s
+                    else:
+                        del out[a]
+            self._nf_partials[key] = out
+        return out
+
     def ideal_echelon(self, i, j):
-        """Echelonized Euler-derivative ideal component in reduced coords."""
+        """Echelonized Euler-derivative ideal component in reduced coords.
+
+        Spanning rows are (b theta_T) * de_d for substaircase b, where
+        de_d = sum_v theta_v (d/dx_v) e_d; since x commutes with theta this
+        is sum over v not in T of +-NF(b (d/dx_v) e_d) theta_(T + v).  Rows
+        are eliminated sparsest first; the pivot columns (and so the rank
+        and the coset representatives) depend only on the row space.
+        """
         key = (i, j)
         if key in self._echelons:
             return self._echelons[key]
@@ -298,16 +314,30 @@ class CoinvariantEngine:
         basis, index = self.reduced_basis(i, j)
         ech = _IntEchelon()
         if j >= 1 and basis:
+            rows = []
             for d in range(1, n + 1):
                 bdeg = i - (d - 1)
                 if bdeg < 0 or bdeg > self.top:
                     continue
                 for b in self.artin_by_deg[bdeg]:
                     for ts in theta_subsets(n, j - 1):
-                        m = SuperElement.monomial(n, b, ts)
-                        row = self.reduced_coords(m * self.de[d - 1], index)
+                        row = {}
+                        for v in self.partials_e[d - 1]:
+                            tv, sign = _merge_thetas(ts, (v,))
+                            if not sign:
+                                continue
+                            for a, c in self._nf_times_partial(b, v, d).items():
+                                row[index[(a, tv)]] = sign * c
                         if row:
-                            ech.add(_int_row(row))
+                            g = gcd(*row.values())
+                            if g > 1:
+                                row = {k: c // g for k, c in row.items()}
+                            rows.append(row)
+            rows.sort(key=len)
+            for row in rows:
+                ech.add(row)
+                if ech.rank == len(basis):
+                    break
         self._echelons[key] = (ech, basis, index)
         return self._echelons[key]
 
@@ -327,20 +357,40 @@ def _cache_path(cache_dir, spec, i, j):
     return os.path.join(cache_dir, name)
 
 
-CACHE_STATS = {"hits": 0, "misses": 0}
+CACHE_STATS = {"hits": 0, "misses": 0, "rejects": 0}
+
+
+def _cache_entry_ok(data, spec, i, j):
+    """A cache entry is trusted only if it names this request and its rank
+    and dimension split the superspace component exactly."""
+    if not isinstance(data, dict):
+        return False
+    if (data.get("hash") != spec.content_hash() or data.get("n") != spec.n
+            or data.get("tag") != spec.tag or data.get("i") != i
+            or data.get("j") != j):
+        return False
+    rank, dim = data.get("rank"), data.get("dim")
+    if not all(type(v) is int and v >= 0 for v in (rank, dim)):
+        return False
+    return rank + dim == omega_dimension(spec.n, i, j)
 
 
 def _cache_read(cache_dir, spec, i, j):
+    """The cached entry for (i, j), or None.  An unreadable or inconsistent
+    entry counts as a reject; the caller recomputes and rewrites it."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, spec, i, j)
     if not os.path.exists(path):
         CACHE_STATS["misses"] += 1
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("hash") != spec.content_hash():
-        CACHE_STATS["misses"] += 1
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        data = None
+    if not _cache_entry_ok(data, spec, i, j):
+        CACHE_STATS["rejects"] += 1
         return None
     CACHE_STATS["hits"] += 1
     return data
@@ -597,8 +647,7 @@ def verify_artin_basis(n, caps=DEFAULT_CAPS):
         j = len(J.elems)
         for i, group in by_bideg.items():
             ech, basis, index = eng.ideal_echelon(i, j)
-            seeded = _IntEchelon()
-            seeded.pivots = dict(ech.pivots)
+            seeded = ech.fork()
             for a in group:
                 col = index[(a, J.elems)]
                 if not seeded.add({col: 1}):
@@ -638,8 +687,7 @@ def epsilon_dims(mu, n, caps=DEFAULT_CAPS):
             reps = eng.coset_representatives(i, j)
             if not reps:
                 continue
-            seeded = _IntEchelon()
-            seeded.pivots = dict(ech.pivots)
+            seeded = ech.fork()
             count = 0
             for (a, ts) in reps:
                 elem = antisymmetrize(mu_parts,
@@ -678,8 +726,7 @@ def verify_parabolic_basis(mu, n, caps=DEFAULT_CAPS):
             key = (i, j)
             if key not in seeded:
                 ech, basis, index = eng.ideal_echelon(i, j)
-                s = _IntEchelon()
-                s.pivots = dict(ech.pivots)
+                s = ech.fork()
                 seeded[key] = (s, index)
             s, index = seeded[key]
             elem = antisymmetrize(mu_parts,

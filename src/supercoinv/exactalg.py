@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 
 def _as_rational(c):
     if isinstance(c, Fraction):
@@ -388,6 +386,13 @@ class _IntEchelon:
         self.pivots[min(row)] = row
         return True
 
+    def fork(self):
+        """A copy that shares the stored rows (never mutated in place), so
+        rows added to the copy leave this echelon unchanged."""
+        other = _IntEchelon()
+        other.pivots = dict(self.pivots)
+        return other
+
 
 class QMatrix:
     """Matrix over Q with exact elimination.
@@ -432,15 +437,6 @@ class QMatrix:
             if r:
                 ech.add(_int_row(r))
         return ech.rank
-
-    def independent_rows(self):
-        """Indices of the lexicographically first maximal independent row subset."""
-        ech = _IntEchelon()
-        keep = []
-        for i, r in enumerate(self.rows):
-            if r and ech.add(_int_row(r)):
-                keep.append(i)
-        return keep
 
     def _echelon_fractions(self):
         """Reduced echelon rows of the row space, as (pivot -> row) dict."""
@@ -524,26 +520,6 @@ class QMatrix:
             x[pj] = prow.get(self.ncols, Fraction(0))
         return x
 
-    def transpose(self):
-        rows = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, c in r.items():
-                rows[j][i] = c
-        return QMatrix(self.ncols, self.nrows, rows)
-
-    def to_json(self):
-        return {
-            "nrows": self.nrows,
-            "ncols": self.ncols,
-            "rows": [sorted([[j, str(c)] for j, c in r.items()])
-                     for r in self.rows],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        rows = [{j: Fraction(c) for j, c in r} for r in data["rows"]]
-        return cls(data["nrows"], data["ncols"], rows)
-
 
 class PolyMatrix:
     """Dense matrix with MPoly entries."""
@@ -568,10 +544,6 @@ class PolyMatrix:
                 row.append(s)
             out.append(row)
         return PolyMatrix(out)
-
-    def transpose(self):
-        return PolyMatrix([[self.grid[i][j] for i in range(self.nrows)]
-                           for j in range(self.ncols)])
 
     def submatrix(self, row_idx, col_idx):
         return PolyMatrix([[self.grid[i][j] for j in col_idx] for i in row_idx])

@@ -1,17 +1,21 @@
 """Quotient dimensions, harmonic spaces, colon and parabolic bases."""
 
+import json
+
 import pytest
 
 from supercoinv.combinatorics import (Partition, QZPolynomial, ResourceRefused,
                                       SubsetOfN, fields1_formula, partitions,
                                       subsets)
-from supercoinv.coinvariant import (Caps, colon_hilbert, epsilon_dims,
+from supercoinv.coinvariant import (CACHE_STATS, Caps, CoinvariantEngine,
+                                    colon_hilbert, epsilon_dims,
                                     frobenius_reconstruct, harmonic_basis,
                                     operator_closure, quotient_hilbert,
-                                    superspace_ideal, verify_artin_basis,
-                                    verify_colon_basis,
+                                    superspace_ideal, theta_subsets,
+                                    verify_artin_basis, verify_colon_basis,
                                     verify_parabolic_basis)
-from supercoinv.superspace import odot
+from supercoinv.exactalg import _IntEchelon, _int_row
+from supercoinv.superspace import SuperElement, odot
 
 
 def test_direct_and_reduced_routes_agree():
@@ -118,11 +122,54 @@ def test_cache_round_trip_is_bit_exact(tmp_path):
 def test_stale_cache_entries_are_ignored(tmp_path):
     spec = superspace_ideal(2)
     quotient_hilbert(spec, cache_dir=str(tmp_path))
-    for path in tmp_path.iterdir():
+    paths = sorted(tmp_path.iterdir())
+    for path in paths:
         text = path.read_text().replace(spec.content_hash(), "0" * 16)
         path.write_text(text)
     again = quotient_hilbert(spec, cache_dir=str(tmp_path))
     assert again.as_qz() == fields1_formula(2)
+
+    # a truncated entry and an entry whose dim was edited are rejected,
+    # recomputed and rewritten
+    truncated, edited = paths[0], paths[-1]
+    truncated.write_text(truncated.read_text()[:10])
+    entry = json.loads(edited.read_text())
+    entry["dim"] += 1
+    edited.write_text(json.dumps(entry))
+    before = dict(CACHE_STATS)
+    again = quotient_hilbert(spec, cache_dir=str(tmp_path))
+    assert again.as_qz() == fields1_formula(2)
+    assert CACHE_STATS["rejects"] - before["rejects"] == 2
+    assert CACHE_STATS["hits"] - before["hits"] == len(paths) - 2
+    before = dict(CACHE_STATS)
+    assert quotient_hilbert(spec, cache_dir=str(tmp_path)) == again
+    assert CACHE_STATS["hits"] - before["hits"] == len(paths)
+    assert CACHE_STATS["rejects"] == before["rejects"]
+
+
+def test_ideal_echelon_matches_product_rows():
+    # reference: the rows (b theta_T) * de_d as full superspace products,
+    # reduced and added in (d, b, T) order; the cached-normal-form rows
+    # added sparsest first must give the same rank and pivot columns
+    n = 4
+    eng = CoinvariantEngine(n)
+    for i in range(eng.top + 3):
+        for j in range(n + 1):
+            ech, basis, index = eng.ideal_echelon(i, j)
+            ref = _IntEchelon()
+            if j >= 1 and basis:
+                for d in range(1, n + 1):
+                    bdeg = i - (d - 1)
+                    if bdeg < 0 or bdeg > eng.top:
+                        continue
+                    for b in eng.artin_by_deg[bdeg]:
+                        for ts in theta_subsets(n, j - 1):
+                            m = SuperElement.monomial(n, b, ts)
+                            row = eng.reduced_coords(m * eng.de[d - 1], index)
+                            if row:
+                                ref.add(_int_row(row))
+            assert ech.rank == ref.rank, (i, j)
+            assert set(ech.pivots) == set(ref.pivots), (i, j)
 
 
 def test_caps_refuse_oversized_requests():
