@@ -25,15 +25,15 @@ from .combinatorics import (DEFAULT_OSP_CAP, OMP_STATISTICS, QZPolynomial,
                             j_of_signed, partitions, sequence_bound,
                             signed_partitions, subsets, TranslationSequence)
 from .coinvariant import (CACHE_STATS, Caps, DEFAULT_CAPS, IntegrityError,
-                          VerificationFailure, bosonic_ideal, epsilon_dims,
-                          frobenius_reconstruct, ideal_component,
-                          operator_closure, quotient_hilbert,
+                          VerificationFailure, _colon_image, bosonic_ideal,
+                          epsilon_dims, frobenius_reconstruct,
+                          ideal_component, operator_closure, quotient_hilbert,
                           superspace_ideal, verify_artin_basis,
                           verify_colon_basis, verify_parabolic_basis)
 from .doperators import (apply_D, ptj_determinant, verify_E_independence,
                          verify_h_invariance, verify_monomial_bound, weight,
                          enumerate_L)
-from .exactalg import MPoly, _IntEchelon, _int_row
+from .exactalg import MPoly, _IntEchelon
 from .superspace import (SuperElement, antisymmetrize, coinvariant_generators,
                          f_J, odot, vandermonde, young_subgroup_order)
 from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
@@ -66,6 +66,7 @@ class Report:
     seconds: float = 0.0
     version: str = __version__
     cache_hits: int = 0
+    cache_rejects: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def _proportional(a, b):
         return a.is_zero() and b.is_zero()
     exp, c = next(iter(a.terms.items()))
     d = b.terms.get(exp)
-    return d is not None and a == b.scale(c / d)
+    return d is not None and a.scale(d) == b.scale(c)
 
 
 def check_dop_gale(n, ctx):
@@ -263,33 +264,27 @@ def check_steinberg(n, ctx):
     under the superderivative pairing."""
     from .coinvariant import monomials
     rng = random.Random(ctx.seed)
-    delta = vandermonde(n)
     spec = bosonic_ideal(n)
     top = n * (n - 1) // 2
     for d in range(top + 2):
         mons = monomials(n, d)
-        comp = ideal_component(spec, d, 0)
-        ideal_rank = comp.rank()
+        ech = _IntEchelon()
+        for row in ideal_component(spec, d, 0).rows:
+            if row:
+                ech.add(row)
+        # f_J = 1 for the empty J, so these are the images p (.) Vandermonde
+        images = _colon_image([MPoly.monomial(e) for e in mons],
+                              SubsetOfN(n, ()))
         pair_rows = _IntEchelon()
-        pair_rank = 0
-        images = []
-        for exp in mons:
-            img = odot(SuperElement.from_mpoly(MPoly.monomial(exp)), delta)
-            row = {}
-            for (e, ts), c in img.terms.items():
-                row[e] = c
-            images.append(row)
-            if row and pair_rows.add(_int_row(row)):
-                pair_rank += 1
-        if ideal_rank + pair_rank != len(mons):
+        for row in images:
+            if row:
+                pair_rows.add(row)
+        if ech.rank + pair_rows.rank != len(mons):
             raise VerificationFailure(
                 f"kernel of the Vandermonde pairing differs from the ideal"
-                f" in degree {d}: {ideal_rank} + {pair_rank} != {len(mons)}")
+                f" in degree {d}: {ech.rank} + {pair_rows.rank}"
+                f" != {len(mons)}")
         # random elements, checked by both routes
-        ech = _IntEchelon()
-        for row in comp.rows:
-            if row:
-                ech.add(_int_row(row))
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in mons]
             row = {}
@@ -304,9 +299,7 @@ def check_steinberg(n, ctx):
             in_kernel = not pairing
             if not row:
                 continue
-            probe = ech.fork()
-            in_ideal = not probe.add(_int_row(
-                {k: v for k, v in row.items() if v}))
+            in_ideal = not ech.fork().add(row)
             if in_ideal != in_kernel:
                 raise VerificationFailure(
                     f"membership routes disagree in degree {d}")
@@ -333,7 +326,7 @@ def run(spec: CheckSpec, ctx: RunContext) -> Report:
     fn = CHECKS.get(spec.name)
     if fn is None:
         raise ValueError(f"unknown check {spec.name!r}")
-    before = CACHE_STATS["hits"]
+    hits, rejects = CACHE_STATS["hits"], CACHE_STATS["rejects"]
     start = time.perf_counter()
     params = {"n": spec.n, **spec.options}
     try:
@@ -345,7 +338,8 @@ def run(spec: CheckSpec, ctx: RunContext) -> Report:
         status, witness = "fail", str(exc)
     return Report(spec.name, params, status, witness,
                   round(time.perf_counter() - start, 3),
-                  cache_hits=CACHE_STATS["hits"] - before)
+                  cache_hits=CACHE_STATS["hits"] - hits,
+                  cache_rejects=CACHE_STATS["rejects"] - rejects)
 
 
 def _run_in_worker(args):
@@ -376,9 +370,9 @@ def emit_rows(header, rows, fmt):
 
 def emit_reports(reports, fmt):
     header = ["check", "params", "status", "seconds", "cache_hits",
-              "version", "witness"]
+              "cache_rejects", "version", "witness"]
     rows = [[r.check, json.dumps(r.params, sort_keys=True), r.status,
-             r.seconds, r.cache_hits, r.version, r.witness]
+             r.seconds, r.cache_hits, r.cache_rejects, r.version, r.witness]
             for r in reports]
     return emit_rows(header, rows, fmt)
 
@@ -489,10 +483,14 @@ def _theta_render(elems):
 
 
 def cmd_hilbert(args, ctx):
+    before = CACHE_STATS["rejects"]
     table = quotient_hilbert(superspace_ideal(args.n), cache_dir=ctx.cache,
                              force=ctx.force, caps=ctx.caps)
     rows = [[i, j, v] for (i, j), v in sorted(table.nonzero().items())]
     print(emit_rows(["bosonic", "fermionic", "dimension"], rows, args.format))
+    rejects = CACHE_STATS["rejects"] - before
+    if rejects:
+        print(f"cache: {rejects} rejected entries recomputed", file=sys.stderr)
     return 0
 
 

@@ -23,15 +23,14 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .combinatorics import (Partition, QZPolynomial, ResourceRefused,
                             SubsetOfN, enumerate_artin, enumerate_signed_artin,
                             j_of_signed, kostka, partitions, staircase,
                             subsets)
-from .exactalg import MPoly, QMatrix, _IntEchelon, _int_row
+from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
                          vandermonde)
@@ -150,13 +149,14 @@ def omega_basis(n, i, j):
 
 
 def element_coords(elem, index):
-    """Sparse coordinate row (Fractions) of a SuperElement in a basis index."""
+    """Sparse coordinate row (integers for integer elements) of a
+    SuperElement in a basis index."""
     row = {}
     for key, c in elem.terms.items():
         col = index.get(key)
         if col is None:
             raise ValueError(f"monomial {key} outside the indexed component")
-        row[col] = row.get(col, Fraction(0)) + c
+        row[col] = row.get(col, 0) + c
     return {k: v for k, v in row.items() if v}
 
 
@@ -218,7 +218,7 @@ class CoinvariantEngine:
         for de in self.de:
             by_v = {}
             for (exp, (v,)), c in de.terms.items():
-                by_v.setdefault(v, {})[exp] = int(c)
+                by_v.setdefault(v, {})[exp] = c
             self.partials_e.append(by_v)
         self._nf_partials = {}
         self._echelons = {}
@@ -274,7 +274,7 @@ class CoinvariantEngine:
         for (exp, ts), c in elem.terms.items():
             for a, c2 in self.nf(exp).items():
                 col = index[(a, ts)]
-                s = row.get(col, Fraction(0)) + c * c2
+                s = row.get(col, 0) + c * c2
                 if s:
                     row[col] = s
                 else:
@@ -329,9 +329,6 @@ class CoinvariantEngine:
                             for a, c in self._nf_times_partial(b, v, d).items():
                                 row[index[(a, tv)]] = sign * c
                         if row:
-                            g = gcd(*row.values())
-                            if g > 1:
-                                row = {k: c // g for k, c in row.items()}
                             rows.append(row)
             rows.sort(key=len)
             for row in rows:
@@ -536,7 +533,7 @@ def operator_closure(n, caps=DEFAULT_CAPS):
         if elem.is_zero():
             continue
         (i, j), = elem.bidegrees()
-        row = _int_row(coords(elem, i, j))
+        row = coords(elem, i, j)
         if not echelons[(i, j)].add(row):
             continue
         for jj in range(1, n):
@@ -549,16 +546,6 @@ def operator_closure(n, caps=DEFAULT_CAPS):
         if ech.rank:
             table.set(i, j, ech.rank)
     return table
-
-
-def colon_membership(g, j_subset):
-    """Membership of g in the colon ideal (bosonic ideal : f_J), tested by
-    pairing g * f_J against the Vandermonde."""
-    n = j_subset.n
-    if isinstance(g, MPoly):
-        g = SuperElement.from_mpoly(g)
-    prod = g * f_J(j_subset)
-    return odot(prod, vandermonde(n)).is_zero()
 
 
 def _colon_image(polys, j_subset):
@@ -587,7 +574,7 @@ def steinberg_independence(polys, j_subset):
     ech = _IntEchelon()
     for row in _colon_image(polys, j_subset):
         if row:
-            ech.add(_int_row(row))
+            ech.add(row)
     return ech.rank
 
 
@@ -693,7 +680,7 @@ def epsilon_dims(mu, n, caps=DEFAULT_CAPS):
                 elem = antisymmetrize(mu_parts,
                                       SuperElement.monomial(n, a, ts))
                 row = eng.reduced_coords(elem, index)
-                if row and seeded.add(_int_row(row)):
+                if row and seeded.add(row):
                     count += 1
             if count:
                 table.set(i, j, count)
@@ -732,7 +719,7 @@ def verify_parabolic_basis(mu, n, caps=DEFAULT_CAPS):
             elem = antisymmetrize(mu_parts,
                                   SuperElement.monomial(n, a, J.elems))
             row = eng.reduced_coords(elem, index)
-            if not row or not s.add(_int_row(row)):
+            if not row or not s.add(row):
                 raise VerificationFailure(
                     f"parabolic element for mu={mu_parts}, gamma={gamma},"
                     f" exponents {a} is zero or dependent modulo the ideal")

@@ -120,17 +120,6 @@ class QZPolynomial:
         """Value at q = z = 1."""
         return sum(self.coeffs.values())
 
-    def q_degree(self):
-        return max((k[0] for k in self.coeffs), default=-1)
-
-    def z_degree(self):
-        return max((k[1] for k in self.coeffs), default=-1)
-
-    def z_coefficient(self, ze):
-        """The coefficient of z^ze, as a polynomial in q."""
-        return QZPolynomial({(qe, 0): c for (qe, z), c in self.coeffs.items()
-                             if z == ze})
-
     def render(self):
         if not self.coeffs:
             return "0"
@@ -220,12 +209,6 @@ class Partition:
         return Partition(tuple(sum(1 for p in self.parts if p > i)
                                for i in range(self.parts[0])))
 
-    def contains(self, other):
-        """Young-diagram containment: other fits inside self."""
-        if other.length() > self.length():
-            return False
-        return all(o <= s for s, o in zip(self.parts, other.parts))
-
     def dominance_leq(self, other):
         """True if self is dominated by other (partial sums comparison)."""
         if self.size() != other.size():
@@ -237,13 +220,6 @@ class Partition:
             if s > t:
                 return False
         return True
-
-    def to_json(self):
-        return {"parts": list(self.parts)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["parts"]))
 
 
 def partitions(n, max_part=None):
@@ -282,18 +258,6 @@ class SubsetOfN:
 
     def __iter__(self):
         return iter(self.elems)
-
-    def complement(self):
-        present = set(self.elems)
-        return SubsetOfN(self.n, tuple(i for i in range(1, self.n + 1)
-                                       if i not in present))
-
-    def to_json(self):
-        return {"n": self.n, "elems": list(self.elems)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], tuple(data["elems"]))
 
 
 def subsets(n, size=None):
@@ -351,13 +315,6 @@ class SignedPartition:
     def n(self):
         return sum(self.mu)
 
-    def to_json(self):
-        return {"mu": list(self.mu), "gamma": list(self.gamma)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["mu"]), tuple(data["gamma"]))
-
 
 def signed_partitions(n):
     """All signed partitions (mu, gamma) with mu a partition of n."""
@@ -402,13 +359,6 @@ class TranslationSequence:
 
     def union_set(self):
         return tuple(sorted(x for s in self.sets for x in s))
-
-    def to_json(self):
-        return {"mu": list(self.mu), "sets": [list(s) for s in self.sets]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["mu"]), tuple(tuple(s) for s in data["sets"]))
 
 
 def all_translation_sequences(mu):
@@ -554,16 +504,6 @@ class OrderedSetPartition:
         if any(not b for b in blocks):
             raise ValueError("empty block")
 
-    def k(self):
-        return len(self.blocks)
-
-    def to_json(self):
-        return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], tuple(tuple(b) for b in data["blocks"]))
-
 
 DEFAULT_OSP_CAP = 8
 
@@ -641,12 +581,6 @@ class OrderedMultisetPartition:
             if len(set(b)) != len(b):
                 raise ValueError("repeated letter within a block")
 
-    def size(self):
-        return sum(len(b) for b in self.blocks)
-
-    def k(self):
-        return len(self.blocks)
-
     def content(self, max_letter):
         """Exponent vector of the content monomial over letters 1..max_letter."""
         out = [0] * max_letter
@@ -654,13 +588,6 @@ class OrderedMultisetPartition:
             for x in b:
                 out[x - 1] += 1
         return tuple(out)
-
-    def to_json(self):
-        return {"blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(tuple(b) for b in data["blocks"]))
 
 
 def enumerate_omp(n, k, max_letter, cap=DEFAULT_OSP_CAP):
@@ -817,13 +744,6 @@ class StandardTableau:
 
     def maj(self):
         return sum(self.descents())
-
-    def to_json(self):
-        return {"rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(tuple(r) for r in data["rows"]))
 
 
 def enumerate_syt(shape):

@@ -1,30 +1,27 @@
-"""Exact arithmetic substrate: rationals, sparse multivariate polynomials,
-and matrices over Q or over polynomial rings.
+"""Exact arithmetic substrate: sparse multivariate polynomials, and
+matrices over Q or over polynomial rings.
 
 Every computation in this package is exact.  No floating point appears
-anywhere; coefficients are arbitrary-precision rationals and eliminations
-use deterministic first-nonzero pivoting so that repeated runs produce
-identical pivot sets.
+anywhere; coefficients are arbitrary-precision integers throughout.
+``Fraction`` appears only inside the rational elimination behind
+``QMatrix.solve`` and ``QMatrix.kernel_basis``, and in a quotient of
+``MPoly.try_div`` that is not integral.  Eliminations use deterministic
+first-nonzero pivoting so that repeated runs produce identical pivot sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _as_rational(c):
-    if isinstance(c, Fraction):
-        return c
-    return Fraction(c)
+from math import gcd, lcm
 
 
 class MPoly:
     """Sparse multivariate polynomial over Q.
 
     Terms are stored as a dict mapping exponent tuples (length ``nvars``)
-    to nonzero rational coefficients.  Variables are 1-indexed in the
-    public interface: ``MPoly.var(n, i)`` is x_i.
+    to nonzero coefficients, kept as given: integers stay integers.
+    Variables are 1-indexed in the public interface: ``MPoly.var(n, i)``
+    is x_i.
     """
 
     __slots__ = ("nvars", "terms")
@@ -34,7 +31,6 @@ class MPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = _as_rational(c)
                 if c:
                     clean[tuple(exp)] = c
         self.terms = clean
@@ -118,7 +114,6 @@ class MPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _as_rational(c)
         r = MPoly.__new__(MPoly)
         r.nvars = self.nvars
         r.terms = {} if not c else {e: c * v for e, v in self.terms.items()}
@@ -217,7 +212,9 @@ class MPoly:
             q = tuple(a - b for a, b in zip(exp, dexp))
             if any(a < 0 for a in q):
                 return None
-            qc = c / dc
+            qc = Fraction(c, dc)
+            if qc.denominator == 1:
+                qc = qc.numerator
             quot[q] = qc
             for e2, c2 in d.terms.items():
                 e = tuple(a + b for a, b in zip(q, e2))
@@ -273,7 +270,7 @@ class MPoly:
             exp[v] = 0
 
         rec(0, d, [0] * nvars)
-        return cls(nvars, {e: Fraction(c) for e, c in out.items()})
+        return cls(nvars, out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
@@ -319,19 +316,9 @@ class MPoly:
 
 
 def _int_row(row):
-    """Scale a dict row of Fractions to coprime integers."""
-    if not row:
-        return {}
-    denom = 1
-    for c in row.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {j: int(c * denom) for j, c in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    return ints
+    """Clear the denominators of a dict row of rationals."""
+    denom = lcm(*(c.denominator for c in row.values()))
+    return {j: int(c * denom) for j, c in row.items()}
 
 
 class _IntEchelon:
@@ -379,7 +366,11 @@ class _IntEchelon:
         return row
 
     def add(self, row):
-        """Reduce ``row`` against the echelon; store and return True if nonzero."""
+        """Divide the integer ``row`` by its content and reduce it against
+        the echelon; store it and return True if nonzero."""
+        g = gcd(*row.values())
+        if g > 1:
+            row = {k: v // g for k, v in row.items()}
         row = self.reduce(row)
         if not row:
             return False
@@ -398,7 +389,8 @@ class QMatrix:
     """Matrix over Q with exact elimination.
 
     Rows are stored sparsely as dicts mapping column index to a nonzero
-    Fraction.  All eliminations pick as pivot the first nonzero column of
+    integer or Fraction; the rational eliminations convert to Fraction on
+    entry.  All eliminations pick as pivot the first nonzero column of
     the first usable row, so results are deterministic.
     """
 
@@ -406,30 +398,6 @@ class QMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        """Build from a list of dense rows (lists) or sparse dict rows."""
-        sparse = []
-        width = ncols or 0
-        for r in rows:
-            if isinstance(r, dict):
-                d = {j: _as_rational(c) for j, c in r.items() if c}
-                if d and ncols is None:
-                    width = max(width, max(d) + 1)
-            else:
-                d = {j: _as_rational(c) for j, c in enumerate(r) if c}
-                if ncols is None:
-                    width = max(width, len(r))
-            sparse.append(d)
-        return cls(len(sparse), ncols if ncols is not None else width, sparse)
-
-    def entry(self, i, j):
-        return self.rows[i].get(j, Fraction(0))
-
-    def dense(self):
-        return [[self.entry(i, j) for j in range(self.ncols)]
-                for i in range(self.nrows)]
 
     def rank(self):
         ech = _IntEchelon()
@@ -442,7 +410,7 @@ class QMatrix:
         """Reduced echelon rows of the row space, as (pivot -> row) dict."""
         pivots = {}
         for r in self.rows:
-            row = dict(r)
+            row = {k: Fraction(v) for k, v in r.items()}
             # eliminate every known pivot column; each step only introduces
             # columns to the right, so scanning smallest-first terminates
             while True:
@@ -505,9 +473,8 @@ class QMatrix:
         When the system is underdetermined the free variables are set to 0.
         """
         aug = []
-        for i, r in enumerate(self.rows):
+        for r, bi in zip(self.rows, b):
             row = dict(r)
-            bi = _as_rational(b[i])
             if bi:
                 row[self.ncols] = bi
             aug.append(row)

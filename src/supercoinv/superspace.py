@@ -9,11 +9,10 @@ operator, with theta operators applied in the canonical monomial order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .exactalg import MPoly, _as_rational
+from .exactalg import MPoly
 from .combinatorics import mu_blocks
 
 
@@ -43,7 +42,8 @@ def _merge_thetas(t1, t2):
 
 
 class SuperElement:
-    """An element of superspace: dict from (exps, thetas) to rational coeffs."""
+    """An element of superspace: dict from (exps, thetas) to coefficients,
+    kept as given (integers on every verification path)."""
 
     __slots__ = ("nvars", "terms")
 
@@ -52,7 +52,6 @@ class SuperElement:
         clean = {}
         if terms:
             for (exps, thetas), c in terms.items():
-                c = _as_rational(c)
                 if c:
                     clean[(tuple(exps), tuple(thetas))] = c
         self.terms = clean
@@ -62,17 +61,13 @@ class SuperElement:
         return cls(nvars)
 
     @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {((0,) * nvars, ()): 1})
-
-    @classmethod
     def from_mpoly(cls, p):
         return cls(p.nvars, {(e, ()): c for e, c in p.terms.items()})
 
     @classmethod
     def monomial(cls, nvars, exps, thetas=(), c=1):
         thetas, sign = _sort_sign(thetas)
-        return cls(nvars, {(tuple(exps), thetas): _as_rational(c) * sign})
+        return cls(nvars, {(tuple(exps), thetas): c * sign})
 
     @classmethod
     def theta(cls, nvars, i):
@@ -111,7 +106,6 @@ class SuperElement:
         return self + (-other)
 
     def scale(self, c):
-        c = _as_rational(c)
         r = SuperElement.__new__(SuperElement)
         r.nvars = self.nvars
         r.terms = {} if not c else {k: c * v for k, v in self.terms.items()}
@@ -205,12 +199,6 @@ class SuperElement:
             "terms": [[list(e), list(t), str(c)]
                       for (e, t), c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["nvars"],
-                   {(tuple(e), tuple(t)): Fraction(c)
-                    for e, t, c in data["terms"]})
 
 
 def act(w, f):

@@ -58,15 +58,9 @@ class SymFn:
             out[lam] = s
         return SymFn.build(self.degree, self.basis, out)
 
-    def sub(self, other):
-        return self.add(other.scale_int(-1))
-
     def scale(self, qz):
         return SymFn.build(self.degree, self.basis,
                            {lam: c * qz for lam, c in self.coeffs})
-
-    def scale_int(self, k):
-        return self.scale(QZPolynomial.monomial(0, 0, k))
 
     def render(self):
         if not self.coeffs:

@@ -108,6 +108,13 @@ def test_cache_runs_are_bit_exact(tmp_path, capsys):
     bare_code, bare = run_cli(capsys, "hilbert", "3")
     assert cold_code == warm_code == bare_code == 0
     assert cold == warm == bare
+    # a truncated entry is recomputed: same stdout, one reject on stderr
+    entry = sorted(tmp_path.iterdir())[0]
+    entry.write_text(entry.read_text()[:10])
+    assert cli.main(["hilbert", "3", "--cache", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert "cache: 1 rejected entries recomputed" in captured.err
 
 
 def test_cache_env_variable_is_honored(tmp_path, capsys, monkeypatch):

@@ -93,6 +93,11 @@ def test_solve_consistent_and_inconsistent():
     M = QMatrix(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 2}])
     x = M.solve([3, 5])
     assert x == [Fraction(1), Fraction(2)]
+    assert all(type(v) is Fraction for v in x)
+    # integer rows are eliminated over Q, never in floating point
+    x = QMatrix(2, 2, [{0: 1, 1: 2}, {1: 3}]).solve([1, 1])
+    assert x == [Fraction(1, 3), Fraction(1, 3)]
+    assert all(type(v) is Fraction for v in x)
     singular = QMatrix(2, 2, [{0: 1, 1: 1}, {0: 2, 1: 2}])
     assert singular.solve([1, 3]) is None
 

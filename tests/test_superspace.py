@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from supercoinv.combinatorics import SubsetOfN
+from supercoinv.coinvariant import ideal_component, superspace_ideal
+from supercoinv.combinatorics import SubsetOfN, subsets
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import (SuperElement, act, antisymmetrize,
                                    coinvariant_generators, contract_theta,
@@ -146,3 +147,13 @@ def test_partial_x_on_theta_terms():
     m = SuperElement.monomial(2, (2, 0), (1,))
     assert partial_x(1, m) == SuperElement.monomial(2, (1, 0), (1,), 2)
     assert partial_x(2, m).is_zero()
+
+
+def test_integer_inputs_stay_integers():
+    delta = vandermonde(4)
+    coeffs = [c for J in subsets(4) for c in odot(f_J(J), delta).terms.values()]
+    assert coeffs
+    assert all(type(c) is int for c in coeffs)
+    comp = ideal_component(superspace_ideal(3), 2, 1)
+    assert comp.rows
+    assert all(type(c) is int for row in comp.rows for c in row.values())
