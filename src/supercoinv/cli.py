@@ -239,10 +239,12 @@ def check_counting(n, ctx):
 
 def check_omp_stats(n, ctx):
     for k in range(1, n + 1):
+        # cnk_omp runs first: it refuses n above the cap before any work
+        got = {stat: cnk_omp(n, k, stat, cap=ctx.osp_cap)
+               for stat in OMP_STATISTICS}
         reference = to_basis(cnk_syt(n, k), "m")
         for stat in OMP_STATISTICS:
-            got = cnk_omp(n, k, stat, cap=ctx.osp_cap)
-            if got != reference:
+            if got[stat] != reference:
                 raise VerificationFailure(
                     f"statistic {stat} disagrees with the tableau formula"
                     f" at (n, k) = ({n}, {k})")
@@ -506,10 +508,14 @@ def cmd_frobenius(args, ctx):
 
 
 def cmd_cnk(args, ctx):
-    if args.stat:
-        f = cnk_omp(args.n, args.k, args.stat, cap=ctx.osp_cap)
-    else:
-        f = cnk_syt(args.n, args.k)
+    try:
+        if args.stat:
+            f = cnk_omp(args.n, args.k, args.stat, cap=ctx.osp_cap)
+        else:
+            f = cnk_syt(args.n, args.k)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "latex":
         print(f.latex())
         return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
 
 
@@ -539,7 +539,6 @@ def enumerate_osp(n, k=None, batch_mu=None, cap=DEFAULT_OSP_CAP):
 
     rec(set(elems), [])
     if batch_mu is not None:
-        pos_of = {}
         results2 = []
         for osp in results:
             pos = {}
@@ -581,39 +580,39 @@ class OrderedMultisetPartition:
             if len(set(b)) != len(b):
                 raise ValueError("repeated letter within a block")
 
-    def content(self, max_letter):
-        """Exponent vector of the content monomial over letters 1..max_letter."""
-        out = [0] * max_letter
-        for b in self.blocks:
-            for x in b:
-                out[x - 1] += 1
-        return tuple(out)
 
+def enumerate_omp(content, k):
+    """Ordered multiset partitions with k blocks in which letter i lies in
+    exactly content[i-1] blocks.
 
-def enumerate_omp(n, k, max_letter, cap=DEFAULT_OSP_CAP):
-    """Ordered multiset partitions: k blocks, n letters total, letters
-    drawn from 1..max_letter with no repeats inside a block."""
-    if n > cap:
-        raise ResourceRefused(f"enumerate_omp: n={n} exceeds cap {cap}")
-    block_choices = {}
+    Blocks are filled left to right.  A letter whose remaining count equals
+    the number of blocks still to fill goes into the current block, and a
+    block leaves at least one letter for every later block, so every branch
+    ends in a result.
+    """
     results = []
+    letters = range(1, len(content) + 1)
 
-    def rec(remaining, blocks_left, acc):
+    def rec(remaining, total, blocks_left, acc):
         if blocks_left == 0:
-            if remaining == 0:
-                results.append(OrderedMultisetPartition(tuple(acc)))
+            results.append(OrderedMultisetPartition(tuple(acc)))
             return
-        lo = max(1, remaining - (blocks_left - 1) * max_letter)
-        hi = min(max_letter, remaining - (blocks_left - 1))
-        for size in range(lo, hi + 1):
-            if size not in block_choices:
-                block_choices[size] = list(combinations(range(1, max_letter + 1), size))
-            for b in block_choices[size]:
-                acc.append(b)
-                rec(remaining - size, blocks_left - 1, acc)
+        forced = tuple(x for x in letters if remaining[x - 1] == blocks_left)
+        optional = [x for x in letters if 0 < remaining[x - 1] < blocks_left]
+        room = total - (blocks_left - 1) - len(forced)
+        for extra in range(0 if forced else 1, min(len(optional), room) + 1):
+            for chosen in combinations(optional, extra):
+                block = forced + chosen
+                for x in block:
+                    remaining[x - 1] -= 1
+                acc.append(block)
+                rec(remaining, total - len(block), blocks_left - 1, acc)
                 acc.pop()
+                for x in block:
+                    remaining[x - 1] += 1
 
-    rec(n, k, [])
+    if max(content, default=0) <= k <= sum(content):
+        rec(list(content), sum(content), k, [])
     return results
 
 
@@ -622,19 +621,18 @@ def _word_maj(w):
 
 
 def omp_minimaj(m):
-    """Minimum major index over all words obtained by ordering each block."""
-    best = None
-    def rec(i, prefix):
-        nonlocal best
-        if i == len(m.blocks):
-            v = _word_maj(prefix)
-            if best is None or v < best:
-                best = v
-            return
-        for perm in permutations(m.blocks[i]):
-            rec(i + 1, prefix + list(perm))
-    rec(0, [])
-    return best
+    """Minimum major index over all words obtained by ordering each block.
+
+    The minimising word is built from the right: the last block in
+    increasing order, then each earlier block prepended as two increasing
+    runs, first its letters greater than r and then its letters at most r,
+    where r is the first letter of the word built so far.
+    """
+    word = []
+    for b in reversed(m.blocks):
+        r = word[0] if word else b[-1]
+        word = [x for x in b if x > r] + [x for x in b if x <= r] + word
+    return _word_maj(word)
 
 
 def omp_inv(m):

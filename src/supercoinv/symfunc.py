@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .combinatorics import (Partition, QZPolynomial, StandardTableau,
-                            enumerate_ssyt, enumerate_syt_all, enumerate_omp,
-                            kostka, omp_statistic, partitions)
+from .combinatorics import (DEFAULT_OSP_CAP, Partition, QZPolynomial,
+                            ResourceRefused, StandardTableau, enumerate_omp,
+                            enumerate_ssyt, enumerate_syt_all, kostka,
+                            omp_statistic, partitions)
 from .exactalg import MPoly, QMatrix
 
 
@@ -331,20 +332,22 @@ def cnk_syt(n, k):
     return SymFn.build(n, "s", out)
 
 
-def cnk_omp(n, k, stat="minimaj", cap=8):
-    """C_{n,k}(x; q) from ordered multiset partitions on the alphabet 1..n,
-    weighted by q to the chosen statistic; returned in the monomial basis."""
-    gen = {}
-    for m in enumerate_omp(n, k, n, cap=cap):
-        key = m.content(n)
-        v = omp_statistic(m, stat)
-        gen[key] = gen.get(key, QZPolynomial.zero()) + QZPolynomial.monomial(v, 0)
+def cnk_omp(n, k, stat="minimaj", cap=DEFAULT_OSP_CAP):
+    """C_{n,k}(x; q) from ordered multiset partitions, weighted by q to the
+    chosen statistic; returned in the monomial basis.
+
+    The coefficient of m_mu sums over the k-block multiset partitions of
+    content mu, so only those are enumerated.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    if n > cap:
+        raise ResourceRefused(f"cnk_omp: n={n} exceeds cap {cap}")
     out = {}
     for mu in partitions(n):
-        exp = tuple(list(mu.parts) + [0] * (n - mu.length()))
-        c = gen.pop(exp, None)
-        if c is not None and not c.is_zero():
-            out[mu] = c
-    # remaining contents must be permutations of partition contents with
-    # matching coefficients; verified by the symmetry property tests
+        counts = {}
+        for m in enumerate_omp(mu.parts, k):
+            v = omp_statistic(m, stat)
+            counts[v] = counts.get(v, 0) + 1
+        out[mu] = QZPolynomial({(v, 0): c for v, c in counts.items()})
     return SymFn.build(n, "m", out)

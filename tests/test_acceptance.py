@@ -166,12 +166,12 @@ def test_criterion_08_counting_identities():
 
 
 def test_criterion_09_multiset_partition_statistics():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for k in range(1, n + 1):
             reference = to_basis(cnk_syt(n, k), "m")
             for stat in OMP_STATISTICS:
                 assert cnk_omp(n, k, stat) == reference, (n, k, stat)
-    _ok(9, "all block statistics equidistribute, n <= 6")
+    _ok(9, "all block statistics equidistribute, n <= 7")
 
 
 def test_criterion_10_operator_closure():

@@ -90,6 +90,27 @@ def test_oversized_check_is_skipped_with_exit_three(capsys):
     assert "\tskipped\t" in out
 
 
+def test_oversized_omp_check_refuses_before_the_reference(capsys,
+                                                         monkeypatch):
+    def reference_built(n, k):
+        raise AssertionError("tableau reference built before the refusal")
+    monkeypatch.setattr(cli, "cnk_syt", reference_built)
+    code, out = run_cli(capsys, "verify", "omp-stats", "--n", "9",
+                        "--format", "json")
+    assert code == 3
+    assert json.loads(out)[0]["status"] == "skipped"
+
+
+def test_cnk_with_k_outside_one_to_n_is_a_usage_error(capsys):
+    for argv in (("cnk", "3", "5"), ("cnk", "3", "5", "--stat", "inv"),
+                 ("cnk", "-1", "1", "--stat", "inv"),
+                 ("cnk", "3", "0", "--stat", "minimaj")):
+        assert cli.main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "need 1 <= k <= n" in captured.err, argv
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus-check", "--n", "2"])

@@ -1,6 +1,6 @@
 """Combinatorial objects and q-analogs."""
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -11,11 +11,12 @@ from supercoinv.combinatorics import (Partition, QZPolynomial, SignedPartition,
                                       count_L, count_osp,
                                       count_signed_artin_product,
                                       enumerate_artin, enumerate_I,
-                                      enumerate_osp, enumerate_signed_artin,
+                                      enumerate_omp, enumerate_osp,
+                                      enumerate_signed_artin,
                                       enumerate_syt, enumerate_syt_all,
                                       fields1_formula, gale_leq, j_of_signed,
-                                      kostka, mu_blocks, partitions,
-                                      q_stirling, sequence_bound,
+                                      kostka, mu_blocks, omp_minimaj,
+                                      partitions, q_stirling, sequence_bound,
                                       signed_partitions, staircase, subsets)
 
 
@@ -193,3 +194,50 @@ def test_sequence_counts_agree():
                 for s in seqs:
                     assert all(0 <= a <= b for a, b in zip(s, bound))
     assert count_L(5, 2, 2) == 150
+
+
+def _contents(n):
+    """Every content of size n over the letters 1..n."""
+    return [c for c in product(range(n + 1), repeat=n) if sum(c) == n]
+
+
+def _content_of(blocks, letters):
+    return tuple(sum(x in b for b in blocks) for x in range(1, letters + 1))
+
+
+def test_omp_enumeration_by_content_matches_filtered_products():
+    # reference: every k-tuple of nonempty blocks over 1..n, grouped by content
+    for n in range(1, 5):
+        nonempty = [b for size in range(1, n + 1)
+                    for b in combinations(range(1, n + 1), size)]
+        for k in range(1, n + 1):
+            by_content = {}
+            for blocks in product(nonempty, repeat=k):
+                if sum(map(len, blocks)) == n:
+                    by_content.setdefault(_content_of(blocks, n),
+                                          []).append(blocks)
+            for content in _contents(n):
+                got = [m.blocks for m in enumerate_omp(content, k)]
+                assert len(set(got)) == len(got), (content, k)
+                assert sorted(got) == sorted(by_content.get(content, [])), \
+                    (content, k)
+
+
+def _brute_minimaj(m):
+    """Minimum major index over every ordering of every block."""
+    def maj(w):
+        return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    return min(maj([x for part in words for x in part])
+               for words in product(*(permutations(b) for b in m.blocks)))
+
+
+def test_direct_minimaj_matches_brute_force():
+    seen = 0
+    for n in range(1, 6):
+        for content in _contents(n):
+            for k in range(1, n + 1):
+                for m in enumerate_omp(content, k):
+                    assert omp_minimaj(m) == _brute_minimaj(m), m.blocks
+                    seen += 1
+    # every ordered multiset partition over the letters 1..n, n <= 5
+    assert seen == 11291

@@ -1,6 +1,7 @@
 """Symmetric functions, basis changes, skewing, and the C_{n,k} family."""
 
 import random
+from itertools import permutations
 
 from supercoinv.combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
                                       enumerate_omp, kostka, partitions)
@@ -143,22 +144,23 @@ def test_all_omp_statistics_match_tableau_formula_small():
 
 
 def test_omp_generating_function_is_symmetric():
-    # coefficients of contents that are rearrangements of each other agree
+    # every rearrangement of a partition content over the letters 1..n has
+    # the statistic distribution of the partition itself
+    def distribution(content, k, stat):
+        dist = {}
+        for m in enumerate_omp(content, k):
+            v = OMP_STATISTICS[stat](m)
+            dist[v] = dist.get(v, 0) + 1
+        return dist
+
     for n, k in ((3, 2), (4, 2), (4, 3)):
-        for stat in OMP_STATISTICS:
-            gen = {}
-            for m in enumerate_omp(n, k, n):
-                key = m.content(n)
-                v = OMP_STATISTICS[stat](m)
-                gen.setdefault(key, {}).setdefault(v, 0)
-                gen[key][v] += 1
-            by_sorted = {}
-            for key, dist in gen.items():
-                canon = tuple(sorted(key, reverse=True))
-                if canon in by_sorted:
-                    assert by_sorted[canon] == dist, (n, k, stat, key)
-                else:
-                    by_sorted[canon] = dist
+        for mu in partitions(n):
+            padded = mu.parts + (0,) * (n - mu.length())
+            for stat in OMP_STATISTICS:
+                expected = distribution(mu.parts, k, stat)
+                for content in set(permutations(padded)):
+                    assert distribution(content, k, stat) == expected, \
+                        (n, k, content, stat)
 
 
 def test_latex_and_render_cover_zero_and_signs():
