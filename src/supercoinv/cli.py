@@ -14,13 +14,13 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .combinatorics import (DEFAULT_OSP_CAP, OMP_STATISTICS, QZPolynomial,
-                            ResourceRefused, SignedPartition, SubsetOfN,
-                            all_translation_sequences, count_I, count_L,
-                            count_osp, enumerate_artin, enumerate_I,
+from .combinatorics import (DEFAULT_OSP_CAP, OMP_STATISTICS, Partition,
+                            QZPolynomial, ResourceRefused, SignedPartition,
+                            SubsetOfN, all_translation_sequences, count_I,
+                            count_L, count_osp, enumerate_artin, enumerate_I,
                             enumerate_signed_artin, fields1_formula, gale_leq,
                             j_of_signed, partitions, sequence_bound,
                             signed_partitions, subsets, TranslationSequence)
@@ -54,7 +54,6 @@ class RunContext:
 class CheckSpec:
     name: str
     n: int
-    options: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -330,7 +329,7 @@ def run(spec: CheckSpec, ctx: RunContext) -> Report:
         raise ValueError(f"unknown check {spec.name!r}")
     hits, rejects = CACHE_STATS["hits"], CACHE_STATS["rejects"]
     start = time.perf_counter()
-    params = {"n": spec.n, **spec.options}
+    params = {"n": spec.n}
     try:
         fn(spec.n, ctx)
         status, witness = "pass", ""
@@ -402,11 +401,11 @@ def _build_context(args):
     config = {}
     if getattr(args, "config", None):
         config = _load_config(args.config)
-    caps = {}
-    for name in ("quotient", "quotient_forced", "frobenius",
-                 "frobenius_forced", "closure", "cells_budget"):
-        if name in config:
-            caps[name] = int(config[name])
+    cap_names = {f.name for f in fields(Caps)}
+    unknown = sorted(set(config) - cap_names - {"osp_cap"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    caps = {name: int(config[name]) for name in cap_names & set(config)}
     ctx.caps = replace(DEFAULT_CAPS, **caps)
     if "osp_cap" in config:
         ctx.osp_cap = int(config["osp_cap"])
@@ -427,7 +426,18 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized membership probes")
     p.add_argument("--config", metavar="FILE",
-                   help="key=value file overriding caps and budgets")
+                   help="key=value file overriding the resource caps")
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"n must be an integer >= 1, not {text!r}")
+    return n
 
 
 def build_parser():
@@ -440,17 +450,17 @@ def build_parser():
 
     p = sub.add_parser("hilbert", help="bigraded Hilbert table of the"
                        " superspace coinvariant quotient")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     _common_flags(p)
 
     p = sub.add_parser("frobenius", help="bigraded Frobenius image in the"
                        " Schur basis")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     _common_flags(p)
 
     p = sub.add_parser("cnk", help="the fermionic-slice symmetric function"
                        " C_{n,k}")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     p.add_argument("k", type=int)
     p.add_argument("--stat", choices=sorted(OMP_STATISTICS),
                    help="compute from multiset partitions with this"
@@ -459,7 +469,7 @@ def build_parser():
 
     p = sub.add_parser("basis", help="list a monomial basis")
     p.add_argument("kind", choices=("artin", "colon", "parabolic"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     p.add_argument("--j", metavar="SET",
                    help="comma separated subset for the colon basis")
     p.add_argument("--mu", metavar="PARTS",
@@ -468,7 +478,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run named checks")
     p.add_argument("check", choices=sorted(CHECKS) + ["all"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     _common_flags(p)
     return parser
 
@@ -529,8 +539,31 @@ def _parse_ints(text):
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _basis_argument(args):
+    """The subset J of a colon basis or the partition mu of a parabolic
+    basis; raises ValueError when it is missing or malformed."""
+    if args.kind == "colon":
+        if args.j is None:
+            raise ValueError("the colon basis needs --j (use --j '' for the"
+                             " empty subset)")
+        return SubsetOfN(args.n, _parse_ints(args.j))
+    if args.kind == "parabolic":
+        if not args.mu:
+            raise ValueError("the parabolic basis needs --mu")
+        mu = _parse_ints(args.mu)
+        if sum(mu) != args.n:
+            raise ValueError("--mu must be a partition of n")
+        return Partition(mu).parts
+    return None
+
+
 def cmd_basis(args, ctx):
     n = args.n
+    try:
+        arg = _basis_argument(args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     if args.kind == "artin":
         for J in subsets(n):
@@ -539,21 +572,12 @@ def cmd_basis(args, ctx):
                              _exps_render(exp), _theta_render(J.elems)])
         header = ["j_set", "monomial", "theta"]
     elif args.kind == "colon":
-        if not args.j and args.j != "":
-            raise SystemExit("the colon basis needs --j (use --j '' for the"
-                             " empty subset)")
-        J = SubsetOfN(n, _parse_ints(args.j or ""))
-        for exp in enumerate_artin(J):
+        for exp in enumerate_artin(arg):
             rows.append([sum(exp), _exps_render(exp)])
         header = ["degree", "monomial"]
     else:
-        if not args.mu:
-            raise SystemExit("the parabolic basis needs --mu")
-        mu = _parse_ints(args.mu)
-        if sum(mu) != n:
-            raise SystemExit("--mu must be a partition of n")
         for sp in signed_partitions(n):
-            if sp.mu != mu:
+            if sp.mu != arg:
                 continue
             J = j_of_signed(sp)
             for exp in enumerate_signed_artin(sp):

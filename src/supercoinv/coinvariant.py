@@ -1,20 +1,17 @@
 """Bigraded quotients of superspace by the coinvariant ideal.
 
 The ideal is generated by the elementary symmetric polynomials e_1..e_n
-together with their Euler derivatives de_1..de_n.  Quotient dimensions are
-computed per bidegree by exact linear algebra; there are two independent
-routes:
+together with their Euler derivatives de_1..de_n.  ``quotient_hilbert``
+computes the quotient dimensions per bidegree by the reduced route: it
+first rewrites the bosonic part onto the classical substaircase basis
+(valid because each rewrite rule is certified to lie in the bosonic ideal
+by pairing against the Vandermonde) and then eliminates the
+Euler-derivative multiples in the much smaller quotient coordinates.
 
-* a direct route that spans the ideal component inside the full superspace
-  component and takes a rank, and
-* a reduced route that first rewrites the bosonic part onto the classical
-  substaircase basis (valid because each rewrite rule is certified to lie
-  in the bosonic ideal by pairing against the Vandermonde) and then
-  eliminates the Euler-derivative multiples in the much smaller quotient
-  coordinates.
-
-The two routes are cross-checked in the test suite; the reduced route is
-the default because it stays fast through n = 6.
+The direct route, ``ideal_component``, spans the ideal component inside
+the full superspace component; the test suite takes its rank as the
+reference for the reduced route, and the Steinberg check uses it for the
+bosonic ideal.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ class Caps:
     frobenius: int = 4
     frobenius_forced: int = 5
     closure: int = 4
-    cells_budget: int = 200_000_000
 
 
 DEFAULT_CAPS = Caps()
@@ -407,14 +403,16 @@ def _cache_write(cache_dir, spec, i, j, rank, dim):
     os.replace(tmp, path)
 
 
-def quotient_hilbert(spec, method="auto", cache_dir=None, force=False,
-                     caps=DEFAULT_CAPS):
-    """Bigraded Hilbert table of the quotient by the ideal.
+def quotient_hilbert(spec, cache_dir=None, force=False, caps=DEFAULT_CAPS):
+    """Bigraded Hilbert table of the superspace coinvariant quotient, by the
+    reduced route.
 
     Bosonic degrees run two rows past the top substaircase degree; those
-    rows are verified to vanish.  ``method`` is "reduced", "direct" or
-    "auto" (reduced for the standard ideals, direct otherwise).
+    rows are verified to vanish.  Only the superspace ideal is accepted.
     """
+    if spec.tag != "superspace":
+        raise ValueError(f"quotient_hilbert needs the superspace ideal,"
+                         f" not {spec.tag!r}")
     n = spec.n
     cap = caps.quotient_forced if force else caps.quotient
     if n > cap:
@@ -422,72 +420,36 @@ def quotient_hilbert(spec, method="auto", cache_dir=None, force=False,
             f"quotient_hilbert: n={n} exceeds cap {cap}"
             + ("" if force else " (pass force=True up to "
                f"{caps.quotient_forced})"))
-    imax = n * (n - 1) // 2 + 2
-    jmax = n if spec.tag == "superspace" else 0
-    if method == "auto":
-        method = "reduced" if spec.tag in ("superspace", "bosonic") else "direct"
+    eng = CoinvariantEngine(n)
+    top = eng.top
     table = BidegreeTable(n)
-    for i in range(imax + 1):
-        for j in range(jmax + 1):
+    for i in range(top + 3):
+        for j in range(n + 1):
             cached = _cache_read(cache_dir, spec, i, j)
             if cached is not None:
                 table.set(i, j, cached["dim"])
                 continue
-            if method == "reduced":
-                dim = _reduced_dim(spec, i, j)
-                rank = omega_dimension(n, i, j) - dim
-            else:
-                est = _direct_cost(spec, i, j)
-                if est > caps.cells_budget:
-                    raise ResourceRefused(
-                        f"direct elimination at bidegree ({i},{j}) projected"
-                        f" at {est} cells, over budget {caps.cells_budget}")
-                comp = ideal_component(spec, i, j)
-                rank = comp.rank()
-                dim = comp.ncols - rank
+            dim = eng.quotient_dim(i, j)
             table.set(i, j, dim)
-            _cache_write(cache_dir, spec, i, j, rank, dim)
-    top = n * (n - 1) // 2
+            _cache_write(cache_dir, spec, i, j,
+                         omega_dimension(n, i, j) - dim, dim)
     for (i, j), v in table.entries.items():
         if i > top and v:
             raise VerificationFailure(
                 f"nonzero quotient dimension {v} at bidegree ({i},{j})"
                 " above the claimed bosonic bound")
-    if method == "reduced":
-        _verify_extra_rows(n, top)
+    _verify_extra_rows(eng)
     return table
 
 
-def _reduced_dim(spec, i, j):
-    eng = CoinvariantEngine(spec.n)
-    if spec.tag == "bosonic":
-        if j:
-            return 0
-        basis, _ = eng.reduced_basis(i, 0)
-        return len(basis)
-    return eng.quotient_dim(i, j)
-
-
-def _verify_extra_rows(n, top):
+def _verify_extra_rows(eng):
     """Certify that every bosonic monomial in the two rows above the top
     degree rewrites to zero, so the high components vanish identically."""
-    eng = CoinvariantEngine(n)
-    for d in (top + 1, top + 2):
-        for exp in monomials(n, d):
+    for d in (eng.top + 1, eng.top + 2):
+        for exp in monomials(eng.n, d):
             if eng.nf(exp):
                 raise IntegrityError(
                     f"monomial {exp} of degree {d} has nonzero normal form")
-
-
-def _direct_cost(spec, i, j):
-    n = spec.n
-    cols = omega_dimension(n, i, j)
-    rows = 0
-    for g in spec.generators:
-        (gb, gf), = g.bidegrees()
-        if i - gb >= 0 and 0 <= j - gf <= n:
-            rows += omega_dimension(n, i - gb, j - gf)
-    return rows * cols
 
 
 def harmonic_basis(spec, i, j):

@@ -8,7 +8,6 @@ projected back down to the x-alphabet before they touch superspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .combinatorics import (SubsetOfN, TranslationSequence,
@@ -34,11 +33,6 @@ def drop_y(p, n):
             raise ValueError("polynomial still involves the y-alphabet")
         out[exp[:n]] = c
     return MPoly(n, out)
-
-
-def lift_x(p, n):
-    """Embed an n-variable polynomial into the 2n-variable alphabet."""
-    return MPoly(2 * n, {exp + (0,) * n: c for exp, c in p.terms.items()})
 
 
 def _block_ends(mu):
@@ -138,32 +132,6 @@ def h_matrix(mu, T):
     in the x-alphabet."""
     n = sum(mu)
     return echelon_selector(n, T).mul(cmu_inverse(n, mu))
-
-
-@dataclass
-class FactorMatrixBundle:
-    """All the matrices attached to (mu, T): power, factor, reduction and
-    its inverse, the echelon selector, and H."""
-
-    n: int
-    mu: tuple
-    r: int
-    power: PolyMatrix
-    factor: PolyMatrix
-    reduction: PolyMatrix
-    reduction_inv: PolyMatrix
-    selector: PolyMatrix
-    h: PolyMatrix
-
-    @classmethod
-    def build(cls, mu, T):
-        n = sum(mu)
-        r = len(T)
-        C = reduction_matrix(n, mu)
-        Cinv = cmu_inverse(n, mu)
-        E = echelon_selector(n, T)
-        return cls(n, tuple(mu), r, power_matrix(n, r), factor_matrix(n, mu, r),
-                   C, Cinv, E, E.mul(Cinv))
 
 
 def verify_h_invariance(mu, T):

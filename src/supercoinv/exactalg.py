@@ -2,11 +2,12 @@
 matrices over Q or over polynomial rings.
 
 Every computation in this package is exact.  No floating point appears
-anywhere; coefficients are arbitrary-precision integers throughout.
-``Fraction`` appears only inside the rational elimination behind
-``QMatrix.solve`` and ``QMatrix.kernel_basis``, and in a quotient of
-``MPoly.try_div`` that is not integral.  Eliminations use deterministic
-first-nonzero pivoting so that repeated runs produce identical pivot sets.
+anywhere; coefficients are arbitrary-precision integers throughout, and
+every elimination runs on one kernel, ``_IntEchelon``, over Z.
+``Fraction`` appears only in the back-substitution of ``QMatrix.solve``
+and ``QMatrix.kernel_basis``, and in a quotient of ``MPoly.try_div`` that
+is not integral.  Pivots are the leading columns of the row space, so
+repeated runs produce identical pivot sets.
 """
 
 from __future__ import annotations
@@ -389,9 +390,10 @@ class QMatrix:
     """Matrix over Q with exact elimination.
 
     Rows are stored sparsely as dicts mapping column index to a nonzero
-    integer or Fraction; the rational eliminations convert to Fraction on
-    entry.  All eliminations pick as pivot the first nonzero column of
-    the first usable row, so results are deterministic.
+    integer or Fraction.  Every method clears the denominators of each row
+    and eliminates on ``_IntEchelon``, whose pivots are the leading columns
+    of the row space, so results are deterministic; ``solve`` and
+    ``kernel_basis`` then back-substitute in Fraction.
     """
 
     def __init__(self, nrows, ncols, rows):
@@ -399,93 +401,61 @@ class QMatrix:
         self.ncols = ncols
         self.rows = rows
 
-    def rank(self):
+    @staticmethod
+    def _echelon(rows):
         ech = _IntEchelon()
-        for r in self.rows:
+        for r in rows:
             if r:
                 ech.add(_int_row(r))
-        return ech.rank
+        return ech
 
-    def _echelon_fractions(self):
-        """Reduced echelon rows of the row space, as (pivot -> row) dict."""
-        pivots = {}
-        for r in self.rows:
-            row = {k: Fraction(v) for k, v in r.items()}
-            # eliminate every known pivot column; each step only introduces
-            # columns to the right, so scanning smallest-first terminates
-            while True:
-                hit = None
-                for k in sorted(row):
-                    if k in pivots:
-                        hit = k
-                        break
-                if hit is None:
-                    break
-                prow = pivots[hit]
-                f = row[hit]
-                for k, v in prow.items():
-                    s = row.get(k, 0) - f * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
-            if not row:
-                continue
-            j = min(row)
-            c = row[j]
-            row = {k: v / c for k, v in row.items()}
-            for prow in pivots.values():
-                if j in prow:
-                    f = prow.pop(j)
-                    for k, v in row.items():
-                        if k == j:
-                            continue
-                        s = prow.get(k, 0) - f * v
-                        if s:
-                            prow[k] = s
-                        else:
-                            prow.pop(k, None)
-            pivots[j] = row
-        return pivots
+    def rank(self):
+        return self._echelon(self.rows).rank
 
     def kernel_basis(self):
         """Basis of the right kernel {v : M v = 0}, as dense Fraction vectors.
 
         One basis vector per free column, in increasing column order; the
-        vector for free column f has a 1 in position f.
+        vector for free column f has a 1 in position f and a 0 in every
+        other free column.
         """
-        pivots = self._echelon_fractions()
-        free = [j for j in range(self.ncols) if j not in pivots]
+        pivots = self._echelon(self.rows).pivots
         basis = []
-        for f in free:
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
             v = [Fraction(0)] * self.ncols
             v[f] = Fraction(1)
-            for pj, prow in pivots.items():
-                c = prow.get(f)
-                if c:
-                    v[pj] = -c
-            basis.append(v)
+            basis.append(_back_substitute(pivots, v))
         return basis
 
     def solve(self, b):
         """Solve M x = b exactly; returns a dense solution vector or None.
 
-        When the system is underdetermined the free variables are set to 0.
+        The rows [M | -b] are eliminated; the system is inconsistent when
+        the last column is a pivot.  Free variables are set to 0.
         """
         aug = []
         for r, bi in zip(self.rows, b):
             row = dict(r)
             if bi:
-                row[self.ncols] = bi
+                row[self.ncols] = -bi
             aug.append(row)
-        M = QMatrix(self.nrows, self.ncols + 1, aug)
-        pivots = M._echelon_fractions()
+        pivots = self._echelon(aug).pivots
         if self.ncols in pivots:
             return None
-        x = [Fraction(0)] * self.ncols
-        for pj, prow in pivots.items():
-            x[pj] = prow.get(self.ncols, Fraction(0))
-        return x
+        x = [Fraction(0)] * self.ncols + [Fraction(1)]
+        return _back_substitute(pivots, x)[:self.ncols]
+
+
+def _back_substitute(pivots, x):
+    """Fill x at every pivot column, highest pivot first, so that each
+    echelon row vanishes on x; the other entries of x are given."""
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        s = sum(c * x[k] for k, c in row.items() if k != p)
+        x[p] = Fraction(-s, row[p])
+    return x
 
 
 class PolyMatrix:

@@ -285,13 +285,6 @@ def e1_perp(f):
     return e_perp((1,), f)
 
 
-def omega(f):
-    """The omega involution: conjugates every Schur index."""
-    g = to_basis(f, "s")
-    return SymFn.build(g.degree, "s",
-                       {lam.conjugate(): c for lam, c in g.coeffs})
-
-
 def schur_poly(nu, nvars):
     """The Schur polynomial s_nu(x_1..x_nvars) via semistandard tableaux."""
     parts = nu.parts if isinstance(nu, Partition) else tuple(nu)

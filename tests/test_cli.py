@@ -103,12 +103,52 @@ def test_oversized_omp_check_refuses_before_the_reference(capsys,
 
 def test_cnk_with_k_outside_one_to_n_is_a_usage_error(capsys):
     for argv in (("cnk", "3", "5"), ("cnk", "3", "5", "--stat", "inv"),
-                 ("cnk", "-1", "1", "--stat", "inv"),
                  ("cnk", "3", "0", "--stat", "minimaj")):
         assert cli.main(list(argv)) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert "need 1 <= k <= n" in captured.err, argv
+
+
+def _assert_parser_rejects(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    assert message in captured.err, argv
+    assert "Traceback" not in captured.err, argv
+
+
+def test_n_below_one_is_a_usage_error(capsys):
+    for argv in (("hilbert", "-1"), ("hilbert", "0"), ("frobenius", "-1"),
+                 ("cnk", "-1", "1", "--stat", "inv"), ("cnk", "0", "1"),
+                 ("basis", "artin", "-1"), ("verify", "fields1", "--n", "-1"),
+                 ("verify", "all", "--n", "0")):
+        _assert_parser_rejects(capsys, argv, "n must be an integer >= 1")
+
+
+def test_basis_usage_errors_exit_two(capsys):
+    for argv, message in (
+            (("basis", "colon", "3"), "needs --j"),
+            (("basis", "colon", "3", "--j", "5"), "outside 1..3"),
+            (("basis", "parabolic", "3"), "needs --mu"),
+            (("basis", "parabolic", "3", "--mu", "2,2"), "partition of n"),
+            (("basis", "parabolic", "3", "--mu", "1,2"), "weakly decreasing")):
+        assert cli.main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage error: "), argv
+        assert message in captured.err, argv
+
+
+def test_unknown_config_keys_are_rejected(tmp_path, capsys):
+    for line in ("quotient_forcd = 2", "cells_budget = 1000"):
+        cfg = tmp_path / "caps.conf"
+        cfg.write_text(f"quotient = 3\n{line}\n")
+        _assert_parser_rejects(
+            capsys, ("verify", "fields1", "--n", "3", "--config", str(cfg)),
+            f"unknown config keys: {line.split()[0]}")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -7,23 +7,34 @@ import pytest
 from supercoinv.combinatorics import (Partition, QZPolynomial, ResourceRefused,
                                       SubsetOfN, fields1_formula, partitions,
                                       subsets)
-from supercoinv.coinvariant import (CACHE_STATS, Caps, CoinvariantEngine,
+from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable, Caps,
+                                    CoinvariantEngine, bosonic_ideal,
                                     colon_hilbert, epsilon_dims,
                                     frobenius_reconstruct, harmonic_basis,
-                                    operator_closure, quotient_hilbert,
-                                    superspace_ideal, theta_subsets,
-                                    verify_artin_basis, verify_colon_basis,
+                                    ideal_component, operator_closure,
+                                    quotient_hilbert, superspace_ideal,
+                                    theta_subsets, verify_artin_basis,
+                                    verify_colon_basis,
                                     verify_parabolic_basis)
 from supercoinv.exactalg import _IntEchelon
 from supercoinv.superspace import SuperElement, odot
 
 
 def test_direct_and_reduced_routes_agree():
+    # the direct route: the ideal component spanned inside the full
+    # superspace component, for every bidegree the reduced route visits
     for n in (1, 2, 3):
         spec = superspace_ideal(n)
-        reduced = quotient_hilbert(spec, method="reduced")
-        direct = quotient_hilbert(spec, method="direct")
-        assert reduced == direct
+        top = n * (n - 1) // 2
+        direct = BidegreeTable(n)
+        for i in range(top + 3):
+            for j in range(n + 1):
+                comp = ideal_component(spec, i, j)
+                direct.set(i, j, comp.ncols - comp.rank())
+        assert quotient_hilbert(spec) == direct
+    # the reduced route exists only for the superspace ideal
+    with pytest.raises(ValueError):
+        quotient_hilbert(bosonic_ideal(3))
 
 
 def test_quotient_matches_closed_formula():

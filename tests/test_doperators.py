@@ -9,10 +9,8 @@ from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
                                       j_of_signed, partitions,
                                       signed_partitions, staircase, subsets)
 from supercoinv.coinvariant import VerificationFailure
-from supercoinv.doperators import (FactorMatrixBundle, apply_D, build_E_set,
-                                   cmu_inverse, drop_y, enumerate_L,
-                                   factor_matrix, h_matrix, lift_x,
-                                   power_matrix, ptj_determinant,
+from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
+                                   enumerate_L, power_matrix, ptj_determinant,
                                    reduction_matrix, verify_E_independence,
                                    verify_factorization, verify_h_invariance,
                                    verify_L_monomial_bound,
@@ -55,9 +53,11 @@ def test_power_matrix_entries():
     assert P.grid[0][2] == y1
 
 
-def test_lift_and_drop_are_inverse():
-    p = MPoly.var(3, 1) * MPoly.var(3, 3) + MPoly.const(3, 2)
-    assert drop_y(lift_x(p, 3), 3) == p
+def test_drop_y_projects_to_the_x_alphabet():
+    # x1*x3 + 2 written in the 2n = 6 variables x1..x3, y1..y3
+    p = MPoly(6, {(1, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0): 2})
+    assert drop_y(p, 3) == MPoly.var(3, 1) * MPoly.var(3, 3) \
+        + MPoly.const(3, 2)
     with pytest.raises(ValueError):
         drop_y(MPoly.var(6, 5), 3)
 
@@ -151,17 +151,6 @@ def test_h_matrix_entries_are_block_symmetric():
     for n in (2, 3, 4):
         for tt in _admissible(n):
             assert verify_h_invariance(tt.mu, tt.union_set())
-
-
-def test_bundle_consistency():
-    mu = (2, 1)
-    b = FactorMatrixBundle.build(mu, (2,))
-    assert b.n == 3 and b.r == 1
-    PC = b.power.mul(b.reduction)
-    for i in range(b.r):
-        for j in range(b.n):
-            assert PC.grid[i][j] == b.factor.grid[i][j]
-    assert b.h.grid == h_matrix(mu, (2,)).grid
 
 
 def test_block_spanning_counts_and_bounds():

@@ -119,6 +119,29 @@ def test_solve_random_round_trip():
             assert sum(v * y[c] for c, v in r.items()) == bv
 
 
+def test_kernel_and_solve_fix_free_columns():
+    # one kernel vector per free column, in column order: a 1 in that free
+    # column, 0 in every other free column
+    F = Fraction
+    M = QMatrix(2, 3, [{0: 1, 1: 2, 2: 3}, {2: 1}])
+    assert M.kernel_basis() == [[F(-2), F(1), F(0)]]
+    wide = QMatrix(1, 4, [{0: 1, 2: 2, 3: 3}])
+    assert wide.kernel_basis() == [[F(0), F(1), F(0), F(0)],
+                                   [F(-2), F(0), F(1), F(0)],
+                                   [F(-3), F(0), F(0), F(1)]]
+    scaled = QMatrix(2, 3, [{0: 2, 1: 4, 2: 6}, {1: 3, 2: 9}])
+    assert scaled.kernel_basis() == [[F(3), F(-3), F(1)]]
+    assert QMatrix(2, 2, [{0: 1}, {1: 1}]).kernel_basis() == []
+    # an underdetermined solve sets the free variables to 0
+    assert M.solve([5, 1]) == [F(2), F(0), F(1)]
+    assert QMatrix(1, 3, [{0: 2, 1: 1, 2: 1}]).solve([3]) == \
+        [F(3, 2), F(0), F(0)]
+    x = QMatrix(1, 3, [{1: F(1, 2), 2: 1}]).solve([1])
+    assert x == [F(0), F(2), F(0)]
+    for vec in M.kernel_basis() + wide.kernel_basis() + [x]:
+        assert all(type(v) is Fraction for v in vec)
+
+
 def test_bareiss_agrees_with_cofactor():
     rng = random.Random(29)
     for _ in range(20):

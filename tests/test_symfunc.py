@@ -7,7 +7,7 @@ from supercoinv.combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
                                       enumerate_omp, kostka, partitions)
 from supercoinv.exactalg import MPoly
 from supercoinv.symfunc import (SymFn, cnk_omp, cnk_syt, e1_perp, e_perp,
-                                hall, omega, schur_poly, to_basis)
+                                hall, schur_poly, to_basis)
 
 
 def _schur(lam, coeff=None):
@@ -55,14 +55,6 @@ def test_hall_orthonormality_of_schur():
                 v = hall(_schur(lam.parts), _schur(mu.parts))
                 assert v == (QZPolynomial.one() if lam == mu
                              else QZPolynomial.zero())
-
-
-def test_omega_swaps_elementary_and_complete_on_schur():
-    for degree in (2, 3, 4):
-        for lam in partitions(degree):
-            f = omega(_schur(lam.parts))
-            assert f.as_dict() == {lam.conjugate(): QZPolynomial.one()}
-            assert omega(f) == _schur(lam.parts)
 
 
 def test_e_perp_is_hall_adjoint():
