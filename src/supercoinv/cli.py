@@ -25,8 +25,8 @@ from .combinatorics import (DEFAULT_OSP_CAP, OMP_STATISTICS, Partition,
                             j_of_signed, partitions, sequence_bound,
                             signed_partitions, subsets, TranslationSequence)
 from .coinvariant import (CACHE_STATS, Caps, DEFAULT_CAPS, IntegrityError,
-                          VerificationFailure, _colon_image, bosonic_ideal,
-                          epsilon_dims, frobenius_reconstruct,
+                          VerificationFailure, bosonic_ideal, colon_hilbert,
+                          colon_images, epsilon_dims, frobenius_reconstruct,
                           ideal_component, operator_closure, quotient_hilbert,
                           superspace_ideal, verify_artin_basis,
                           verify_colon_basis, verify_parabolic_basis)
@@ -266,6 +266,9 @@ def check_steinberg(n, ctx):
     from .coinvariant import monomials
     rng = random.Random(ctx.seed)
     spec = bosonic_ideal(n)
+    # f_J = 1 for the empty J, so the colon images are p (.) Vandermonde
+    empty = SubsetOfN(n, ())
+    pairing_ranks = colon_hilbert(empty)
     top = n * (n - 1) // 2
     for d in range(top + 2):
         mons = monomials(n, d)
@@ -273,37 +276,28 @@ def check_steinberg(n, ctx):
         for row in ideal_component(spec, d, 0).rows:
             if row:
                 ech.add(row)
-        # f_J = 1 for the empty J, so these are the images p (.) Vandermonde
-        images = _colon_image([MPoly.monomial(e) for e in mons],
-                              SubsetOfN(n, ()))
-        pair_rows = _IntEchelon()
-        for row in images:
-            if row:
-                pair_rows.add(row)
-        if ech.rank + pair_rows.rank != len(mons):
+        pair_rank = pairing_ranks.get(d, 0)
+        if ech.rank + pair_rank != len(mons):
             raise VerificationFailure(
                 f"kernel of the Vandermonde pairing differs from the ideal"
-                f" in degree {d}: {ech.rank} + {pair_rows.rank}"
+                f" in degree {d}: {ech.rank} + {pair_rank}"
                 f" != {len(mons)}")
         # random elements, checked by both routes
+        probes = []
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in mons]
-            row = {}
-            pairing = {}
-            for idx, (c, rim) in enumerate(zip(coeffs, images)):
-                if not c:
-                    continue
-                row[idx] = c
-                for e, v in rim.items():
-                    pairing[e] = pairing.get(e, 0) + c * v
-            pairing = {k: v for k, v in pairing.items() if v}
-            in_kernel = not pairing
-            if not row:
-                continue
-            in_ideal = not ech.fork().add(row)
-            if in_ideal != in_kernel:
-                raise VerificationFailure(
-                    f"membership routes disagree in degree {d}")
+            row = {idx: c for idx, c in enumerate(coeffs) if c}
+            if row:
+                probes.append(row)
+        polys = [MPoly(n, {mons[idx]: c for idx, c in row.items()})
+                 for row in probes]
+        for _, images in colon_images(polys, empty):
+            for row, image in zip(probes, images):
+                in_ideal = not ech.fork().add(row)
+                in_kernel = not image
+                if in_ideal != in_kernel:
+                    raise VerificationFailure(
+                        f"membership routes disagree in degree {d}")
 
 
 CHECKS = {

@@ -12,6 +12,11 @@ The direct route, ``ideal_component``, spans the ideal component inside
 the full superspace component; the test suite takes its rank as the
 reference for the reduced route, and the Steinberg check uses it for the
 bosonic ideal.
+
+The colon quotients C[x]/(I_n : f_J) come from one catalecticant builder:
+x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
+g_J = f_J (.) Vandermonde computed once per J, and the images of the
+degree-d monomials are the rows of the degree-d catalecticant of g_J.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, perm
 
 from .combinatorics import (Partition, QZPolynomial, ResourceRefused,
                             SubsetOfN, enumerate_artin, enumerate_signed_artin,
@@ -510,53 +515,97 @@ def operator_closure(n, caps=DEFAULT_CAPS):
     return table
 
 
-def _colon_image(polys, j_subset):
-    """Images (p * f_J) (.) Vandermonde as rows over the bosonic monomials."""
-    n = j_subset.n
-    delta = vandermonde(n)
-    fj = f_J(j_subset)
-    rows = []
-    index = {}
+def _catalecticants(j_subset, degrees):
+    """Yield (d, rows, columns) for each d in degrees: rows[a] is the image
+    (x^a f_J) (.) Vandermonde as an integer row, and columns maps each
+    exponent of the images to its column index.
+
+    x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
+    g_J = f_J (.) Vandermonde, computed once here.  Row a of the degree-d
+    catalecticant of g_J holds c_b prod_i b_i!/(b_i - a_i)! at column b - a
+    for every term c_b x^b of g_J with a <= b; exponents a without such a
+    term have a zero image and no row.
+    """
+    g = odot(f_J(j_subset), vandermonde(j_subset.n))
+    if any(ts for _, ts in g.terms):
+        raise IntegrityError(f"theta term in f_J (.) Vandermonde for"
+                             f" J={j_subset.elems}")
+    terms = [(b, c) for (b, _), c in g.terms.items()]
+    for d in degrees:
+        rows, columns = {}, {}
+        for b, c in terms:
+            for a in product(*(range(x + 1) for x in b)):
+                if sum(a) != d:
+                    continue
+                v = c
+                for x, y in zip(b, a):
+                    v *= perm(x, y)
+                col = columns.setdefault(tuple(x - y for x, y in zip(b, a)),
+                                         len(columns))
+                rows.setdefault(a, {})[col] = v
+        yield d, rows, columns
+
+
+def colon_images(polys, j_subset):
+    """Yield (d, images) for each degree d of the given homogeneous
+    polynomials: the images (p * f_J) (.) Vandermonde of the degree-d
+    polynomials, in input order, as integer rows over the degree-d
+    catalecticant columns, each the combination of its terms' rows.  Zero
+    polynomials are skipped; an inhomogeneous polynomial raises
+    ValueError."""
+    by_degree = {}
     for p in polys:
-        if isinstance(p, MPoly):
-            p = SuperElement.from_mpoly(p)
-        img = odot(p * fj, delta)
-        row = {}
-        for (exp, ts), c in img.terms.items():
-            if ts:
-                raise IntegrityError("unexpected theta term in colon image")
-            col = index.setdefault(exp, len(index))
-            row[col] = c
-        rows.append(row)
-    return rows
+        degrees = {sum(e) for e in p.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"colon image of an inhomogeneous polynomial"
+                             f" (degrees {sorted(degrees)})")
+        if degrees:
+            by_degree.setdefault(degrees.pop(), []).append(p)
+    for d, rows, _ in _catalecticants(j_subset, sorted(by_degree)):
+        images = []
+        for p in by_degree[d]:
+            image = {}
+            for a, c in p.terms.items():
+                for col, v in rows.get(a, {}).items():
+                    s = image.get(col, 0) + c * v
+                    if s:
+                        image[col] = s
+                    else:
+                        del image[col]
+            images.append(image)
+        yield d, images
 
 
 def steinberg_independence(polys, j_subset):
-    """Rank of the images of the given polynomials modulo the colon ideal."""
-    ech = _IntEchelon()
-    for row in _colon_image(polys, j_subset):
-        if row:
-            ech.add(row)
-    return ech.rank
+    """Rank of the images of homogeneous polynomials modulo the colon
+    ideal.  Images of different degrees share no column, so the rank is the
+    sum of the per-degree ranks."""
+    rank = 0
+    for _, images in colon_images(polys, j_subset):
+        ech = _IntEchelon()
+        for image in images:
+            if image:
+                ech.add(image)
+        rank += ech.rank
+    return rank
 
 
 def colon_hilbert(j_subset):
     """Graded dimensions of the colon quotient, degree by degree: the rank
-    of p -> (p * f_J) (.) Vandermonde on polynomials of each degree."""
+    of the catalecticant p -> (p * f_J) (.) Vandermonde in each degree."""
     n = j_subset.n
     fdeg = f_J(j_subset).bosonic_part().degree()
     top = n * (n - 1) // 2 - fdeg
     out = {}
-    for d in range(top + 1):
-        polys = [MPoly.monomial(e) for e in monomials(n, d)]
-        r = steinberg_independence(polys, j_subset)
-        if r:
-            out[d] = r
-    for d in (top + 1, top + 2):
-        polys = [MPoly.monomial(e) for e in monomials(n, d)]
-        if steinberg_independence(polys, j_subset):
+    for d, rows, _ in _catalecticants(j_subset, range(top + 3)):
+        ech = _IntEchelon()
+        for row in rows.values():
+            ech.add(row)
+        if ech.rank and d > top:
             raise VerificationFailure(
                 f"colon quotient alive above its degree bound at degree {d}")
+        if ech.rank:
+            out[d] = ech.rank
     return out
 
 

@@ -152,13 +152,6 @@ class QZPolynomial:
     def __repr__(self):
         return f"QZPolynomial({self.render()})"
 
-    def to_json(self):
-        return {"coeffs": sorted([qe, ze, c] for (qe, ze), c in self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({(qe, ze): c for qe, ze, c in data["coeffs"]})
-
 
 def _qz_divmod(num, den):
     """Exact division of QZPolynomials (used for Gaussian binomials)."""

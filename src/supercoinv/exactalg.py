@@ -173,26 +173,6 @@ class MPoly:
         r.terms = out
         return r
 
-    def substitute(self, assignment):
-        """Substitute variables by polynomials.
-
-        ``assignment`` maps 1-indexed variable numbers to MPoly values (in
-        the same variable count).  Variables not mentioned stay fixed.
-        """
-        result = MPoly.zero(self.nvars)
-        for exp, c in self.terms.items():
-            term = MPoly.const(self.nvars, c)
-            for pos, a in enumerate(exp):
-                if not a:
-                    continue
-                i = pos + 1
-                if i in assignment:
-                    term = term * (assignment[i] ** a)
-                else:
-                    term = term * (MPoly.var(self.nvars, i) ** a)
-            result = result + term
-        return result
-
     def lex_leading(self):
         """(exponent, coefficient) of the lex-largest term (x_1 > x_2 > ...)."""
         if not self.terms:
@@ -303,17 +283,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.render()})"
-
-    def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "terms": [[list(e), str(c)] for e, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["nvars"],
-                   {tuple(e): Fraction(c) for e, c in data["terms"]})
 
 
 def _int_row(row):
@@ -539,17 +508,8 @@ class PolyMatrix:
         return d.scale(sign) if sign < 0 else d
 
 
-def poly_eval_substitute(matrix, assignment):
-    """Apply a variable substitution to every entry of a PolyMatrix.
-
-    ``assignment`` maps 1-indexed variables to either variable numbers
-    (fast monomial rename) or MPoly values.
-    """
-    rename = all(isinstance(v, int) for v in assignment.values())
-    out = []
-    for row in matrix.grid:
-        if rename:
-            out.append([p.rename_vars(assignment) for p in row])
-        else:
-            out.append([p.substitute(assignment) for p in row])
-    return PolyMatrix(out)
+def poly_eval_substitute(matrix, mapping):
+    """Rename variables x_i -> x_{mapping[i]} in every entry of a
+    PolyMatrix (``mapping`` of 1-indexed variable numbers)."""
+    return PolyMatrix([[p.rename_vars(mapping) for p in row]
+                       for row in matrix.grid])

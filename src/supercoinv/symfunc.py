@@ -72,19 +72,6 @@ class SymFn:
     def __repr__(self):
         return f"SymFn({self.render()})"
 
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "basis": self.basis,
-            "coeffs": [[list(lam.parts), c.to_json()] for lam, c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["degree"], data["basis"],
-                   tuple((Partition(tuple(p)), QZPolynomial.from_json(c))
-                         for p, c in data["coeffs"]))
-
     def latex(self):
         if not self.coeffs:
             return "0"

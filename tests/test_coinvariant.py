@@ -5,19 +5,21 @@ import json
 import pytest
 
 from supercoinv.combinatorics import (Partition, QZPolynomial, ResourceRefused,
-                                      SubsetOfN, fields1_formula, partitions,
-                                      subsets)
+                                      SubsetOfN, fields1_formula, j_of_signed,
+                                      partitions, signed_partitions, subsets)
 from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable, Caps,
-                                    CoinvariantEngine, bosonic_ideal,
-                                    colon_hilbert, epsilon_dims,
-                                    frobenius_reconstruct, harmonic_basis,
-                                    ideal_component, operator_closure,
-                                    quotient_hilbert, superspace_ideal,
-                                    theta_subsets, verify_artin_basis,
-                                    verify_colon_basis,
+                                    CoinvariantEngine, _catalecticants,
+                                    bosonic_ideal, colon_hilbert,
+                                    epsilon_dims, frobenius_reconstruct,
+                                    harmonic_basis, ideal_component,
+                                    monomials, operator_closure,
+                                    quotient_hilbert, steinberg_independence,
+                                    superspace_ideal, theta_subsets,
+                                    verify_artin_basis, verify_colon_basis,
                                     verify_parabolic_basis)
-from supercoinv.exactalg import _IntEchelon
-from supercoinv.superspace import SuperElement, odot
+from supercoinv.doperators import build_E_set
+from supercoinv.exactalg import MPoly, _IntEchelon
+from supercoinv.superspace import SuperElement, f_J, odot, vandermonde
 
 
 def test_direct_and_reduced_routes_agree():
@@ -77,6 +79,40 @@ def test_colon_quotient_sizes_at_n_three():
     assert sizes[(2,)] == 2
     assert sizes[(2, 3)] == 1
     assert sizes[(1,)] == sizes[(1, 2)] == sizes[(1, 3)] == sizes[(1, 2, 3)] == 0
+
+
+def _literal_colon_image(p, J):
+    """(p * f_J) (.) Vandermonde by the superspace product and pairing."""
+    return odot(SuperElement.from_mpoly(p) * f_J(J), vandermonde(J.n))
+
+
+def test_catalecticant_rows_match_the_literal_pairing():
+    for n in (1, 2, 3, 4):
+        for J in subsets(n):
+            top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
+            for d, rows, columns in _catalecticants(J, range(top + 2)):
+                exps = {col: e for e, col in columns.items()}
+                for a in monomials(n, d):
+                    got = SuperElement(n, {(exps[col], ()): c for col, c
+                                           in rows.get(a, {}).items()})
+                    assert got == _literal_colon_image(MPoly.monomial(a), J), \
+                        (J.elems, a)
+
+
+def test_colon_ranks_match_the_literal_pairing():
+    for n in (1, 2, 3, 4):
+        for sp in signed_partitions(n):
+            polys, J = build_E_set(sp), j_of_signed(sp)
+            ech = _IntEchelon()
+            for p in polys:
+                image = _literal_colon_image(p, J)
+                if image.terms:
+                    ech.add(image.terms)
+            assert steinberg_independence(polys, J) == ech.rank, \
+                (sp.mu, sp.gamma)
+    x1 = MPoly.var(3, 1)
+    with pytest.raises(ValueError):
+        steinberg_independence([x1 * x1 + x1], SubsetOfN(3, ()))
 
 
 def test_colon_basis_verification_small():

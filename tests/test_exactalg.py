@@ -73,13 +73,6 @@ def test_try_div_and_exact_div():
         assert (a * b).exact_div(b) * b == a * b
 
 
-def test_json_round_trip():
-    rng = random.Random(19)
-    for _ in range(30):
-        a = random_poly(rng, 3)
-        assert MPoly.from_json(a.to_json()) == a
-
-
 def test_rank_of_known_matrices():
     ident = QMatrix(3, 3, [{0: 1}, {1: 1}, {2: 1}])
     assert ident.rank() == 3
@@ -179,8 +172,6 @@ def test_substitution_renames_and_evaluates():
     M = PolyMatrix([[p]])
     renamed = poly_eval_substitute(M, {1: 2}).grid[0][0]
     assert renamed == MPoly.var(2, 2) ** 2 + MPoly.var(2, 2)
-    valued = poly_eval_substitute(M, {1: MPoly.const(2, 3)}).grid[0][0]
-    assert valued == MPoly.const(2, 9) + MPoly.var(2, 2)
 
 
 def test_vandermonde_determinant_identity():

@@ -161,4 +161,3 @@ def test_latex_and_render_cover_zero_and_signs():
     assert z.latex() == "0"
     f = _schur((1, 1), QZPolynomial({(1, 0): -1, (0, 1): 1}))
     assert "s" in f.latex()
-    assert SymFn.from_json(f.to_json()) == f
