@@ -34,8 +34,8 @@ from .doperators import (apply_D, ptj_determinant, verify_E_independence,
                          verify_h_invariance, verify_monomial_bound, weight,
                          enumerate_L)
 from .exactalg import MPoly, _IntEchelon
-from .superspace import (SuperElement, antisymmetrize, coinvariant_generators,
-                         f_J, odot, vandermonde, young_subgroup_order)
+from .superspace import (SuperElement, coinvariant_generators, f_J,
+                         is_antisymmetric, odot, vandermonde)
 from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
 
 CACHE_ENV = "SUPERCOINV_CACHE"
@@ -168,7 +168,7 @@ def check_dop_leading(n, ctx):
             if not odot(g, v).is_zero():
                 raise VerificationFailure(
                     f"image not harmonic for mu={mu}, T={tt.sets}")
-        if antisymmetrize(mu, v) != v.scale(young_subgroup_order(mu)):
+        if not is_antisymmetric(mu, v):
             raise VerificationFailure(
                 f"image not antisymmetric for mu={mu}, T={tt.sets}")
         Jmax = j_of_signed(SignedPartition(mu, tt.gamma()))
@@ -404,6 +404,12 @@ def _build_context(args):
     if "osp_cap" in config:
         ctx.osp_cap = int(config["osp_cap"])
     ctx.cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
+    if ctx.cache:
+        try:
+            os.makedirs(ctx.cache, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use {ctx.cache!r} as the cache"
+                             f" directory: {exc.strerror}") from exc
     ctx.force = bool(getattr(args, "force", False))
     ctx.seed = int(getattr(args, "seed", 0) or 0)
     return ctx

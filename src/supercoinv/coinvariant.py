@@ -17,6 +17,11 @@ The colon quotients C[x]/(I_n : f_J) come from one catalecticant builder:
 x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
 g_J = f_J (.) Vandermonde computed once per J, and the images of the
 degree-d monomials are the rows of the degree-d catalecticant of g_J.
+
+A basis certificate is one elimination per component: the candidate rows
+go in first and each must be kept (independence), then the spanning rows
+(the catalecticant rows, or eps_mu of the coset representatives) and none
+may be kept (span).
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from itertools import combinations, product
 from math import comb, perm
 
 from .combinatorics import (Partition, QZPolynomial, ResourceRefused,
-                            SubsetOfN, enumerate_artin, enumerate_signed_artin,
-                            j_of_signed, kostka, partitions, staircase,
-                            subsets)
+                            enumerate_artin, enumerate_signed_artin,
+                            j_of_signed, kostka, partitions,
+                            signed_partitions, subsets)
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
@@ -611,58 +616,60 @@ def colon_hilbert(j_subset):
 
 def verify_colon_basis(j_subset):
     """Check the substaircase monomials A_n(J) form a graded basis of the
-    colon quotient.  Returns True or raises VerificationFailure."""
-    arts = enumerate_artin(j_subset)
-    polys = [MPoly.monomial(e) for e in arts]
-    rank = steinberg_independence(polys, j_subset)
-    if rank != len(arts):
+    colon quotient, one elimination per catalecticant; the two degrees above
+    the bound have no candidates, so they must vanish.  Returns True or
+    raises VerificationFailure."""
+    n = j_subset.n
+    top = n * (n - 1) // 2 - f_J(j_subset).bosonic_part().degree()
+    by_degree = {}
+    for a in enumerate_artin(j_subset):
+        by_degree.setdefault(sum(a), []).append(a)
+    for d, rows, _ in _catalecticants(j_subset, range(top + 3)):
+        ech = _IntEchelon()
+        candidates = by_degree.pop(d, [])
+        for a in candidates:
+            if a not in rows or not ech.add(rows[a]):
+                raise VerificationFailure(
+                    f"A_n(J) monomial {a} is dependent modulo the colon"
+                    f" ideal for J={j_subset.elems}")
+        kept = set(candidates)
+        for a, row in rows.items():
+            if a not in kept and ech.add(row):
+                raise VerificationFailure(
+                    f"A_n(J) does not span the colon quotient in degree {d}"
+                    f" for J={j_subset.elems}: x^{a} is independent of it")
+    if by_degree:
         raise VerificationFailure(
-            f"A_n(J) not independent modulo colon ideal for J={j_subset.elems}")
-    want = colon_hilbert(j_subset)
-    got = {}
-    for e in arts:
-        got[sum(e)] = got.get(sum(e), 0) + 1
-    if got != want:
-        raise VerificationFailure(
-            f"A_n(J) degree counts {got} != colon dimensions {want}"
-            f" for J={j_subset.elems}")
+            f"A_n(J) monomials of degrees {sorted(by_degree)} lie above the"
+            f" colon degree bound {top} for J={j_subset.elems}")
     return True
 
 
 def verify_artin_basis(n, caps=DEFAULT_CAPS):
     """Check the full substaircase set A_n = union over J of A_n(J) theta_J
-    descends to a basis of the superspace quotient."""
-    spec = superspace_ideal(n)
-    table = quotient_hilbert(spec, caps=caps)
+    descends to a basis of the superspace quotient: independent modulo the
+    ideal, and as many as the quotient dimension, in each bidegree."""
+    table = quotient_hilbert(superspace_ideal(n), caps=caps)
     eng = CoinvariantEngine(n)
-    total = 0
+    by_bideg = {}
     for J in subsets(n):
-        arts = enumerate_artin(J)
-        total += len(arts)
-        by_bideg = {}
-        for a in arts:
-            by_bideg.setdefault(sum(a), []).append(a)
-        j = len(J.elems)
-        for i, group in by_bideg.items():
-            ech, basis, index = eng.ideal_echelon(i, j)
-            seeded = ech.fork()
-            for a in group:
-                col = index[(a, J.elems)]
-                if not seeded.add({col: 1}):
-                    raise VerificationFailure(
-                        f"substaircase element {a} theta_{J.elems} is"
-                        " dependent modulo the ideal")
-    if total != table.total():
-        raise VerificationFailure(
-            f"substaircase count {total} != quotient dimension {table.total()}")
-    counts = {}
-    for J in subsets(n):
+        ts = J.elems
         for a in enumerate_artin(J):
-            key = (sum(a), len(J.elems))
-            counts[key] = counts.get(key, 0) + 1
+            by_bideg.setdefault((sum(a), len(ts)), []).append((a, ts))
+    for (i, j), group in by_bideg.items():
+        ech, _, index = eng.ideal_echelon(i, j)
+        seeded = ech.fork()
+        for key in group:
+            if not seeded.add({index[key]: 1}):
+                a, ts = key
+                raise VerificationFailure(
+                    f"substaircase element {a} theta_{ts} is dependent"
+                    " modulo the ideal")
+    counts = {key: len(group) for key, group in by_bideg.items()}
     if counts != table.nonzero():
-        raise VerificationFailure("substaircase bidegree counts do not match"
-                                  " the quotient table")
+        raise VerificationFailure(
+            f"substaircase bidegree counts (total {sum(counts.values())})"
+            f" do not match the quotient table (total {table.total()})")
     return True
 
 
@@ -672,73 +679,64 @@ def epsilon_dims(mu, n, caps=DEFAULT_CAPS):
     mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if sum(mu_parts) != n:
         raise ValueError("mu must be a partition of n")
-    spec = superspace_ideal(n)
-    quotient_hilbert(spec, caps=caps)  # enforces the cap, warms the engine
+    quotient_hilbert(superspace_ideal(n), caps=caps)  # enforces the cap
     eng = CoinvariantEngine(n)
     table = BidegreeTable(n)
-    top = n * (n - 1) // 2
-    for i in range(top + 1):
+    for i in range(eng.top + 1):
         for j in range(n + 1):
-            ech, basis, index = eng.ideal_echelon(i, j)
-            if not basis:
-                continue
+            ech, _, index = eng.ideal_echelon(i, j)
             reps = eng.coset_representatives(i, j)
-            if not reps:
-                continue
-            seeded = ech.fork()
-            count = 0
-            for (a, ts) in reps:
-                elem = antisymmetrize(mu_parts,
-                                      SuperElement.monomial(n, a, ts))
-                row = eng.reduced_coords(elem, index)
-                if row and seeded.add(row):
-                    count += 1
+            count = sum(map(ech.fork().add,
+                            _eps_rows(eng, mu_parts, reps, index)))
             if count:
                 table.set(i, j, count)
     return table
 
 
+def _eps_rows(eng, mu, keys, index):
+    """Reduced coordinates of eps_mu (x^a theta_ts) for each key (a, ts)."""
+    for a, ts in keys:
+        elem = antisymmetrize(mu, SuperElement.monomial(eng.n, a, ts))
+        yield eng.reduced_coords(elem, index)
+
+
 def verify_parabolic_basis(mu, n, caps=DEFAULT_CAPS):
     """Check that eps_mu applied to the signed substaircase monomials gives
-    a basis of the antisymmetric slice of the quotient."""
+    a basis of the antisymmetric slice of the quotient, one elimination per
+    bidegree on a fork of the ideal echelon."""
     mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
-    dims = epsilon_dims(mu_parts, n, caps=caps)
+    if sum(mu_parts) != n:
+        raise ValueError("mu must be a partition of n")
+    # enforces the cap and certifies the quotient vanishes above the top
+    quotient_hilbert(superspace_ideal(n), caps=caps)
     eng = CoinvariantEngine(n)
-    seeded = {}
-    counts = BidegreeTable(n)
-    from .combinatorics import SignedPartition
-    gammas = []
-    def rec(i, acc):
-        if i == len(mu_parts):
-            gammas.append(tuple(acc))
-            return
-        for g in range(mu_parts[i] + 1):
-            rec(i + 1, acc + [g])
-    rec(0, [])
-    for gamma in gammas:
-        sp = SignedPartition(mu_parts, gamma)
-        J = j_of_signed(sp)
-        j = len(J.elems)
-        for a in enumerate_signed_artin(sp):
-            i = sum(a)
-            key = (i, j)
-            if key not in seeded:
-                ech, basis, index = eng.ideal_echelon(i, j)
-                s = ech.fork()
-                seeded[key] = (s, index)
-            s, index = seeded[key]
-            elem = antisymmetrize(mu_parts,
-                                  SuperElement.monomial(n, a, J.elems))
-            row = eng.reduced_coords(elem, index)
-            if not row or not s.add(row):
+    by_bideg = {}
+    for sp in signed_partitions(n):
+        if sp.mu == mu_parts:
+            ts = j_of_signed(sp).elems
+            for a in enumerate_signed_artin(sp):
+                by_bideg.setdefault((sum(a), len(ts)), []).append((a, ts))
+    for i in range(eng.top + 1):
+        for j in range(n + 1):
+            ech, _, index = eng.ideal_echelon(i, j)
+            seeded = ech.fork()
+            group = by_bideg.pop((i, j), [])
+            rows = _eps_rows(eng, mu_parts, group, index)
+            for (a, ts), row in zip(group, rows):
+                if not seeded.add(row):
+                    raise VerificationFailure(
+                        f"parabolic element for mu={mu_parts}, J={ts},"
+                        f" exponents {a} is zero or dependent modulo the"
+                        " ideal")
+            reps = eng.coset_representatives(i, j)
+            if any(map(seeded.add, _eps_rows(eng, mu_parts, reps, index))):
                 raise VerificationFailure(
-                    f"parabolic element for mu={mu_parts}, gamma={gamma},"
-                    f" exponents {a} is zero or dependent modulo the ideal")
-            counts.set(i, j, counts.get(i, j) + 1)
-    if counts.nonzero() != dims.nonzero():
+                    f"parabolic elements for mu={mu_parts} do not span the"
+                    f" antisymmetric slice at bidegree ({i},{j})")
+    if by_bideg:
         raise VerificationFailure(
-            f"parabolic basis bidegree counts {counts.nonzero()} do not match"
-            f" the antisymmetric slice dimensions {dims.nonzero()}")
+            f"parabolic elements for mu={mu_parts} at bidegrees"
+            f" {sorted(by_bideg)} lie above the bosonic bound {eng.top}")
     return True
 
 

@@ -294,14 +294,7 @@ def _partitions_in_box(width, height):
             rec(remaining_rows - 1, p, acc)
             acc.pop()
     rec(height, width, [])
-    # de-duplicate while preserving first occurrence
-    seen = set()
-    uniq = []
-    for lam in out:
-        if lam not in seen:
-            seen.add(lam)
-            uniq.append(lam)
-    return uniq
+    return out
 
 
 def l_polynomials(m, k, t, n=None, offset=0):

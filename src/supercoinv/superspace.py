@@ -345,31 +345,28 @@ def star_set(K, n):
 def antisymmetrize(mu, f):
     """Apply eps_mu = sum over the Young subgroup S_mu of sign(w) w."""
     n = f.nvars
-    blocks = mu_blocks(mu)
-    total = SuperElement.zero(n)
-
-    def rec(bi, w, sign):
-        nonlocal total
-        if bi == len(blocks):
-            total = total + act(tuple(w), f).scale(sign)
-            return
-        block = blocks[bi]
-        for perm in permutations(block):
-            s = _perm_sign(block, perm)
-            for src, tgt in zip(block, perm):
-                w[src - 1] = tgt
-            rec(bi + 1, w, sign * s)
-        for src in block:
-            w[src - 1] = src
-
-    rec(0, list(range(1, n + 1)), 1)
-    return total
+    # (w, sign(w)) for every w in S_mu; the blocks are consecutive, so w is
+    # the concatenation of one permutation of each block
+    group = [((), 1)]
+    for block in mu_blocks(mu):
+        group = [(w + p, sign * _sort_sign(p)[1]) for w, sign in group
+                 for p in permutations(block)]
+    fixed = tuple(range(sum(mu) + 1, n + 1))
+    out = {}
+    for w, sign in group:
+        for key, c in act(w + fixed, f).terms.items():
+            out[key] = out.get(key, 0) + sign * c
+    return SuperElement(n, out)
 
 
-def _perm_sign(domain, image):
-    """Sign of the permutation sending domain[i] -> image[i]."""
-    _, sign = _sort_sign(image)
-    return sign
+def is_antisymmetric(mu, f):
+    """True if w f = sign(w) f for every w in the Young subgroup S_mu, that
+    is eps_mu f = |S_mu| f.  The adjacent transpositions inside the
+    mu-blocks generate S_mu, so each only has to negate f."""
+    minus_f = f.scale(-1)
+    ident = tuple(range(1, f.nvars + 1))
+    return all(act(ident[:i - 1] + (i + 1, i) + ident[i + 1:], f) == minus_f
+               for block in mu_blocks(mu) for i in block[:-1])
 
 
 def young_subgroup_order(mu):

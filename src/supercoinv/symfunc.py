@@ -5,12 +5,12 @@ Frobenius polynomials C_{n,k}(x; q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .combinatorics import (DEFAULT_OSP_CAP, Partition, QZPolynomial,
-                            ResourceRefused, StandardTableau, enumerate_omp,
-                            enumerate_ssyt, enumerate_syt_all, kostka,
-                            omp_statistic, partitions)
+                            ResourceRefused, enumerate_omp, enumerate_ssyt,
+                            enumerate_syt_all, kostka, omp_statistic,
+                            partitions)
 from .exactalg import MPoly, QMatrix
 
 

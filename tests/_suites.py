@@ -6,9 +6,8 @@ raises AssertionError on the first violated property.
 import random
 from fractions import Fraction
 
-from supercoinv.combinatorics import (Partition, SubsetOfN, gale_leq, kostka,
-                                      partitions, subsets)
-from supercoinv.exactalg import MPoly, QMatrix
+from supercoinv.combinatorics import gale_leq, kostka, partitions, subsets
+from supercoinv.exactalg import QMatrix
 from supercoinv.superspace import (SuperElement, antisymmetrize,
                                    contract_theta, odot,
                                    young_subgroup_order)

@@ -16,8 +16,7 @@ from supercoinv.combinatorics import (OMP_STATISTICS, Partition,
                                       count_signed_artin_product,
                                       enumerate_I, enumerate_osp,
                                       fields1_formula, gale_leq, j_of_signed,
-                                      partitions, sequence_bound,
-                                      signed_partitions, subsets)
+                                      partitions, sequence_bound, subsets)
 from supercoinv.coinvariant import (epsilon_dims, frobenius_reconstruct,
                                     operator_closure, quotient_hilbert,
                                     superspace_ideal, verify_artin_basis,
@@ -102,7 +101,7 @@ def test_criterion_05_artin_and_colon_bases():
 
 
 def test_criterion_06_parabolic_bases():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for lam in partitions(n):
             assert verify_parabolic_basis(lam.parts, n)
     sp = SignedPartition((3, 3, 2), (1, 2, 0))
@@ -116,7 +115,7 @@ def test_criterion_06_parabolic_bases():
     assert count_signed_artin_product(sp) == 360
     params = [(3, 1, 0), (3, 2, 2), (2, 0, 3)]
     assert [count_I(m, g, t) for m, g, t in params] == factors
-    _ok(6, "parabolic bases and the 360 = 2*18*10 chain, n <= 4")
+    _ok(6, "parabolic bases and the 360 = 2*18*10 chain, n <= 5")
 
 
 def test_criterion_07_determinantal_operators():

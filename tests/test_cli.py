@@ -185,6 +185,18 @@ def test_cache_env_variable_is_honored(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir())
 
 
+def test_unusable_cache_path_is_a_usage_error(tmp_path, capsys,
+                                              monkeypatch):
+    regular = tmp_path / "not-a-directory"
+    regular.write_text("")
+    for path in (regular, regular / "sub"):
+        for argv in (("hilbert", "3", "--cache", str(path)),
+                     ("verify", "fields1", "--n", "3", "--cache", str(path))):
+            _assert_parser_rejects(capsys, argv, "as the cache directory")
+    monkeypatch.setenv(cli.CACHE_ENV, str(regular))
+    _assert_parser_rejects(capsys, ("hilbert", "3"), "as the cache directory")
+
+
 def test_config_file_overrides_caps(tmp_path, capsys):
     cfg = tmp_path / "caps.conf"
     cfg.write_text("# tighter limits\nquotient = 2\nquotient_forced = 2\n")

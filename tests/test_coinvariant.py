@@ -4,12 +4,16 @@ import json
 
 import pytest
 
+from supercoinv import coinvariant
 from supercoinv.combinatorics import (Partition, QZPolynomial, ResourceRefused,
-                                      SubsetOfN, fields1_formula, j_of_signed,
-                                      partitions, signed_partitions, subsets)
+                                      SubsetOfN, enumerate_artin,
+                                      enumerate_signed_artin, fields1_formula,
+                                      j_of_signed, partitions,
+                                      signed_partitions, subsets)
 from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable, Caps,
-                                    CoinvariantEngine, _catalecticants,
-                                    bosonic_ideal, colon_hilbert,
+                                    CoinvariantEngine, VerificationFailure,
+                                    _catalecticants, bosonic_ideal,
+                                    colon_hilbert,
                                     epsilon_dims, frobenius_reconstruct,
                                     harmonic_basis, ideal_component,
                                     monomials, operator_closure,
@@ -124,6 +128,51 @@ def test_colon_basis_verification_small():
 def test_artin_basis_small():
     for n in (1, 2, 3, 4):
         assert verify_artin_basis(n)
+
+
+def _tampered(enumerate_fn, edit):
+    """The enumeration with ``edit`` applied to each list it returns."""
+    return lambda arg: edit(list(enumerate_fn(arg)))
+
+
+def _drop_middle(out):
+    return out[:len(out) // 2] + out[len(out) // 2 + 1:]
+
+
+def _repeat_first(out):
+    return out[:1] + out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_middle, "does not span"), (_repeat_first, "dependent"),
+    (lambda out: out + [(0, 0, 0, 9)], "above the colon degree bound")])
+def test_colon_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
+                                                      message):
+    monkeypatch.setattr(coinvariant, "enumerate_artin",
+                        _tampered(enumerate_artin, edit))
+    with pytest.raises(VerificationFailure, match=message):
+        verify_colon_basis(SubsetOfN(4, (3,)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_middle, "do not match"), (_repeat_first, "dependent")])
+def test_artin_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
+                                                      message):
+    monkeypatch.setattr(coinvariant, "enumerate_artin",
+                        _tampered(enumerate_artin, edit))
+    with pytest.raises(VerificationFailure, match=message):
+        verify_artin_basis(3)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_middle, "do not span"), (_repeat_first, "dependent"),
+    (lambda out: out + [(0, 0, 9)], "above the bosonic bound")])
+def test_parabolic_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
+                                                          message):
+    monkeypatch.setattr(coinvariant, "enumerate_signed_artin",
+                        _tampered(enumerate_signed_artin, edit))
+    with pytest.raises(VerificationFailure, match=message):
+        verify_parabolic_basis((2, 1), 3)
 
 
 def test_epsilon_dims_single_row_anchor():

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from supercoinv.combinatorics import (Partition, QZPolynomial, SignedPartition,
+from supercoinv.combinatorics import (QZPolynomial, SignedPartition,
                                       SubsetOfN, TranslationSequence,
                                       all_translation_sequences, count_I,
                                       count_L, count_osp,

@@ -8,7 +8,6 @@ from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
                                       enumerate_signed_artin, gale_leq,
                                       j_of_signed, partitions,
                                       signed_partitions, staircase, subsets)
-from supercoinv.coinvariant import VerificationFailure
 from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
                                    enumerate_L, power_matrix, ptj_determinant,
                                    reduction_matrix, verify_E_independence,
@@ -17,8 +16,9 @@ from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
                                    verify_monomial_bound, weight)
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import (SuperElement, antisymmetrize,
-                                   coinvariant_generators, f_J, odot,
-                                   vandermonde, young_subgroup_order)
+                                   coinvariant_generators, f_J,
+                                   is_antisymmetric, odot, vandermonde,
+                                   young_subgroup_order)
 
 
 def _admissible(n):
@@ -120,6 +120,24 @@ def test_images_are_harmonic_antisymmetric_with_leading_term():
             target = odot(SuperElement.from_mpoly(
                 weight(tt) * f_J(Jmax).as_mpoly()), delta).as_mpoly()
             assert lead == target or lead == target.scale(-1)
+
+
+def test_transposition_test_agrees_with_the_antisymmetrizer():
+    # dop-leading tests antisymmetry by the adjacent transpositions of each
+    # mu-block; eps_mu v = |S_mu| v is the reference
+    def reference(mu, v):
+        return antisymmetrize(mu, v) == v.scale(young_subgroup_order(mu))
+    for n in (2, 3, 4):
+        delta = vandermonde(n)
+        x1 = SuperElement.monomial(n, (1,) + (0,) * (n - 1))
+        for tt in _admissible(n):
+            v = apply_D(tt, delta)
+            assert is_antisymmetric(tt.mu, v) and reference(tt.mu, v)
+            w = x1 * v
+            assert is_antisymmetric(tt.mu, w) == reference(tt.mu, w)
+    x1_delta = SuperElement.monomial(3, (1, 0, 0)) * vandermonde(3)
+    assert not is_antisymmetric((2, 1), x1_delta)
+    assert not reference((2, 1), x1_delta)
 
 
 def test_breakdown_full_first_block_puts_shift_polynomial_in_ideal():

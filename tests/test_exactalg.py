@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from supercoinv.exactalg import (MPoly, PolyMatrix, QMatrix,
                                  poly_eval_substitute)
 

@@ -1,7 +1,6 @@
 """Superspace elements, the group action, and differential operators."""
 
 import random
-from fractions import Fraction
 from itertools import permutations
 
 from supercoinv.coinvariant import ideal_component, superspace_ideal
@@ -135,6 +134,38 @@ def test_antisymmetrizer_quasi_idempotent():
                 v = antisymmetrize(mu, f)
                 assert antisymmetrize(mu, v) \
                     == v.scale(young_subgroup_order(mu))
+
+
+def _literal_antisymmetrize(mu, f):
+    """sum over w in S_mu of sign(w) w f, by brute force over S_n."""
+    n = f.nvars
+    blocks = {}
+    start = 1
+    for m in mu:
+        for i in range(start, start + m):
+            blocks[i] = start
+        start += m
+    total = SuperElement.zero(n)
+    for w in permutations(range(1, n + 1)):
+        if all(blocks.get(i, i) == blocks.get(w[i - 1], w[i - 1])
+               for i in range(1, n + 1)):
+            inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                             if w[i] > w[j])
+            total = total + act(w, f).scale((-1) ** inversions)
+    return total
+
+
+def test_antisymmetrizer_is_the_signed_group_sum():
+    rng = random.Random(11)
+    for n, mu in ((3, (2, 1)), (4, (2, 2)), (4, (3, 1)), (4, (2,)),
+                  (3, (3,))):
+        for _ in range(5):
+            f = SuperElement.zero(n)
+            for c in (1, 2):
+                f = f + SuperElement.monomial(
+                    n, tuple(rng.randint(0, 2) for _ in range(n)),
+                    tuple(i for i in range(1, n + 1) if rng.random() < 0.4), c)
+            assert antisymmetrize(mu, f) == _literal_antisymmetrize(mu, f)
 
 
 def test_f_j_expands_as_shifted_product():

@@ -115,7 +115,6 @@ def test_cnk_fermionic_slices_at_n_two():
 def test_cnk_square_free_coefficients_count_set_partitions():
     # the coefficient of the all-ones content counts ordered set partitions
     from supercoinv.combinatorics import count_osp, enumerate_osp
-    from math import factorial
     for n in range(1, 6):
         for k in range(1, n + 1):
             f = to_basis(cnk_syt(n, k), "m")
