@@ -14,19 +14,19 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 from . import __version__
-from .combinatorics import (DEFAULT_OSP_CAP, OMP_STATISTICS, Partition,
-                            QZPolynomial, ResourceRefused, SignedPartition,
-                            SubsetOfN, all_translation_sequences, count_I,
-                            count_L, count_osp, enumerate_artin, enumerate_I,
+from .combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
+                            SignedPartition, SubsetOfN,
+                            all_translation_sequences, count_I, count_L,
+                            count_osp, enumerate_artin, enumerate_I,
                             enumerate_signed_artin, fields1_formula, gale_leq,
                             j_of_signed, partitions, sequence_bound,
                             signed_partitions, subsets, TranslationSequence)
-from .coinvariant import (CACHE_STATS, Caps, DEFAULT_CAPS, IntegrityError,
-                          VerificationFailure, bosonic_ideal, colon_hilbert,
-                          colon_images, epsilon_dims, frobenius_reconstruct,
+from .coinvariant import (CACHE_STATS, IntegrityError, VerificationFailure,
+                          bosonic_ideal, colon_hilbert, colon_images,
+                          epsilon_dims, frobenius_reconstruct,
                           ideal_component, operator_closure, quotient_hilbert,
                           superspace_ideal, verify_artin_basis,
                           verify_colon_basis, verify_parabolic_basis)
@@ -41,13 +41,55 @@ from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
 CACHE_ENV = "SUPERCOINV_CACHE"
 
 
+class ResourceRefused(Exception):
+    """A request lies above a resource cap; nothing was computed."""
+
+
 @dataclass
 class RunContext:
+    """Settings of one run.  ``quotient`` caps n for everything built on
+    the coinvariant engine or the operator closure; ``osp_cap`` caps n for
+    enumerating ordered (multi)set partitions.  ``force`` admits one more n
+    under the quotient cap only."""
+
     cache: str | None = None
     force: bool = False
-    caps: Caps = field(default_factory=Caps)
     seed: int = 0
-    osp_cap: int = DEFAULT_OSP_CAP
+    quotient: int = 5
+    osp_cap: int = 8
+
+
+# the caps (RunContext fields) each capped check or verb is held to; the
+# costs of the Frobenius image and of the closure follow the quotient's
+CAPS = {
+    "fields1": ("quotient", "osp_cap"),
+    "fields2": ("quotient", "osp_cap"),
+    "fields3": ("quotient",),
+    "artin": ("quotient",),
+    "parabolic": ("quotient",),
+    "operator-closure": ("quotient",),
+    "omp-stats": ("osp_cap",),
+    "hilbert": ("quotient",),
+    "frobenius": ("quotient",),
+    "cnk --stat": ("osp_cap",),
+}
+
+
+def admit(name, n, ctx):
+    """Raise ResourceRefused unless every cap that the check or verb
+    ``name`` is held to admits n; called once, before any work."""
+    for key in CAPS.get(name, ()):
+        cap = getattr(ctx, key)
+        note = key
+        if key == "quotient":
+            if ctx.force:
+                cap += 1
+                note += ", forced"
+            else:
+                note += "; --force admits one more"
+        if n > cap:
+            raise ResourceRefused(f"{name}: n={n} exceeds the cap {cap}"
+                                  f" ({note})")
 
 
 @dataclass(frozen=True)
@@ -73,25 +115,23 @@ class Report:
 
 
 def check_fields1(n, ctx):
-    table = quotient_hilbert(superspace_ideal(n), cache_dir=ctx.cache,
-                             force=ctx.force, caps=ctx.caps)
+    table = quotient_hilbert(superspace_ideal(n), cache_dir=ctx.cache)
     expected = fields1_formula(n)
     got = table.as_qz()
     if got != expected:
         raise VerificationFailure(
             f"Hilbert series {got.render()} != formula {expected.render()}")
-    if n <= ctx.osp_cap:
-        osp = count_osp(n, cap=ctx.osp_cap)
-        if table.total() != osp:
-            raise VerificationFailure(
-                f"total dimension {table.total()} != {osp} ordered set"
-                " partitions")
+    osp = count_osp(n)
+    if table.total() != osp:
+        raise VerificationFailure(
+            f"total dimension {table.total()} != {osp} ordered set"
+            " partitions")
 
 
 def check_fields2(n, ctx):
     for lam in partitions(n):
-        dims = epsilon_dims(lam.parts, n, caps=ctx.caps)
-        expected = count_osp(n, mu=lam.parts, cap=ctx.osp_cap)
+        dims = epsilon_dims(lam.parts, n)
+        expected = count_osp(n, mu=lam.parts)
         if dims.total() != expected:
             raise VerificationFailure(
                 f"antisymmetric slice for mu={lam.parts} has dimension"
@@ -107,7 +147,7 @@ def _cnk_sum(n):
 
 
 def check_fields3(n, ctx):
-    got = frobenius_reconstruct(n, force=ctx.force, caps=ctx.caps)
+    got = frobenius_reconstruct(n)
     expected = _cnk_sum(n)
     if got != expected:
         raise VerificationFailure(
@@ -133,7 +173,7 @@ def check_reiner(n, ctx):
 
 
 def check_artin(n, ctx):
-    verify_artin_basis(n, caps=ctx.caps)
+    verify_artin_basis(n)
 
 
 def check_colon(n, ctx):
@@ -143,7 +183,7 @@ def check_colon(n, ctx):
 
 def check_parabolic(n, ctx):
     for lam in partitions(n):
-        verify_parabolic_basis(lam.parts, n, caps=ctx.caps)
+        verify_parabolic_basis(lam.parts, n)
     for sp in signed_partitions(n):
         verify_monomial_bound(sp)
         verify_E_independence(sp)
@@ -238,21 +278,17 @@ def check_counting(n, ctx):
 
 def check_omp_stats(n, ctx):
     for k in range(1, n + 1):
-        # cnk_omp runs first: it refuses n above the cap before any work
-        got = {stat: cnk_omp(n, k, stat, cap=ctx.osp_cap)
-               for stat in OMP_STATISTICS}
         reference = to_basis(cnk_syt(n, k), "m")
         for stat in OMP_STATISTICS:
-            if got[stat] != reference:
+            if cnk_omp(n, k, stat) != reference:
                 raise VerificationFailure(
                     f"statistic {stat} disagrees with the tableau formula"
                     f" at (n, k) = ({n}, {k})")
 
 
 def check_operator_closure(n, ctx):
-    closure = operator_closure(n, caps=ctx.caps)
-    table = quotient_hilbert(superspace_ideal(n), cache_dir=ctx.cache,
-                             force=ctx.force, caps=ctx.caps)
+    closure = operator_closure(n)
+    table = quotient_hilbert(superspace_ideal(n), cache_dir=ctx.cache)
     if closure != table:
         raise VerificationFailure(
             f"closure table {closure.nonzero()} != quotient table"
@@ -325,6 +361,7 @@ def run(spec: CheckSpec, ctx: RunContext) -> Report:
     start = time.perf_counter()
     params = {"n": spec.n}
     try:
+        admit(spec.name, spec.n, ctx)
         fn(spec.n, ctx)
         status, witness = "pass", ""
     except ResourceRefused as exc:
@@ -395,14 +432,11 @@ def _build_context(args):
     config = {}
     if getattr(args, "config", None):
         config = _load_config(args.config)
-    cap_names = {f.name for f in fields(Caps)}
-    unknown = sorted(set(config) - cap_names - {"osp_cap"})
+    unknown = sorted(set(config) - {"quotient", "osp_cap"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    caps = {name: int(config[name]) for name in cap_names & set(config)}
-    ctx.caps = replace(DEFAULT_CAPS, **caps)
-    if "osp_cap" in config:
-        ctx.osp_cap = int(config["osp_cap"])
+    for key, val in config.items():
+        setattr(ctx, key, int(val))
     ctx.cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
     if ctx.cache:
         try:
@@ -422,7 +456,7 @@ def _common_flags(p):
                    help=f"cache directory (default ${CACHE_ENV})")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--force", action="store_true",
-                   help="allow the larger forced caps")
+                   help="admit one more n under the quotient cap")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized membership probes")
     p.add_argument("--config", metavar="FILE",
@@ -495,9 +529,9 @@ def _theta_render(elems):
 
 
 def cmd_hilbert(args, ctx):
+    admit("hilbert", args.n, ctx)
     before = CACHE_STATS["rejects"]
-    table = quotient_hilbert(superspace_ideal(args.n), cache_dir=ctx.cache,
-                             force=ctx.force, caps=ctx.caps)
+    table = quotient_hilbert(superspace_ideal(args.n), cache_dir=ctx.cache)
     rows = [[i, j, v] for (i, j), v in sorted(table.nonzero().items())]
     print(emit_rows(["bosonic", "fermionic", "dimension"], rows, args.format))
     rejects = CACHE_STATS["rejects"] - before
@@ -507,7 +541,8 @@ def cmd_hilbert(args, ctx):
 
 
 def cmd_frobenius(args, ctx):
-    f = frobenius_reconstruct(args.n, force=ctx.force, caps=ctx.caps)
+    admit("frobenius", args.n, ctx)
+    f = frobenius_reconstruct(args.n)
     if args.format == "latex":
         print(f.latex())
         return 0
@@ -518,9 +553,11 @@ def cmd_frobenius(args, ctx):
 
 
 def cmd_cnk(args, ctx):
+    if args.stat:
+        admit("cnk --stat", args.n, ctx)
     try:
         if args.stat:
-            f = cnk_omp(args.n, args.k, args.stat, cap=ctx.osp_cap)
+            f = cnk_omp(args.n, args.k, args.stat)
         else:
             f = cnk_syt(args.n, args.k)
     except ValueError as exc:

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, perm
 
-from .combinatorics import (Partition, QZPolynomial, ResourceRefused,
-                            enumerate_artin, enumerate_signed_artin,
-                            j_of_signed, kostka, partitions,
-                            signed_partitions, subsets)
+from .combinatorics import (Partition, QZPolynomial, enumerate_artin,
+                            enumerate_signed_artin, j_of_signed, kostka,
+                            partitions, signed_partitions, subsets)
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
@@ -49,20 +48,6 @@ class IntegrityError(Exception):
 
 class VerificationFailure(Exception):
     """A mathematical claim checked by the run turned out false."""
-
-
-@dataclass
-class Caps:
-    """Resource caps; raising them is an explicit opt-in via force flags."""
-
-    quotient: int = 5
-    quotient_forced: int = 6
-    frobenius: int = 4
-    frobenius_forced: int = 5
-    closure: int = 4
-
-
-DEFAULT_CAPS = Caps()
 
 
 @dataclass(frozen=True)
@@ -228,6 +213,7 @@ class CoinvariantEngine:
             self.partials_e.append(by_v)
         self._nf_partials = {}
         self._echelons = {}
+        self._eps_tables = {}
 
     def _fill_nf_degree(self, d):
         """Normal forms for every degree-d monomial, smallest lex first so
@@ -413,7 +399,7 @@ def _cache_write(cache_dir, spec, i, j, rank, dim):
     os.replace(tmp, path)
 
 
-def quotient_hilbert(spec, cache_dir=None, force=False, caps=DEFAULT_CAPS):
+def quotient_hilbert(spec, cache_dir=None):
     """Bigraded Hilbert table of the superspace coinvariant quotient, by the
     reduced route.
 
@@ -424,12 +410,6 @@ def quotient_hilbert(spec, cache_dir=None, force=False, caps=DEFAULT_CAPS):
         raise ValueError(f"quotient_hilbert needs the superspace ideal,"
                          f" not {spec.tag!r}")
     n = spec.n
-    cap = caps.quotient_forced if force else caps.quotient
-    if n > cap:
-        raise ResourceRefused(
-            f"quotient_hilbert: n={n} exceeds cap {cap}"
-            + ("" if force else " (pass force=True up to "
-               f"{caps.quotient_forced})"))
     eng = CoinvariantEngine(n)
     top = eng.top
     table = BidegreeTable(n)
@@ -484,11 +464,9 @@ def harmonic_basis(spec, i, j):
     return out
 
 
-def operator_closure(n, caps=DEFAULT_CAPS):
+def operator_closure(n):
     """Bigraded dimensions of the smallest space containing the Vandermonde
     that is closed under d_1..d_(n-1) and all partial x-derivatives."""
-    if n > caps.closure:
-        raise ResourceRefused(f"operator_closure: n={n} exceeds cap {caps.closure}")
     echelons = {}
     indexes = {}
 
@@ -645,11 +623,11 @@ def verify_colon_basis(j_subset):
     return True
 
 
-def verify_artin_basis(n, caps=DEFAULT_CAPS):
+def verify_artin_basis(n):
     """Check the full substaircase set A_n = union over J of A_n(J) theta_J
     descends to a basis of the superspace quotient: independent modulo the
     ideal, and as many as the quotient dimension, in each bidegree."""
-    table = quotient_hilbert(superspace_ideal(n), caps=caps)
+    table = quotient_hilbert(superspace_ideal(n))
     eng = CoinvariantEngine(n)
     by_bideg = {}
     for J in subsets(n):
@@ -673,24 +651,29 @@ def verify_artin_basis(n, caps=DEFAULT_CAPS):
     return True
 
 
-def epsilon_dims(mu, n, caps=DEFAULT_CAPS):
+def epsilon_dims(mu, n):
     """Bigraded dimensions of the antisymmetric isotypic slice: the rank of
-    eps_mu applied to quotient coset representatives, modulo the ideal."""
+    eps_mu applied to quotient coset representatives, modulo the ideal.
+    Each table is computed once per process and kept on the engine."""
     mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if sum(mu_parts) != n:
         raise ValueError("mu must be a partition of n")
-    quotient_hilbert(superspace_ideal(n), caps=caps)  # enforces the cap
     eng = CoinvariantEngine(n)
-    table = BidegreeTable(n)
-    for i in range(eng.top + 1):
-        for j in range(n + 1):
-            ech, _, index = eng.ideal_echelon(i, j)
-            reps = eng.coset_representatives(i, j)
-            count = sum(map(ech.fork().add,
-                            _eps_rows(eng, mu_parts, reps, index)))
-            if count:
-                table.set(i, j, count)
-    return table
+    table = eng._eps_tables.get(mu_parts)
+    if table is None:
+        # the quotient vanishes above the top, so no slice lives there
+        _verify_extra_rows(eng)
+        table = BidegreeTable(n)
+        for i in range(eng.top + 1):
+            for j in range(n + 1):
+                ech, _, index = eng.ideal_echelon(i, j)
+                reps = eng.coset_representatives(i, j)
+                count = sum(map(ech.fork().add,
+                                _eps_rows(eng, mu_parts, reps, index)))
+                if count:
+                    table.set(i, j, count)
+        eng._eps_tables[mu_parts] = table
+    return BidegreeTable(n, table.entries)
 
 
 def _eps_rows(eng, mu, keys, index):
@@ -700,16 +683,16 @@ def _eps_rows(eng, mu, keys, index):
         yield eng.reduced_coords(elem, index)
 
 
-def verify_parabolic_basis(mu, n, caps=DEFAULT_CAPS):
+def verify_parabolic_basis(mu, n):
     """Check that eps_mu applied to the signed substaircase monomials gives
     a basis of the antisymmetric slice of the quotient, one elimination per
     bidegree on a fork of the ideal echelon."""
     mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if sum(mu_parts) != n:
         raise ValueError("mu must be a partition of n")
-    # enforces the cap and certifies the quotient vanishes above the top
-    quotient_hilbert(superspace_ideal(n), caps=caps)
     eng = CoinvariantEngine(n)
+    # the quotient vanishes above the top, so the bidegrees below span it
+    _verify_extra_rows(eng)
     by_bideg = {}
     for sp in signed_partitions(n):
         if sp.mu == mu_parts:
@@ -740,19 +723,14 @@ def verify_parabolic_basis(mu, n, caps=DEFAULT_CAPS):
     return True
 
 
-def frobenius_reconstruct(n, force=False, caps=DEFAULT_CAPS):
+def frobenius_reconstruct(n):
     """Reconstruct the bigraded Frobenius image from the antisymmetric slice
     dimensions: solve the Kostka system <s_lam, e_mu> = K_{lam', mu} per
     bidegree and return a Schur expansion with coefficients in Z[q, z]."""
     from .symfunc import SymFn
-    cap = caps.frobenius_forced if force else caps.frobenius
-    if n > cap:
-        raise ResourceRefused(
-            f"frobenius_reconstruct: n={n} exceeds cap {cap}"
-            + ("" if force else f" (pass force=True up to {caps.frobenius_forced})"))
     mus = partitions(n)
     lams = partitions(n)
-    tables = {mu: epsilon_dims(mu, n, caps=caps) for mu in mus}
+    tables = {mu: epsilon_dims(mu, n) for mu in mus}
     K = {(lam, mu): kostka(lam.conjugate(), mu) for lam in lams for mu in mus}
     rows = []
     for mu in mus:

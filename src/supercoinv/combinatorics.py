@@ -498,22 +498,13 @@ class OrderedSetPartition:
             raise ValueError("empty block")
 
 
-DEFAULT_OSP_CAP = 8
-
-
-class ResourceRefused(Exception):
-    """Raised when a request exceeds the configured enumeration caps."""
-
-
-def enumerate_osp(n, k=None, batch_mu=None, cap=DEFAULT_OSP_CAP):
+def enumerate_osp(n, k=None, batch_mu=None):
     """Ordered set partitions of {1..n}, optionally with exactly k blocks
     and/or compatible with a batch order mu.
 
     Compatibility with mu: elements of each mu-interval appear in weakly
     increasing block positions, read along the interval.
     """
-    if n > cap:
-        raise ResourceRefused(f"enumerate_osp: n={n} exceeds cap {cap}")
     results = []
     elems = list(range(1, n + 1))
 
@@ -552,9 +543,9 @@ def enumerate_osp(n, k=None, batch_mu=None, cap=DEFAULT_OSP_CAP):
     return results
 
 
-def count_osp(n, mu=None, cap=DEFAULT_OSP_CAP):
+def count_osp(n, mu=None):
     """Number of ordered set partitions of {1..n}, optionally mu-compatible."""
-    return len(enumerate_osp(n, batch_mu=mu, cap=cap))
+    return len(enumerate_osp(n, batch_mu=mu))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,19 @@
-"""Symmetric functions with coefficients in Z[q, z]: monomial, elementary
-and Schur expansions, the Hall pairing, skewing operators, and the graded
-Frobenius polynomials C_{n,k}(x; q).
+"""Symmetric functions with coefficients in Z[q, z]: monomial and Schur
+expansions, the Hall pairing, skewing operators, and the graded Frobenius
+polynomials C_{n,k}(x; q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import (DEFAULT_OSP_CAP, Partition, QZPolynomial,
-                            ResourceRefused, enumerate_omp, enumerate_ssyt,
-                            enumerate_syt_all, kostka, omp_statistic,
-                            partitions)
-from .exactalg import MPoly, QMatrix
+from .combinatorics import (Partition, QZPolynomial, enumerate_omp,
+                            enumerate_ssyt, enumerate_syt_all, kostka,
+                            omp_statistic, partitions)
+from .exactalg import MPoly
 
 
-BASES = ("m", "e", "s")
+BASES = ("m", "s")
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,11 @@ class SymFn:
     def latex(self):
         if not self.coeffs:
             return "0"
-        name = {"m": "m", "e": "e", "s": "s"}[self.basis]
         parts = []
         for lam, c in self.coeffs:
             idx = "".join(str(p) if p < 10 else f"({p})" for p in lam.parts)
-            parts.append(f"\\left({_qz_latex(c)}\\right) {name}_{{{idx}}}")
+            parts.append(f"\\left({_qz_latex(c)}\\right)"
+                         f" {self.basis}_{{{idx}}}")
         return " + ".join(parts)
 
 
@@ -107,28 +106,6 @@ def _qz_latex(c):
     return s
 
 
-def _expand_e_to_m(lam, n):
-    """Coefficients of e_lam in the monomial basis, degree n."""
-    poly = MPoly.const(n, 1)
-    for p in lam.parts:
-        poly = poly * MPoly.elementary(n, p)
-    return _poly_to_m(poly, n)
-
-
-def _poly_to_m(poly, n):
-    """Read monomial-basis coefficients off a symmetric polynomial in n
-    variables of degree n (enough variables to be faithful)."""
-    out = {}
-    for mu in partitions(n):
-        exp = list(mu.parts) + [0] * (n - mu.length())
-        c = poly.terms.get(tuple(exp), 0)
-        if c:
-            if getattr(c, "denominator", 1) != 1:
-                raise ValueError("non-integer coefficient")
-            out[mu] = QZPolynomial.monomial(0, 0, int(c))
-    return out
-
-
 def _kostka_matrix(n):
     """K[lam][mu] = kostka(lam, mu) over partitions of n."""
     parts = partitions(n)
@@ -136,83 +113,21 @@ def _kostka_matrix(n):
 
 
 def to_basis(f, basis):
-    """Convert a SymFn to another basis; exact and integral throughout."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
+    """Convert a SymFn to another basis: the identity, or Schur to monomial
+    by the Kostka numbers; any other pair raises ValueError."""
     if f.basis == basis:
         return f
+    if (f.basis, basis) != ("s", "m"):
+        raise ValueError(f"no change from basis {f.basis!r} to {basis!r}")
     n = f.degree
-    if f.basis == "s" and basis == "m":
-        out = {}
-        parts, K = _kostka_matrix(n)
-        for lam, c in f.coeffs:
-            for mu in parts:
-                k = K[lam][mu]
-                if k:
-                    out[mu] = out.get(mu, QZPolynomial.zero()) + c.scale(k)
-        return SymFn.build(n, "m", out)
-    if f.basis == "e" and basis == "m":
-        out = {}
-        for lam, c in f.coeffs:
-            for mu, base in _expand_e_to_m(lam, n).items():
-                out[mu] = out.get(mu, QZPolynomial.zero()) + c * base
-        return SymFn.build(n, "m", out)
-    if f.basis == "m" and basis == "s":
-        return _m_to_s(f)
-    if f.basis == "m" and basis == "e":
-        return _m_to_e(f)
-    # route everything else through the monomial basis
-    return to_basis(to_basis(f, "m"), basis)
-
-
-def _solve_change(f, column_fn, target_basis):
-    """Solve sum_lam c_lam * column_fn(lam) = f (in the m basis)."""
-    n = f.degree
-    parts = partitions(n)
-    index = {mu: i for i, mu in enumerate(parts)}
-    columns = {}
-    for lam in parts:
-        columns[lam] = column_fn(lam)
-    # solve independently for each (q, z) monomial of the coefficients
-    keys = set()
-    fdict = f.as_dict()
-    for c in fdict.values():
-        keys.update(c.coeffs)
-    out = {lam: {} for lam in parts}
-    rows = []
-    for mu in parts:
-        rows.append({index[lam]: columns[lam].get(mu, 0) for lam in parts
-                     if columns[lam].get(mu, 0)})
-    M = QMatrix(len(parts), len(parts), rows)
-    for key in sorted(keys):
-        b = [fdict.get(mu, QZPolynomial.zero()).coeffs.get(key, 0)
-             for mu in parts]
-        x = M.solve(b)
-        if x is None:
-            raise ValueError("inconsistent basis change")
-        for lam in parts:
-            v = x[index[lam]]
-            if v:
-                if v.denominator != 1:
-                    raise ValueError("non-integral basis change")
-                out[lam][key] = int(v)
-    return SymFn.build(n, target_basis,
-                       {lam: QZPolynomial(d) for lam, d in out.items() if d})
-
-
-def _m_to_s(f):
-    n = f.degree
-    _, K = _kostka_matrix(n)
-    return _solve_change(f, lambda lam: K[lam], "s")
-
-
-def _m_to_e(f):
-    n = f.degree
-    ints = {}
-    for lam in partitions(n):
-        ints[lam] = {mu: int(c.coefficient(0, 0))
-                     for mu, c in _expand_e_to_m(lam, n).items()}
-    return _solve_change(f, lambda lam: ints[lam], "e")
+    out = {}
+    parts, K = _kostka_matrix(n)
+    for lam, c in f.coeffs:
+        for mu in parts:
+            k = K[lam][mu]
+            if k:
+                out[mu] = out.get(mu, QZPolynomial.zero()) + c.scale(k)
+    return SymFn.build(n, "m", out)
 
 
 def hall(f, g):
@@ -312,7 +227,7 @@ def cnk_syt(n, k):
     return SymFn.build(n, "s", out)
 
 
-def cnk_omp(n, k, stat="minimaj", cap=DEFAULT_OSP_CAP):
+def cnk_omp(n, k, stat="minimaj"):
     """C_{n,k}(x; q) from ordered multiset partitions, weighted by q to the
     chosen statistic; returned in the monomial basis.
 
@@ -321,8 +236,6 @@ def cnk_omp(n, k, stat="minimaj", cap=DEFAULT_OSP_CAP):
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if n > cap:
-        raise ResourceRefused(f"cnk_omp: n={n} exceeds cap {cap}")
     out = {}
     for mu in partitions(n):
         counts = {}

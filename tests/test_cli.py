@@ -101,6 +101,81 @@ def test_oversized_omp_check_refuses_before_the_reference(capsys,
     assert json.loads(out)[0]["status"] == "skipped"
 
 
+# each capped check or verb: its argv at a given n, the cli name of the
+# library entry point it calls first, n as that entry point sees it, the
+# default cap, and whether --force admits one more n (the quotient cap does,
+# the osp cap does not)
+def _verify(check):
+    return lambda n: ("verify", check, "--n", str(n))
+
+
+def _n_of_spec(spec, **kwargs):
+    return spec.n
+
+
+CAPPED = {
+    "fields1": (_verify("fields1"), "quotient_hilbert", _n_of_spec, 5, True),
+    "fields2": (_verify("fields2"), "epsilon_dims", lambda mu, n: n, 5, True),
+    "fields3": (_verify("fields3"), "frobenius_reconstruct", lambda n: n, 5,
+                True),
+    "artin": (_verify("artin"), "verify_artin_basis", lambda n: n, 5, True),
+    "parabolic": (_verify("parabolic"), "verify_parabolic_basis",
+                  lambda mu, n: n, 5, True),
+    "operator-closure": (_verify("operator-closure"), "operator_closure",
+                         lambda n: n, 5, True),
+    "omp-stats": (_verify("omp-stats"), "cnk_omp", lambda n, k, stat: n, 8,
+                  False),
+    "hilbert": (lambda n: ("hilbert", str(n)), "quotient_hilbert",
+                _n_of_spec, 5, True),
+    "frobenius": (lambda n: ("frobenius", str(n)), "frobenius_reconstruct",
+                  lambda n: n, 5, True),
+    "cnk --stat": (lambda n: ("cnk", str(n), "1", "--stat", "inv"),
+                   "cnk_omp", lambda n, k, stat: n, 8, False),
+}
+
+
+def _stub_entry_point(monkeypatch, name):
+    """Replace the library entry point of a capped check or verb by a stub
+    that records the n it was called with and then fails the run."""
+    _, entry, n_of, _, _ = CAPPED[name]
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(n_of(*args, **kwargs))
+        raise cli.VerificationFailure("stub entry point reached")
+    monkeypatch.setattr(cli, entry, stub)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_caps_are_checked_once_at_the_cli(name, capsys, monkeypatch):
+    argv, _, _, cap, forced = CAPPED[name]
+    calls = _stub_entry_point(monkeypatch, name)
+    assert run_cli(capsys, *argv(cap + 1))[0] == 3
+    assert calls == []
+    if not forced:
+        assert run_cli(capsys, *argv(cap + 1) + ("--force",))[0] == 3
+        assert calls == []
+        return
+    assert run_cli(capsys, *argv(cap + 1) + ("--force",))[0] == 1
+    assert calls == [cap + 1]
+    assert run_cli(capsys, *argv(cap + 2) + ("--force",))[0] == 3
+    assert calls == [cap + 1]
+
+
+@pytest.mark.parametrize("name", ["fields1", "fields2"])
+def test_osp_cap_refuses_before_any_work(name, tmp_path, capsys,
+                                         monkeypatch):
+    calls = _stub_entry_point(monkeypatch, name)
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("osp_cap = 3\n")
+    code, out = run_cli(capsys, "verify", name, "--n", "4",
+                        "--config", str(cfg), "--format", "json")
+    assert code == 3
+    assert json.loads(out)[0]["status"] == "skipped"
+    assert calls == []
+
+
 def test_cnk_with_k_outside_one_to_n_is_a_usage_error(capsys):
     for argv in (("cnk", "3", "5"), ("cnk", "3", "5", "--stat", "inv"),
                  ("cnk", "3", "0", "--stat", "minimaj")):
@@ -143,7 +218,9 @@ def test_basis_usage_errors_exit_two(capsys):
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
-    for line in ("quotient_forcd = 2", "cells_budget = 1000"):
+    for line in ("quotient_forcd = 2", "cells_budget = 1000",
+                 "quotient_forced = 6", "frobenius = 4",
+                 "frobenius_forced = 5", "closure = 4"):
         cfg = tmp_path / "caps.conf"
         cfg.write_text(f"quotient = 3\n{line}\n")
         _assert_parser_rejects(
@@ -199,7 +276,7 @@ def test_unusable_cache_path_is_a_usage_error(tmp_path, capsys,
 
 def test_config_file_overrides_caps(tmp_path, capsys):
     cfg = tmp_path / "caps.conf"
-    cfg.write_text("# tighter limits\nquotient = 2\nquotient_forced = 2\n")
+    cfg.write_text("# tighter limits\nquotient = 2\n")
     code, out = run_cli(capsys, "verify", "fields1", "--n", "3",
                         "--config", str(cfg))
     assert code == 3

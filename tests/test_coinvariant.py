@@ -5,12 +5,11 @@ import json
 import pytest
 
 from supercoinv import coinvariant
-from supercoinv.combinatorics import (Partition, QZPolynomial, ResourceRefused,
-                                      SubsetOfN, enumerate_artin,
-                                      enumerate_signed_artin, fields1_formula,
-                                      j_of_signed, partitions,
-                                      signed_partitions, subsets)
-from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable, Caps,
+from supercoinv.combinatorics import (Partition, QZPolynomial, SubsetOfN,
+                                      enumerate_artin, enumerate_signed_artin,
+                                      fields1_formula, j_of_signed,
+                                      partitions, signed_partitions, subsets)
+from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable,
                                     CoinvariantEngine, VerificationFailure,
                                     _catalecticants, bosonic_ideal,
                                     colon_hilbert,
@@ -267,14 +266,3 @@ def test_ideal_echelon_matches_product_rows():
             assert ech.rank == ref.rank, (i, j)
             assert set(ech.pivots) == set(ref.pivots), (i, j)
 
-
-def test_caps_refuse_oversized_requests():
-    with pytest.raises(ResourceRefused):
-        quotient_hilbert(superspace_ideal(7))
-    with pytest.raises(ResourceRefused):
-        frobenius_reconstruct(5)
-    with pytest.raises(ResourceRefused):
-        operator_closure(5)
-    small = Caps(quotient=2, quotient_forced=2)
-    with pytest.raises(ResourceRefused):
-        quotient_hilbert(superspace_ideal(3), caps=small)
