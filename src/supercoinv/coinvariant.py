@@ -33,17 +33,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, perm
 
-from .combinatorics import (Partition, QZPolynomial, enumerate_artin,
-                            enumerate_signed_artin, j_of_signed, kostka,
-                            partitions, signed_partitions, subsets)
+from .combinatorics import (IntegrityError, Partition, QZPolynomial,
+                            enumerate_artin, enumerate_signed_artin,
+                            j_of_signed, kostka, partitions,
+                            signed_partitions, subsets)
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
                          vandermonde)
-
-
-class IntegrityError(Exception):
-    """An internal certification failed; results cannot be trusted."""
 
 
 class VerificationFailure(Exception):
@@ -306,20 +303,31 @@ class CoinvariantEngine:
         basis, index = self.reduced_basis(i, j)
         ech = _IntEchelon()
         if j >= 1 and basis:
+            # per theta_T: (v - 1, sign, column of a theta_(T + v) for each
+            # a), shared by every d and b; d/dx_v e_d is nonzero for all v
+            arts = self.artin_by_deg[i]
+            merges = []
+            for ts in theta_subsets(n, j - 1):
+                per_ts = []
+                for v in range(1, n + 1):
+                    tv, sign = _merge_thetas(ts, (v,))
+                    if sign:
+                        per_ts.append((v - 1, sign,
+                                       {a: index[(a, tv)] for a in arts}))
+                merges.append(per_ts)
             rows = []
             for d in range(1, n + 1):
                 bdeg = i - (d - 1)
                 if bdeg < 0 or bdeg > self.top:
                     continue
                 for b in self.artin_by_deg[bdeg]:
-                    for ts in theta_subsets(n, j - 1):
+                    partials = [self._nf_times_partial(b, v, d)
+                                for v in range(1, n + 1)]
+                    for per_ts in merges:
                         row = {}
-                        for v in self.partials_e[d - 1]:
-                            tv, sign = _merge_thetas(ts, (v,))
-                            if not sign:
-                                continue
-                            for a, c in self._nf_times_partial(b, v, d).items():
-                                row[index[(a, tv)]] = sign * c
+                        for v, sign, cols in per_ts:
+                            for a, c in partials[v].items():
+                                row[cols[a]] = sign * c
                         if row:
                             rows.append(row)
             rows.sort(key=len)
@@ -711,8 +719,10 @@ def verify_parabolic_basis(mu, n):
                         f"parabolic element for mu={mu_parts}, J={ts},"
                         f" exponents {a} is zero or dependent modulo the"
                         " ideal")
+            # sparsest first: the verdict asks only that no row be kept
             reps = eng.coset_representatives(i, j)
-            if any(map(seeded.add, _eps_rows(eng, mu_parts, reps, index))):
+            span = sorted(_eps_rows(eng, mu_parts, reps, index), key=len)
+            if any(map(seeded.add, span)):
                 raise VerificationFailure(
                     f"parabolic elements for mu={mu_parts} do not span the"
                     f" antisymmetric slice at bidegree ({i},{j})")

@@ -13,6 +13,10 @@ from itertools import combinations
 from math import comb
 
 
+class IntegrityError(Exception):
+    """An internal certification failed; results cannot be trusted."""
+
+
 class QZPolynomial:
     """Polynomial in q and z with integer coefficients.
 
@@ -64,7 +68,8 @@ class QZPolynomial:
             num = num * cls.q_int(i)
         den = cls.q_factorial(k)
         q, r = _qz_divmod(num, den)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise IntegrityError(f"[{n} choose {k}]_q leaves a remainder")
         return q
 
     def is_zero(self):
@@ -836,10 +841,12 @@ def enumerate_I(m, k, t):
             rec(i + 1, v, acc)
             acc.pop()
     rec(0, 0, [])
-    out = []
-    for s in strict_part:
-        for w in weak_part:
-            seq = s + w
-            assert all(c <= b for c, b in zip(seq, bound))
-            out.append(seq)
-    return out
+    # a sequence is in bounds iff both of its parts are, so check each once
+    for part, part_bound in ((strict_part, bound[:m - k]),
+                             (weak_part, bound[m - k:])):
+        for seq in part:
+            if any(c > b for c, b in zip(seq, part_bound)):
+                raise IntegrityError(
+                    f"sequence part {seq} exceeds the bound {bound} for"
+                    f" (m, k, t) = ({m}, {k}, {t})")
+    return [s + w for s in strict_part for w in weak_part]

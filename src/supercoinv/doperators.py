@@ -270,14 +270,13 @@ def enumerate_L(m, k, t):
     nu is full width)."""
     if k > m:
         raise ValueError("need k <= m")
+    # chi is t, or t - 1 for a full-width nu: two lambda lists serve every nu
+    lams = {chi: _partitions_in_box(m, chi) for chi in (t, t - 1) if chi >= 0}
     out = []
-    nus = _partitions_in_box(m - k, k)
-    for nu in nus:
+    for nu in _partitions_in_box(m - k, k):
         nu_top = nu[0] if nu else 0
         chi = t if nu_top < m - k else t - 1
-        if chi < 0:
-            continue
-        for lam in _partitions_in_box(m, chi):
+        for lam in lams.get(chi, ()):
             out.append((lam, nu))
     return out
 

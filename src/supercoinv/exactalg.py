@@ -295,8 +295,8 @@ class _IntEchelon:
     """Incremental sparse echelon form over Z, for rank computations.
 
     Rows are dicts mapping column index to a nonzero integer.  Each stored
-    row has a distinct pivot (its smallest column), and rows are combined
-    by cross-multiplication so all arithmetic stays in Z.
+    row is primitive and has a distinct pivot (its smallest column); rows
+    are combined by cross-multiplication so all arithmetic stays in Z.
     """
 
     def __init__(self):
@@ -307,40 +307,47 @@ class _IntEchelon:
         return len(self.pivots)
 
     def reduce(self, row):
+        """Reduce a copy of the integer ``row`` against the stored rows
+        until its leading column is not a pivot; return it divided by its
+        content (empty if the row lies in the span).
+
+        Each step works in place on the copy: when the pivot entry b
+        divides the leading entry a, it subtracts (a // b) times the pivot
+        row, touching only the pivot row's columns; otherwise it first
+        scales the row by b / gcd(a, b).
+        """
         row = dict(row)
+        pivots = self.pivots
         while row:
             j = min(row)
-            if j not in self.pivots:
-                return row
-            prow = self.pivots[j]
+            prow = pivots.get(j)
+            if prow is None:
+                break
             a = row[j]
             b = prow[j]
-            g = gcd(a, b)
-            ma = b // g
-            mb = a // g
-            new = {}
-            for k, v in row.items():
-                new[k] = v * ma
+            if a % b:
+                g = gcd(a, b)
+                m = b // g
+                for k in row:
+                    row[k] *= m
+                q = a // g
+            else:
+                q = a // b
             for k, v in prow.items():
-                s = new.get(k, 0) - v * mb
+                s = row.get(k, 0) - q * v
                 if s:
-                    new[k] = s
+                    row[k] = s
                 else:
-                    new.pop(k, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
+                    del row[k]
+        if row:
+            g = gcd(*row.values())
             if g > 1:
-                new = {k: v // g for k, v in new.items()}
-            row = new
+                row = {k: v // g for k, v in row.items()}
         return row
 
     def add(self, row):
-        """Divide the integer ``row`` by its content and reduce it against
-        the echelon; store it and return True if nonzero."""
-        g = gcd(*row.values())
-        if g > 1:
-            row = {k: v // g for k, v in row.items()}
+        """Reduce the integer ``row`` against the echelon; store it and
+        return True if nonzero."""
         row = self.reduce(row)
         if not row:
             return False

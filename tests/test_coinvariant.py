@@ -1,5 +1,6 @@
 """Quotient dimensions, harmonic spaces, colon and parabolic bases."""
 
+import hashlib
 import json
 
 import pytest
@@ -266,3 +267,17 @@ def test_ideal_echelon_matches_product_rows():
             assert ech.rank == ref.rank, (i, j)
             assert set(ech.pivots) == set(ref.pivots), (i, j)
 
+
+def test_ideal_echelon_pivots_pinned_at_n_five():
+    # digest of [i, j, #basis, sorted pivots] over every ideal echelon at
+    # n = 5; pivot sets depend only on the rows and their order, so the
+    # digest taken with the earlier row-rebuilding kernel must not move
+    eng = CoinvariantEngine(5)
+    pivots = []
+    for i in range(eng.top + 3):
+        for j in range(6):
+            ech, basis, _ = eng.ideal_echelon(i, j)
+            pivots.append([i, j, len(basis), sorted(ech.pivots)])
+    digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
+    assert digest == ("688ec3c2b9cc3fb171984ed05aa00a75"
+                      "d694dadb3ae0b537acd4a21a6ba0b397")

@@ -5,8 +5,10 @@ from math import comb, factorial
 
 import pytest
 
-from supercoinv.combinatorics import (QZPolynomial, SignedPartition,
-                                      SubsetOfN, TranslationSequence,
+from supercoinv import combinatorics
+from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
+                                      SignedPartition, SubsetOfN,
+                                      TranslationSequence,
                                       all_translation_sequences, count_I,
                                       count_L, count_osp,
                                       count_signed_artin_product,
@@ -194,6 +196,28 @@ def test_sequence_counts_agree():
                 for s in seqs:
                     assert all(0 <= a <= b for a, b in zip(s, bound))
     assert count_L(5, 2, 2) == 150
+
+
+@pytest.mark.parametrize("entry", [1, 4])
+def test_enumerate_I_raises_under_a_too_tight_bound(monkeypatch, entry):
+    # entry 1 lies in the strict part of (5, 2, 2), entry 4 in the weak part
+    real = combinatorics.sequence_bound
+
+    def tight(m, k, t):
+        bound = list(real(m, k, t))
+        bound[entry] -= 1
+        return tuple(bound)
+
+    monkeypatch.setattr(combinatorics, "sequence_bound", tight)
+    with pytest.raises(IntegrityError):
+        enumerate_I(5, 2, 2)
+
+
+def test_q_binomial_raises_on_a_remainder(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_qz_divmod",
+                        lambda num, den: (num, QZPolynomial.one()))
+    with pytest.raises(IntegrityError):
+        QZPolynomial.q_binomial(4, 2)
 
 
 def _contents(n):

@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
-from supercoinv.exactalg import (MPoly, PolyMatrix, QMatrix,
+from supercoinv.exactalg import (MPoly, PolyMatrix, QMatrix, _IntEchelon,
                                  poly_eval_substitute)
 
 
@@ -108,6 +109,77 @@ def test_solve_random_round_trip():
         assert y is not None
         for r, bv in zip(rows, b):
             assert sum(v * y[c] for c, v in r.items()) == bv
+
+
+def _fraction_rref(rows, ncols):
+    """Reference rank and pivot columns: Fraction Gauss-Jordan, columns in
+    increasing order."""
+    rows = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        p = next((k for k in range(len(pivots), len(rows)) if rows[k][c]),
+                 None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][c]
+        rows[r] = [v / lead for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return len(pivots), set(pivots)
+
+
+def _random_int_rows(rng, nrows, ncols):
+    """Sparse integer rows with negative and non-unit entries (so pivots
+    that do not divide), plus integer combinations of earlier rows, which
+    must reduce to zero."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            row = {}
+            for r in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                f = rng.choice([-3, -2, -1, 1, 2, 5])
+                for c, v in r.items():
+                    row[c] = row.get(c, 0) + f * v
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {c: rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 9])
+                   for c in rng.sample(range(ncols),
+                                       rng.randint(1, min(ncols, 5)))}
+        rows.append(row)
+    return rows
+
+
+def test_int_echelon_matches_fraction_rref():
+    rng = random.Random(31)
+    for _ in range(300):
+        ncols = rng.randint(1, 9)
+        rows = _random_int_rows(rng, rng.randint(1, 10), ncols)
+        ech = _IntEchelon()
+        kept = [ech.add(r) for r in rows if r]
+        rank, pivots = _fraction_rref(rows, ncols)
+        assert ech.rank == rank == sum(kept)
+        assert set(ech.pivots) == pivots
+        for key, row in ech.pivots.items():
+            assert key == min(row)
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1
+            # a stored row lies in the row space of the input
+            assert _fraction_rref(rows + [row], ncols)[0] == rank
+        # a fork takes new rows; the parent keeps its rows and rank
+        before = {k: dict(r) for k, r in ech.pivots.items()}
+        extra = _random_int_rows(rng, rng.randint(1, 4), ncols)
+        fork = ech.fork()
+        for r in extra:
+            if r:
+                fork.add(r)
+        assert ech.pivots == before and ech.rank == rank
+        assert (fork.rank, set(fork.pivots)) == \
+            _fraction_rref(rows + extra, ncols)
 
 
 def test_kernel_and_solve_fix_free_columns():

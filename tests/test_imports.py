@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module.  No linter
-is a dependency, so this test is the guard against dead imports."""
+"""Every name a package module imports is used in that module, and no
+module has an ``assert`` statement (``python -O`` strips them, so a check
+must raise).  No linter is a dependency, so these tests are the guards."""
 
 import ast
 import pathlib
@@ -33,3 +34,17 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     for path in modules:
         assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _asserts(source):
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_guard_flags_an_assert():
+    assert _asserts("x = 1\nassert x\nif x:\n    assert x > 0\n") == [2, 4]
+
+
+def test_package_modules_have_no_assert():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _asserts(path.read_text()) == [], path.name
