@@ -309,7 +309,7 @@ def check_steinberg(n, ctx):
     for d in range(top + 2):
         mons = monomials(n, d)
         ech = _IntEchelon()
-        for row in ideal_component(spec, d, 0).rows:
+        for row in sorted(ideal_component(spec, d, 0).rows, key=len):
             if row:
                 ech.add(row)
         pair_rank = pairing_ranks.get(d, 0)
@@ -437,7 +437,8 @@ def _build_context(args):
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key, val in config.items():
         setattr(ctx, key, int(val))
-    ctx.cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
+    if hasattr(args, "cache"):
+        ctx.cache = args.cache or os.environ.get(CACHE_ENV)
     if ctx.cache:
         try:
             os.makedirs(ctx.cache, exist_ok=True)
@@ -445,22 +446,28 @@ def _build_context(args):
             raise ValueError(f"cannot use {ctx.cache!r} as the cache"
                              f" directory: {exc.strerror}") from exc
     ctx.force = bool(getattr(args, "force", False))
-    ctx.seed = int(getattr(args, "seed", 0) or 0)
+    ctx.seed = getattr(args, "seed", 0)
     return ctx
 
 
-def _common_flags(p):
+def _flags(p, *, cache=False, caps=True, verify=False):
+    """Register the flags a verb reads: ``--format`` always, ``--cache``
+    where the verb caches, the cap flags where it is capped, and
+    ``--jobs``/``--seed`` for ``verify``."""
     p.add_argument("--format", choices=("json", "tsv", "latex"),
                    default="tsv")
-    p.add_argument("--cache", metavar="DIR",
-                   help=f"cache directory (default ${CACHE_ENV})")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--force", action="store_true",
-                   help="admit one more n under the quotient cap")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized membership probes")
-    p.add_argument("--config", metavar="FILE",
-                   help="key=value file overriding the resource caps")
+    if cache:
+        p.add_argument("--cache", metavar="DIR",
+                       help=f"cache directory (default ${CACHE_ENV})")
+    if verify:
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized membership probes")
+    if caps:
+        p.add_argument("--force", action="store_true",
+                       help="admit one more n under the quotient cap")
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value file overriding the resource caps")
 
 
 def _positive_int(text):
@@ -485,12 +492,12 @@ def build_parser():
     p = sub.add_parser("hilbert", help="bigraded Hilbert table of the"
                        " superspace coinvariant quotient")
     p.add_argument("n", type=_positive_int)
-    _common_flags(p)
+    _flags(p, cache=True)
 
     p = sub.add_parser("frobenius", help="bigraded Frobenius image in the"
                        " Schur basis")
     p.add_argument("n", type=_positive_int)
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("cnk", help="the fermionic-slice symmetric function"
                        " C_{n,k}")
@@ -499,7 +506,7 @@ def build_parser():
     p.add_argument("--stat", choices=sorted(OMP_STATISTICS),
                    help="compute from multiset partitions with this"
                         " statistic instead of tableaux")
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("basis", help="list a monomial basis")
     p.add_argument("kind", choices=("artin", "colon", "parabolic"))
@@ -508,12 +515,12 @@ def build_parser():
                    help="comma separated subset for the colon basis")
     p.add_argument("--mu", metavar="PARTS",
                    help="comma separated partition for the parabolic basis")
-    _common_flags(p)
+    _flags(p, caps=False)
 
     p = sub.add_parser("verify", help="run named checks")
     p.add_argument("check", choices=sorted(CHECKS) + ["all"])
     p.add_argument("--n", type=_positive_int, required=True)
-    _common_flags(p)
+    _flags(p, cache=True, verify=True)
     return parser
 
 

@@ -59,18 +59,16 @@ class QZPolynomial:
         return out
 
     @classmethod
+    @lru_cache(maxsize=None)
     def q_binomial(cls, n, k):
-        """Gaussian binomial [n choose k]_q; zero when k < 0 or k > n."""
+        """Gaussian binomial [n choose k]_q; zero when k < 0 or k > n.  By
+        q-Pascal, [n, k] = [n - 1, k - 1] + q^k [n - 1, k]."""
         if k < 0 or k > n:
             return cls.zero()
-        num = cls.one()
-        for i in range(n - k + 1, n + 1):
-            num = num * cls.q_int(i)
-        den = cls.q_factorial(k)
-        q, r = _qz_divmod(num, den)
-        if not r.is_zero():
-            raise IntegrityError(f"[{n} choose {k}]_q leaves a remainder")
-        return q
+        if k == 0 or k == n:
+            return cls.one()
+        return (cls.q_binomial(n - 1, k - 1)
+                + cls.monomial(k, 0) * cls.q_binomial(n - 1, k))
 
     def is_zero(self):
         return not self.coeffs
@@ -156,29 +154,6 @@ class QZPolynomial:
 
     def __repr__(self):
         return f"QZPolynomial({self.render()})"
-
-
-def _qz_divmod(num, den):
-    """Exact division of QZPolynomials (used for Gaussian binomials)."""
-    rem = dict(num.coeffs)
-    quot = {}
-    dkey = max(den.coeffs)
-    dc = den.coeffs[dkey]
-    while rem:
-        key = max(rem)
-        qk = (key[0] - dkey[0], key[1] - dkey[1])
-        if qk[0] < 0 or qk[1] < 0 or rem[key] % dc:
-            break
-        c = rem[key] // dc
-        quot[qk] = c
-        for k2, c2 in den.coeffs.items():
-            k = (qk[0] + k2[0], qk[1] + k2[1])
-            s = rem.get(k, 0) - c * c2
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return QZPolynomial(quot), QZPolynomial(rem)
 
 
 @dataclass(frozen=True)

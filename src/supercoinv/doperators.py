@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .combinatorics import (SubsetOfN, TranslationSequence,
-                            enumerate_signed_artin, j_of_signed, staircase)
-from .exactalg import MPoly, PolyMatrix, poly_eval_substitute
+from .combinatorics import enumerate_signed_artin, j_of_signed, staircase
+from .exactalg import MPoly, PolyMatrix
 from .superspace import SuperElement, euler_chain, odot, star_set
 from .coinvariant import steinberg_independence, VerificationFailure
 
@@ -129,9 +128,11 @@ def echelon_selector(n, T):
 
 def h_matrix(mu, T):
     """H = E * C(mu)^(-1), an (n - #T) x n matrix of symmetric polynomials
-    in the x-alphabet."""
+    in the x-alphabet: the 0/1 selector E keeps the rows of C(mu)^(-1)
+    not in T."""
     n = sum(mu)
-    return echelon_selector(n, T).mul(cmu_inverse(n, mu))
+    inv = cmu_inverse(n, mu).grid
+    return PolyMatrix([inv[c - 1] for c in range(1, n + 1) if c not in T])
 
 
 def verify_h_invariance(mu, T):
@@ -158,9 +159,9 @@ def verify_h_invariance(mu, T):
 def _substituted_factor(mu, r, J):
     """F_r with y_1..y_r replaced by x_j for j in J, in increasing order."""
     n = sum(mu)
-    F = factor_matrix(n, mu, r)
     mapping = {n + i: j for i, j in enumerate(sorted(J), start=1)}
-    return poly_eval_substitute(F, mapping)
+    return PolyMatrix([[p.rename_vars(mapping) for p in row]
+                       for row in factor_matrix(n, mu, r).grid])
 
 
 def ptj_determinant(mu, tt, J, full_stack=False):
@@ -173,9 +174,9 @@ def ptj_determinant(mu, tt, J, full_stack=False):
     n x n determinant instead (cross-checked in tests).
     """
     n = sum(mu)
-    T = tt.union_set() if isinstance(tt, TranslationSequence) else tuple(sorted(tt))
+    T = tt.union_set()
     r = len(T)
-    elems = J.elems if isinstance(J, SubsetOfN) else tuple(sorted(J))
+    elems = J.elems
     if len(elems) != r:
         raise ValueError("J must have the same size as T")
     if r == 0:

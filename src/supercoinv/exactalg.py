@@ -4,10 +4,10 @@ matrices over Q or over polynomial rings.
 Every computation in this package is exact.  No floating point appears
 anywhere; coefficients are arbitrary-precision integers throughout, and
 every elimination runs on one kernel, ``_IntEchelon``, over Z.
-``Fraction`` appears only in the back-substitution of ``QMatrix.solve``
-and ``QMatrix.kernel_basis``, and in a quotient of ``MPoly.try_div`` that
-is not integral.  Pivots are the leading columns of the row space, so
-repeated runs produce identical pivot sets.
+Polynomial determinants expand by cofactors, so the polynomial layer never
+divides.  ``Fraction`` appears only in the back-substitution of
+``QMatrix.solve`` and ``QMatrix.kernel_basis``.  Pivots are the leading
+columns of the row space, so repeated runs produce identical pivot sets.
 """
 
 from __future__ import annotations
@@ -172,45 +172,6 @@ class MPoly:
         r.nvars = self.nvars
         r.terms = out
         return r
-
-    def lex_leading(self):
-        """(exponent, coefficient) of the lex-largest term (x_1 > x_2 > ...)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms)
-        return exp, self.terms[exp]
-
-    def try_div(self, d):
-        """Exact division by ``d``; returns the quotient or None."""
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)
-        quot = {}
-        dexp, dc = d.lex_leading()
-        while rem:
-            exp = max(rem)
-            c = rem[exp]
-            q = tuple(a - b for a, b in zip(exp, dexp))
-            if any(a < 0 for a in q):
-                return None
-            qc = Fraction(c, dc)
-            if qc.denominator == 1:
-                qc = qc.numerator
-            quot[q] = qc
-            for e2, c2 in d.terms.items():
-                e = tuple(a + b for a, b in zip(q, e2))
-                s = rem.get(e, 0) - qc * c2
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return MPoly(self.nvars, quot)
-
-    def exact_div(self, d):
-        q = self.try_div(d)
-        if q is None:
-            raise ValueError("inexact polynomial division")
-        return q
 
     @classmethod
     def elementary(cls, nvars, d, variables=None):
@@ -442,9 +403,6 @@ class PolyMatrix:
         self.nrows = len(self.grid)
         self.ncols = len(self.grid[0]) if self.grid else 0
 
-    def entry(self, i, j):
-        return self.grid[i][j]
-
     def mul(self, other):
         nv = self.grid[0][0].nvars
         out = []
@@ -465,58 +423,33 @@ class PolyMatrix:
         return self.submatrix(row_idx, col_idx).det()
 
     def det(self):
-        """Determinant: cofactor expansion up to 4x4, Bareiss beyond."""
+        """Determinant by cofactor expansion along the first row, skipping
+        zero entries.  No division: integer polynomial entries give an
+        integer polynomial.
+
+        The expansion stays small for its callers.  The H-minors of
+        ``apply_D`` are submatrices of rows of the lower unitriangular
+        C(mu)^(-1), so most entries are zero, and the dense minors of
+        ``ptj_determinant`` are r x r with r <= n (r = 3 in the worked
+        example).
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if not self.nrows:
             raise ValueError("determinant of an empty matrix")
-        nv = self.grid[0][0].nvars
-        if n <= 4:
-            return self._det_cofactor(self.grid, nv)
-        return self._det_bareiss(nv)
+        grid = self.grid
+        last = self.nrows - 1
 
-    @staticmethod
-    def _det_cofactor(grid, nv):
-        n = len(grid)
-        if n == 1:
-            return grid[0][0]
-        total = MPoly.zero(nv)
-        for j in range(n):
-            a = grid[0][j]
-            if a.is_zero():
-                continue
-            sub = [[grid[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            cof = PolyMatrix._det_cofactor(sub, nv)
-            term = a * cof
-            total = total + term if j % 2 == 0 else total - term
-        return total
+        def expand(i, cols):
+            if i == last:
+                return grid[i][cols[0]]
+            total = MPoly.zero(grid[0][0].nvars)
+            for pos, j in enumerate(cols):
+                a = grid[i][j]
+                if a.is_zero():
+                    continue
+                term = a * expand(i + 1, cols[:pos] + cols[pos + 1:])
+                total = total - term if pos % 2 else total + term
+            return total
 
-    def _det_bareiss(self, nv):
-        n = self.nrows
-        m = [[self.grid[i][j] for j in range(n)] for i in range(n)]
-        sign = 1
-        prev = MPoly.const(nv, 1)
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return MPoly.zero(nv)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = num.exact_div(prev)
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return d.scale(sign) if sign < 0 else d
-
-
-def poly_eval_substitute(matrix, mapping):
-    """Rename variables x_i -> x_{mapping[i]} in every entry of a
-    PolyMatrix (``mapping`` of 1-indexed variable numbers)."""
-    return PolyMatrix([[p.rename_vars(mapping) for p in row]
-                       for row in matrix.grid])
+        return expand(0, tuple(range(self.ncols)))

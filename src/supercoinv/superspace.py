@@ -137,12 +137,6 @@ class SuperElement:
     def bidegrees(self):
         return {(sum(e), len(t)) for (e, t) in self.terms}
 
-    def component(self, i, j):
-        """The bihomogeneous piece of bosonic degree i and fermionic degree j."""
-        return SuperElement(self.nvars,
-                            {k: c for k, c in self.terms.items()
-                             if sum(k[0]) == i and len(k[1]) == j})
-
     def bosonic_part(self):
         """The fermionic-degree-zero part, as an MPoly."""
         return MPoly(self.nvars,
@@ -383,24 +377,6 @@ def vandermonde(n):
         for j in range(i + 1, n + 1):
             p = p * (MPoly.var(n, i) - MPoly.var(n, j))
     return SuperElement.from_mpoly(p)
-
-
-def super_vandermonde(n, k):
-    """The superspace Vandermonde: antisymmetrization of
-    x_1^0 ... x_k^(k-1) times prod_{i>k} x_i^(k-1) theta_i.
-
-    At k = n this is the classical Vandermonde up to sign.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    exps = [0] * n
-    for i in range(1, k + 1):
-        exps[i - 1] = i - 1
-    for i in range(k + 1, n + 1):
-        exps[i - 1] = k - 1
-    thetas = tuple(range(k + 1, n + 1))
-    base = SuperElement.monomial(n, tuple(exps), thetas)
-    return antisymmetrize((n,), base)
 
 
 def f_J(j_subset):

@@ -274,6 +274,55 @@ def test_unusable_cache_path_is_a_usage_error(tmp_path, capsys,
     _assert_parser_rejects(capsys, ("hilbert", "3"), "as the cache directory")
 
 
+# the flags each verb reads: 17 slots over five verbs
+VERB_FLAGS = {
+    "hilbert": {"--format", "--cache", "--force", "--config"},
+    "frobenius": {"--format", "--force", "--config"},
+    "cnk": {"--format", "--force", "--config"},
+    "basis": {"--format"},
+    "verify": {"--format", "--cache", "--jobs", "--seed", "--force",
+               "--config"},
+}
+VERB_ARGV = {"hilbert": ["hilbert", "3"], "frobenius": ["frobenius", "3"],
+             "cnk": ["cnk", "3", "2"], "basis": ["basis", "artin", "2"],
+             "verify": ["verify", "fields1", "--n", "3"]}
+FLAG_VALUES = {"--format": ["json"], "--cache": ["DIR"], "--jobs": ["2"],
+               "--seed": ["1"], "--force": [], "--config": ["FILE"]}
+
+
+def test_each_verb_registers_only_the_flags_it_reads(capsys):
+    parser = cli.build_parser()
+    for verb, argv in VERB_ARGV.items():
+        accepted = set()
+        for flag, value in FLAG_VALUES.items():
+            try:
+                parser.parse_args(argv + [flag] + value)
+            except SystemExit:
+                continue
+            accepted.add(flag)
+        assert accepted == VERB_FLAGS[verb], verb
+    capsys.readouterr()
+    assert sum(map(len, VERB_FLAGS.values())) == 17
+
+
+def test_cache_env_is_read_only_where_cache_is_a_flag(tmp_path, capsys,
+                                                      monkeypatch):
+    regular = tmp_path / "not-a-directory"
+    regular.write_text("")
+    monkeypatch.setenv(cli.CACHE_ENV, str(regular))
+    assert run_cli(capsys, "basis", "artin", "2")[0] == 0
+    assert run_cli(capsys, "cnk", "3", "2")[0] == 0
+
+
+def test_flags_a_verb_does_not_read_are_usage_errors(tmp_path, capsys):
+    cache = tmp_path / "D"
+    _assert_parser_rejects(capsys, ("frobenius", "3", "--cache", str(cache)),
+                           "unrecognized arguments")
+    assert not cache.exists()
+    _assert_parser_rejects(capsys, ("basis", "artin", "2", "--jobs", "2"),
+                           "unrecognized arguments")
+
+
 def test_config_file_overrides_caps(tmp_path, capsys):
     cfg = tmp_path / "caps.conf"
     cfg.write_text("# tighter limits\nquotient = 2\n")

@@ -9,7 +9,8 @@ from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
                                       j_of_signed, partitions,
                                       signed_partitions, staircase, subsets)
 from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
-                                   enumerate_L, power_matrix, ptj_determinant,
+                                   echelon_selector, enumerate_L, h_matrix,
+                                   power_matrix, ptj_determinant,
                                    reduction_matrix, verify_E_independence,
                                    verify_factorization, verify_h_invariance,
                                    verify_L_monomial_bound,
@@ -163,6 +164,17 @@ def test_breakdown_proper_first_block_weight_escapes_staircase():
                 w = weight(tt)
                 assert any(not all(a < s for a, s in zip(exp, st))
                            for exp in w.terms), (lam.parts, tt.sets)
+
+
+def test_h_matrix_selects_rows_of_the_inverse():
+    # H = E * C(mu)^(-1) for the 0/1 selector E, for every proper T
+    for n in (1, 2, 3, 4):
+        for lam in partitions(n):
+            inv = cmu_inverse(n, lam.parts)
+            for size in range(n):
+                for T in subsets(n, size):
+                    product = echelon_selector(n, T.elems).mul(inv)
+                    assert h_matrix(lam.parts, T.elems).grid == product.grid
 
 
 def test_h_matrix_entries_are_block_symmetric():

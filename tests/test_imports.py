@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module, and no
-module has an ``assert`` statement (``python -O`` strips them, so a check
-must raise).  No linter is a dependency, so these tests are the guards."""
+"""Every name a package module imports is used in that module, no module
+has an ``assert`` statement (``python -O`` strips them, so a check must
+raise), ``Fraction`` is used only where a true rational is needed, and
+every function, class and method of the package is referenced somewhere.
+No linter is a dependency, so these tests are the guards."""
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "supercoinv"
+ROOT = pathlib.Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "supercoinv"
 
 
 def _unused_imports(source):
@@ -48,3 +51,108 @@ def test_guard_flags_an_assert():
 def test_package_modules_have_no_assert():
     for path in sorted(PACKAGE.glob("*.py")):
         assert _asserts(path.read_text()) == [], path.name
+
+
+# the only places a rational number is formed: back-substitution
+FRACTION_SCOPES = {"QMatrix.solve", "QMatrix.kernel_basis",
+                   "_back_substitute"}
+
+
+def _fraction_uses(source):
+    """(line, enclosing qualified name) of every use of ``Fraction``; the
+    import itself is not a use."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Name) and node.id == "Fraction"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "Fraction"):
+            uses.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return uses
+
+
+def test_guard_flags_fraction_outside_back_substitution():
+    source = ("from fractions import Fraction\n"
+              "import fractions\n"
+              "class QMatrix:\n"
+              "    def solve(self):\n"
+              "        return Fraction(1)\n"
+              "def helper():\n"
+              "    return fractions.Fraction(1, 2)\n"
+              "HALF = Fraction(1, 2)\n")
+    assert _fraction_uses(source) == [(5, "QMatrix.solve"), (7, "helper"),
+                                      (8, "")]
+
+
+def test_fraction_only_in_back_substitution():
+    for path in sorted(PACKAGE.glob("*.py")):
+        stray = [(line, scope) for line, scope
+                 in _fraction_uses(path.read_text())
+                 if scope not in FRACTION_SCOPES]
+        assert stray == [], path.name
+
+
+def _definitions(source):
+    """(name, is_method) of every top-level function and class, and of
+    every method that is not a dunder."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, False))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.name, True) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")]
+    return out
+
+
+def _references(source):
+    """(names, attributes): every name read or imported, and every
+    attribute taken.  A ``def`` or ``class`` statement is not a reference
+    to its own name, and a method is referenced only as an attribute, so
+    a local variable of the same name does not count."""
+    names, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names, attrs
+
+
+def _unreferenced(package_sources, other_sources):
+    names, attrs = set(), set()
+    for source in package_sources + other_sources:
+        n, a = _references(source)
+        names |= n
+        attrs |= a
+    return sorted(name for source in package_sources
+                  for name, is_method in _definitions(source)
+                  if name not in attrs and (is_method or name not in names))
+
+
+def test_guard_flags_an_unreferenced_definition():
+    package = ["def used():\n    pass\n"
+               "def unused():\n    pass\n"
+               "class Box:\n"
+               "    def __init__(self):\n        pass\n"
+               "    def read(self):\n        pass\n"
+               "    def dead(self):\n        dead = 1\n        return dead\n"]
+    tests = ["from pkg import Box, used\nused()\nBox().read()\n"]
+    assert _unreferenced(package, tests) == ["dead", "unused"]
+
+
+def test_every_definition_is_referenced():
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    others = [path.read_text()
+              for folder in ("tests", "bench")
+              for path in sorted((ROOT / folder).glob("*.py"))]
+    assert _unreferenced(package, others) == []

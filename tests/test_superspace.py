@@ -9,7 +9,7 @@ from supercoinv.exactalg import MPoly
 from supercoinv.superspace import (SuperElement, act, antisymmetrize,
                                    coinvariant_generators, contract_theta,
                                    euler_chain, euler_d, f_J, odot, partial_x,
-                                   star_set, super_vandermonde, vandermonde,
+                                   star_set, vandermonde,
                                    young_subgroup_order)
 
 
@@ -64,21 +64,6 @@ def test_vandermonde_is_alternating():
             w = list(range(1, n + 1))
             w[i - 1], w[i] = w[i], w[i - 1]
             assert act(tuple(w), d) == d.scale(-1)
-
-
-def test_super_vandermonde_top_case_is_classical():
-    for n in (2, 3):
-        sv = super_vandermonde(n, n)
-        d = vandermonde(n)
-        assert sv == d or sv == d.scale(-1)
-
-
-def test_super_vandermonde_bidegree():
-    for n in (2, 3, 4):
-        for k in range(1, n + 1):
-            sv = super_vandermonde(n, k)
-            i = k * (k - 1) // 2 + (n - k) * (k - 1)
-            assert sv.component(i, n - k) == sv
 
 
 def test_euler_operators_anticommute():
