@@ -27,9 +27,10 @@ from .combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
 from .coinvariant import (CACHE_STATS, IntegrityError, VerificationFailure,
                           bosonic_ideal, colon_hilbert, colon_images,
                           epsilon_dims, frobenius_reconstruct,
-                          ideal_component, operator_closure, quotient_hilbert,
-                          superspace_ideal, verify_artin_basis,
-                          verify_colon_basis, verify_parabolic_basis)
+                          ideal_component, monomials, operator_closure,
+                          quotient_hilbert, superspace_ideal,
+                          verify_artin_basis, verify_colon_basis,
+                          verify_parabolic_basis)
 from .doperators import (apply_D, ptj_determinant, verify_E_independence,
                          verify_h_invariance, verify_monomial_bound, weight,
                          enumerate_L)
@@ -299,7 +300,6 @@ def check_steinberg(n, ctx):
     """Two routes to membership in the bosonic invariant ideal: rank
     computations against the generators versus annihilating the Vandermonde
     under the superderivative pairing."""
-    from .coinvariant import monomials
     rng = random.Random(ctx.seed)
     spec = bosonic_ideal(n)
     # f_J = 1 for the empty J, so the colon images are p (.) Vandermonde

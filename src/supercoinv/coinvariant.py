@@ -40,7 +40,8 @@ from .combinatorics import (IntegrityError, Partition, QZPolynomial,
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
-                         vandermonde)
+                         partial_x, vandermonde)
+from .symfunc import SymFn
 
 
 class VerificationFailure(Exception):
@@ -198,16 +199,13 @@ class CoinvariantEngine:
         for d in range(0, self.top + 1):
             self.artin_by_deg[d] = [e for e in monomials(n, d)
                                     if all(e[i] <= i for i in range(n))]
-        self.de = [euler_d(1, SuperElement.from_mpoly(MPoly.elementary(n, d)))
-                   for d in range(1, n + 1)]
-        # partials_e[d - 1][v]: (d/dx_v) e_d as {exponent: int}, read off the
-        # theta_v terms of de_d
+        # partials_e[d - 1][v]: (d/dx_v) e_d as {exponent: int}, the
+        # coefficient of theta_v in de_d
         self.partials_e = []
-        for de in self.de:
-            by_v = {}
-            for (exp, (v,)), c in de.terms.items():
-                by_v.setdefault(v, {})[exp] = c
-            self.partials_e.append(by_v)
+        for d in range(1, n + 1):
+            e = MPoly.elementary(n, d)
+            self.partials_e.append({v: e.partial(v).terms
+                                    for v in range(1, n + 1)})
         self._nf_partials = {}
         self._echelons = {}
         self._eps_tables = {}
@@ -496,7 +494,6 @@ def operator_closure(n):
             continue
         for jj in range(1, n):
             queue.append(euler_d(jj, elem))
-        from .superspace import partial_x
         for v in range(1, n + 1):
             queue.append(partial_x(v, elem))
     table = BidegreeTable(n)
@@ -737,7 +734,6 @@ def frobenius_reconstruct(n):
     """Reconstruct the bigraded Frobenius image from the antisymmetric slice
     dimensions: solve the Kostka system <s_lam, e_mu> = K_{lam', mu} per
     bidegree and return a Schur expansion with coefficients in Z[q, z]."""
-    from .symfunc import SymFn
     mus = partitions(n)
     lams = partitions(n)
     tables = {mu: epsilon_dims(mu, n) for mu in mus}

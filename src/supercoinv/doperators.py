@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .combinatorics import enumerate_signed_artin, j_of_signed, staircase
+from .combinatorics import (enumerate_signed_artin, j_of_signed,
+                            sequence_bound, staircase)
 from .exactalg import MPoly, PolyMatrix
 from .superspace import SuperElement, euler_chain, odot, star_set
 from .coinvariant import steinberg_independence, VerificationFailure
+from .symfunc import schur_poly
 
 
 def _x(n, i):
@@ -218,7 +220,6 @@ def nu_of_translation_set(mu, j, T_j):
 def weight(tt):
     """The weight s(T): the product over blocks of Schur polynomials
     s_{nu(T_j)} in the top gamma_j variables of the block."""
-    from .symfunc import schur_poly
     mu = tt.mu
     n = sum(mu)
     ends = _block_ends(mu)
@@ -301,7 +302,6 @@ def l_polynomials(m, k, t, n=None, offset=0):
     """The spanning polynomials for one block, embedded into n variables at
     the given offset: e_lambda over the whole block times s_nu in the last
     k block variables."""
-    from .symfunc import schur_poly
     if n is None:
         n = m
     out = []
@@ -361,7 +361,6 @@ def verify_monomial_bound(sp):
 
 def verify_L_monomial_bound(m, k, t):
     """Check the entrywise exponent bound for one block's spanning set."""
-    from .combinatorics import sequence_bound
     bound = sequence_bound(m, k, t)
     for p in l_polynomials(m, k, t):
         for exp in p.terms:

@@ -4,13 +4,19 @@ with an exterior algebra on theta_1..theta_n.
 Monomials are stored canonically as (exponent tuple, increasing theta tuple);
 products pick up the sign of sorting the theta factors.  The superderivative
 action f (.) g substitutes x_i -> d/dx_i and theta_i -> the contraction
-operator, with theta operators applied in the canonical monomial order.
+d/dtheta_i, applied rightmost factor first.  In closed form, theta_S (.)
+theta_T is theta_(T - S) with sign (-1)^#{(s, t) : s in S, t in T, t < s}
+when S is a subset of T, and zero otherwise; contraction by theta_i is
+odot with theta_i, and the Euler derivatives d_j put theta_i in front with
+sign (-1)^#{t in T : t < i}.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations
-from math import factorial
+from math import factorial, perm
+from operator import sub
 
 from .exactalg import MPoly
 from .combinatorics import mu_blocks
@@ -237,70 +243,44 @@ def partial_x(i, f):
     return r
 
 
-def contract_theta(i, f):
-    """The contraction d/dtheta_i: kills terms without theta_i, otherwise
-    removes it with sign (-1)^(position - 1) in the canonical order."""
-    out = {}
-    for (exp, thetas), c in f.terms.items():
-        if i not in thetas:
-            continue
-        pos = thetas.index(i)
-        sign = -1 if pos % 2 else 1
-        key = (exp, thetas[:pos] + thetas[pos + 1:])
-        s = out.get(key, 0) + sign * c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    r = SuperElement.__new__(SuperElement)
-    r.nvars = f.nvars
-    r.terms = out
-    return r
-
-
-def _falling(b, a):
-    """b (b-1) ... (b-a+1)."""
-    out = 1
-    for i in range(a):
-        out *= b - i
-    return out
-
-
 def odot(f, g):
     """The superderivative action f (.) g: substitute x_i -> d/dx_i and
-    theta_i -> contraction, reading each canonical monomial of f as a
-    composition with the rightmost factor applied first."""
+    theta_i -> the contraction d/dtheta_i, reading each canonical monomial
+    of f as a composition with the rightmost factor applied first.
+
+    x^a theta_S (.) x^b theta_T is zero unless S is a subset of T and
+    a <= b; otherwise it is prod_i perm(b_i, a_i) x^(b - a) theta_(T - S)
+    with sign (-1)^#{(s, t) : s in S, t in T, t < s}.  Contracting the
+    largest s first leaves every smaller index in place, so each s passes
+    exactly the t < s."""
     if f.nvars != g.nvars:
         raise ValueError("mismatched variable counts")
-    n = f.nvars
+    by_theta = {}
+    for (b, T), d in g.terms.items():
+        by_theta.setdefault(T, []).append((b, d))
+    groups = [(T, frozenset(T), terms) for T, terms in by_theta.items()]
     out = {}
     for (a, S), c in f.terms.items():
-        h = g
-        for s in sorted(S, reverse=True):
-            h = contract_theta(s, h)
-            if not h.terms:
-                break
-        if not h.terms:
-            continue
-        for (b, T), d in h.terms.items():
-            coeff = c * d
-            ok = True
-            new = [0] * n
-            for i in range(n):
-                if b[i] < a[i]:
-                    ok = False
-                    break
-                if a[i]:
-                    coeff *= _falling(b[i], a[i])
-                new[i] = b[i] - a[i]
-            if not ok or not coeff:
+        support = [(i, ai) for i, ai in enumerate(a) if ai]
+        for T, T_set, terms in groups:
+            if not T_set.issuperset(S):
                 continue
-            key = (tuple(new), T)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            # T is increasing, so bisect_left(T, s) = #{t in T : t < s}
+            sc = -c if S and sum(bisect_left(T, s) for s in S) % 2 else c
+            rest = tuple(t for t in T if t not in S) if S else T
+            for b, d in terms:
+                coeff = sc * d
+                for i, ai in support:
+                    if b[i] < ai:
+                        break
+                    coeff *= perm(b[i], ai)
+                else:
+                    key = (tuple(map(sub, b, a)), rest)
+                    v = out.get(key, 0) + coeff
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
     r = SuperElement.__new__(SuperElement)
     r.nvars = f.nvars
     r.terms = out
@@ -309,18 +289,27 @@ def odot(f, g):
 
 def euler_d(j, f):
     """The higher Euler derivative d_j: sum_i theta_i (d/dx_i)^j, with the
-    theta factor multiplied on the left."""
-    n = f.nvars
-    total = SuperElement.zero(n)
-    for i in range(1, n + 1):
-        h = f
-        for _ in range(j):
-            h = partial_x(i, h)
-            if not h.terms:
-                break
-        if h.terms:
-            total = total + SuperElement.theta(n, i) * h
-    return total
+    theta factor multiplied on the left.  A term x^b theta_T with i not in T
+    and b_i >= j gives perm(b_i, j) x^(b - j e_i) theta_(T + i), with sign
+    (-1)^#{t in T : t < i}."""
+    out = {}
+    for i in range(1, f.nvars + 1):
+        idx = i - 1
+        for (b, T), c in f.terms.items():
+            bi = b[idx]
+            if bi < j or i in T:
+                continue
+            k = bisect_left(T, i)
+            key = (b[:idx] + (bi - j,) + b[idx + 1:], T[:k] + (i,) + T[k:])
+            s = out.get(key, 0) + (-c if k % 2 else c) * perm(bi, j)
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    r = SuperElement.__new__(SuperElement)
+    r.nvars = f.nvars
+    r.terms = out
+    return r
 
 
 def euler_chain(K, f):

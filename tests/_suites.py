@@ -8,8 +8,7 @@ from fractions import Fraction
 
 from supercoinv.combinatorics import gale_leq, kostka, partitions, subsets
 from supercoinv.exactalg import QMatrix
-from supercoinv.superspace import (SuperElement, antisymmetrize,
-                                   contract_theta, odot,
+from supercoinv.superspace import (SuperElement, antisymmetrize, odot,
                                    young_subgroup_order)
 
 
@@ -61,16 +60,17 @@ def suite_superspace(cases, seed):
         else:
             assert ti * tj == (tj * ti).scale(-1)
         h = random_super(rng, n)
-        # contractions anticommute; equal indices square to zero
-        lhs = contract_theta(i, contract_theta(j, h))
-        rhs = contract_theta(j, contract_theta(i, h))
+        # contractions (odot by theta_i) anticommute; equal indices square
+        # to zero
+        lhs = odot(ti, odot(tj, h))
+        rhs = odot(tj, odot(ti, h))
         if i == j:
             assert lhs.is_zero()
         else:
             assert lhs == rhs.scale(-1)
         # derivative-and-contract then multiply-back identity:
         # theta_i * contract_i + contract_i * theta_i = identity
-        recon = ti * contract_theta(i, h) + contract_theta(i, ti * h)
+        recon = ti * odot(ti, h) + odot(ti, ti * h)
         assert recon == h
         f = random_bosonic(rng, n)
         g = random_bosonic(rng, n)

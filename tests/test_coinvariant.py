@@ -23,7 +23,8 @@ from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable,
                                     verify_parabolic_basis)
 from supercoinv.doperators import build_E_set
 from supercoinv.exactalg import MPoly, _IntEchelon
-from supercoinv.superspace import SuperElement, f_J, odot, vandermonde
+from supercoinv.superspace import (SuperElement, coinvariant_generators,
+                                   f_J, odot, vandermonde)
 
 
 def test_direct_and_reduced_routes_agree():
@@ -245,10 +246,12 @@ def test_stale_cache_entries_are_ignored(tmp_path):
 
 def test_ideal_echelon_matches_product_rows():
     # reference: the rows (b theta_T) * de_d as full superspace products,
-    # reduced and added in (d, b, T) order; the cached-normal-form rows
-    # added sparsest first must give the same rank and pivot columns
+    # with de_d from the generator list, reduced and added in (d, b, T)
+    # order; the cached-normal-form rows added sparsest first must give the
+    # same rank and pivot columns
     n = 4
     eng = CoinvariantEngine(n)
+    gens = coinvariant_generators(n)
     for i in range(eng.top + 3):
         for j in range(n + 1):
             ech, basis, index = eng.ideal_echelon(i, j)
@@ -261,7 +264,8 @@ def test_ideal_echelon_matches_product_rows():
                     for b in eng.artin_by_deg[bdeg]:
                         for ts in theta_subsets(n, j - 1):
                             m = SuperElement.monomial(n, b, ts)
-                            row = eng.reduced_coords(m * eng.de[d - 1], index)
+                            row = eng.reduced_coords(m * gens[n + d - 1],
+                                                     index)
                             if row:
                                 ref.add(row)
             assert ech.rank == ref.rank, (i, j)

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module, no module
-has an ``assert`` statement (``python -O`` strips them, so a check must
-raise), ``Fraction`` is used only where a true rational is needed, and
-every function, class and method of the package is referenced somewhere.
-No linter is a dependency, so these tests are the guards."""
+"""Every name a package module imports is used in that module, every
+import sits at module level, no module has an ``assert`` statement
+(``python -O`` strips them, so a check must raise), ``Fraction`` is used
+only where a true rational is needed, and every function, class and
+method of the package is referenced somewhere.  No linter is a
+dependency, so these tests are the guards."""
 
 import ast
 import pathlib
@@ -37,6 +38,29 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     for path in modules:
         assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _nested_imports(source):
+    """Line numbers of every import below module level."""
+    tree = ast.parse(source)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and node not in tree.body]
+
+
+def test_guard_flags_a_nested_import():
+    source = ("import os\n"
+              "def f():\n"
+              "    from math import comb\n"
+              "    return comb(2, 1)\n"
+              "class C:\n"
+              "    import json\n")
+    assert _nested_imports(source) == [3, 6]
+
+
+def test_package_imports_are_at_module_level():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _nested_imports(path.read_text()) == [], path.name
 
 
 def _asserts(source):

@@ -7,8 +7,8 @@ from supercoinv.coinvariant import ideal_component, superspace_ideal
 from supercoinv.combinatorics import SubsetOfN, subsets
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import (SuperElement, act, antisymmetrize,
-                                   coinvariant_generators, contract_theta,
-                                   euler_chain, euler_d, f_J, odot, partial_x,
+                                   coinvariant_generators, euler_chain,
+                                   euler_d, f_J, odot, partial_x,
                                    star_set, vandermonde,
                                    young_subgroup_order)
 
@@ -25,10 +25,23 @@ def test_theta_monomials_canonicalize_with_sign():
 
 def test_contraction_sign_depends_on_position():
     m = SuperElement.monomial(3, (0, 0, 0), (1, 2, 3))
-    assert contract_theta(1, m) == SuperElement.monomial(3, (0, 0, 0), (2, 3))
-    assert contract_theta(2, m) \
-        == SuperElement.monomial(3, (0, 0, 0), (1, 3)).scale(-1)
-    assert contract_theta(3, m) == SuperElement.monomial(3, (0, 0, 0), (1, 2))
+
+    def contract(i):
+        return odot(SuperElement.theta(3, i), m)
+
+    assert contract(1) == SuperElement.monomial(3, (0, 0, 0), (2, 3))
+    assert contract(2) == SuperElement.monomial(3, (0, 0, 0), (1, 3), -1)
+    assert contract(3) == SuperElement.monomial(3, (0, 0, 0), (1, 2))
+
+
+def test_odot_multi_theta_signs():
+    # theta_S (.) theta_1 theta_2 theta_3 has sign (-1)^#{(s, t): t < s}
+    top = SuperElement.monomial(3, (0, 0, 0), (1, 2, 3))
+    for S, rest, sign in (((1, 3), (2,), 1), ((2,), (1, 3), -1),
+                          ((1, 2), (3,), -1), ((2, 3), (1,), -1),
+                          ((1, 2, 3), (), -1)):
+        f = SuperElement.monomial(3, (0, 0, 0), S)
+        assert odot(f, top) == SuperElement.monomial(3, (0, 0, 0), rest, sign)
 
 
 def test_odot_theta_pair_on_itself():
@@ -157,6 +170,65 @@ def test_f_j_expands_as_shifted_product():
     J = SubsetOfN(3, (2,))
     x2, x3 = MPoly.var(3, 2), MPoly.var(3, 3)
     assert f_J(J).as_mpoly() == x2 * (x2 - x3)
+
+
+def _contract_oracle(i, f):
+    """d/dtheta_i, one term at a time: theta_i is removed with sign
+    (-1)^(its position in the canonical theta tuple)."""
+    out = SuperElement.zero(f.nvars)
+    for (b, T), c in f.terms.items():
+        if i in T:
+            pos = T.index(i)
+            rest = T[:pos] + T[pos + 1:]
+            out = out + SuperElement.monomial(f.nvars, b, rest,
+                                              c * (-1) ** pos)
+    return out
+
+
+def _odot_oracle(f, g):
+    """f (.) g by composition: contract one theta at a time, rightmost
+    first, then differentiate one variable at a time."""
+    total = SuperElement.zero(f.nvars)
+    for (a, S), c in f.terms.items():
+        h = g
+        for s in reversed(S):
+            h = _contract_oracle(s, h)
+        for i, ai in enumerate(a, 1):
+            for _ in range(ai):
+                h = partial_x(i, h)
+        total = total + h.scale(c)
+    return total
+
+
+def _euler_oracle(j, f):
+    """d_j f as sum_i theta_i * (d/dx_i)^j f through the product."""
+    total = SuperElement.zero(f.nvars)
+    for i in range(1, f.nvars + 1):
+        h = f
+        for _ in range(j):
+            h = partial_x(i, h)
+        total = total + SuperElement.theta(f.nvars, i) * h
+    return total
+
+
+def _random_element(rng, n):
+    f = SuperElement.zero(n)
+    for _ in range(rng.randint(1, 5)):
+        f = f + SuperElement.monomial(
+            n, tuple(rng.randint(0, 3) for _ in range(n)),
+            rng.sample(range(1, n + 1), rng.randint(0, n)),
+            rng.choice((-3, -2, -1, 1, 2, 3)))
+    return f
+
+
+def test_odot_and_euler_d_match_composition_oracles():
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        f, g = _random_element(rng, n), _random_element(rng, n)
+        assert odot(f, g) == _odot_oracle(f, g)
+        j = rng.randint(1, 3)
+        assert euler_d(j, g) == _euler_oracle(j, g)
 
 
 def test_partial_x_on_theta_terms():
