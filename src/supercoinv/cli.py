@@ -200,9 +200,10 @@ def _admissible_sequences(n):
 def check_dop_leading(n, ctx):
     delta = vandermonde(n)
     gens = coinvariant_generators(n)
+    memo = {}
     for tt in _admissible_sequences(n):
         mu = tt.mu
-        v = apply_D(tt, delta)
+        v = apply_D(tt, delta, memo)
         if v.is_zero():
             raise VerificationFailure(f"zero image for mu={mu}, T={tt.sets}")
         for g in gens:
@@ -246,10 +247,11 @@ def _proportional(a, b):
 
 def check_dop_gale(n, ctx):
     delta = vandermonde(n)
+    memo = {}
     for tt in _admissible_sequences(n):
         mu = tt.mu
-        verify_h_invariance(mu, tt.union_set())
-        v = apply_D(tt, delta)
+        verify_h_invariance(mu, tt.union_set(), memo)
+        v = apply_D(tt, delta, memo)
         Jmax = j_of_signed(SignedPartition(mu, tt.gamma()))
         for (exps, thetas), c in v.terms.items():
             K = SubsetOfN(n, thetas)

@@ -8,6 +8,18 @@ first rewrites the bosonic part onto the classical substaircase basis
 by pairing against the Vandermonde) and then eliminates the
 Euler-derivative multiples in the much smaller quotient coordinates.
 
+The reduced coordinates use both linear generators.  x_1 is gone because
+h_1 = e_1 is the first rewrite rule, so no substaircase monomial holds it;
+theta_1 is gone by the substitution pi: theta_1 -> -(theta_2 + ... +
+theta_n), a ring map whose kernel is (de_1).  The (i, j) reduced basis is
+the substaircase exponents of degree i times the j-subsets of {2..n}, and
+the rank of an ideal block is |A_i| C(n - 1, j - 1) (the de_1 multiples)
+plus the rank of its image under pi.  Within each substaircase exponent
+the theta-subsets holding 1 come first in lex order and de_1 multiples
+lead there, so the pivots in the full coordinates are those columns plus
+the reduced pivots: the coset representatives do not depend on the
+choice of coordinates.
+
 The direct route, ``ideal_component``, spans the ideal component inside
 the full superspace component; the test suite takes its rank as the
 reference for the reduced route, and the Steinberg check uses it for the
@@ -199,14 +211,17 @@ class CoinvariantEngine:
         for d in range(0, self.top + 1):
             self.artin_by_deg[d] = [e for e in monomials(n, d)
                                     if all(e[i] <= i for i in range(n))]
-        # partials_e[d - 1][v]: (d/dx_v) e_d as {exponent: int}, the
-        # coefficient of theta_v in de_d
-        self.partials_e = []
-        for d in range(1, n + 1):
+        # partials_e[d][w] for d >= 2 and w = 2..n: (d/dx_w - d/dx_1) e_d
+        # as {exponent: int}, the coefficient of theta_w in de_d once
+        # theta_1 = -(theta_2 + ... + theta_n); de_1 itself maps to zero
+        self.partials_e = {}
+        for d in range(2, n + 1):
             e = MPoly.elementary(n, d)
-            self.partials_e.append({v: e.partial(v).terms
-                                    for v in range(1, n + 1)})
+            p1 = e.partial(1)
+            self.partials_e[d] = {w: (e.partial(w) - p1).terms
+                                  for w in range(2, n + 1)}
         self._nf_partials = {}
+        self._theta_images = {}
         self._echelons = {}
         self._eps_tables = {}
 
@@ -248,34 +263,53 @@ class CoinvariantEngine:
         return self._nf[exp]
 
     def reduced_basis(self, i, j):
-        """Basis index of the (i, j) component of the reduced coordinates."""
+        """Basis index of the (i, j) component of the reduced coordinates:
+        substaircase exponents times the j-subsets of theta_2..theta_n."""
         arts = self.artin_by_deg.get(i, [])
-        if i > self.top:
-            arts = []
-        basis = [(a, t) for a in arts for t in theta_subsets(self.n, j)]
+        basis = [(a, t) for a in arts
+                 for t in combinations(range(2, self.n + 1), j)]
         return basis, {key: c for c, key in enumerate(basis)}
 
+    def _theta_image(self, ts):
+        """theta_ts with theta_1 = -(theta_2 + ... + theta_n), as a list of
+        (theta tuple without 1, sign)."""
+        if ts[:1] != (1,):
+            return [(ts, 1)]
+        out = []
+        for w in range(2, self.n + 1):
+            tw, sign = _merge_thetas((w,), ts[1:])
+            if sign:
+                out.append((tw, -sign))
+        return out
+
     def reduced_coords(self, elem, index):
-        """Coordinates of a superspace element after bosonic reduction."""
+        """Coordinates of a superspace element after bosonic reduction and
+        the substitution theta_1 = -(theta_2 + ... + theta_n)."""
+        images = self._theta_images
         row = {}
         for (exp, ts), c in elem.terms.items():
-            for a, c2 in self.nf(exp).items():
-                col = index[(a, ts)]
-                s = row.get(col, 0) + c * c2
-                if s:
-                    row[col] = s
-                else:
-                    del row[col]
+            image = images.get(ts)
+            if image is None:
+                image = images[ts] = self._theta_image(ts)
+            nf = self.nf(exp).items()
+            for tw, sign in image:
+                for a, c2 in nf:
+                    col = index[(a, tw)]
+                    s = row.get(col, 0) + sign * c * c2
+                    if s:
+                        row[col] = s
+                    else:
+                        del row[col]
         return row
 
-    def _nf_times_partial(self, b, v, d):
-        """Normal form of b * (d/dx_v) e_d as an integer dict over the
-        substaircase exponents; independent of the theta factor."""
-        key = (b, v, d)
+    def _nf_times_partial(self, b, w, d):
+        """Normal form of b * (d/dx_w - d/dx_1) e_d as an integer dict over
+        the substaircase exponents; independent of the theta factor."""
+        key = (b, w, d)
         out = self._nf_partials.get(key)
         if out is None:
             out = {}
-            for m, c in self.partials_e[d - 1][v].items():
+            for m, c in self.partials_e[d][w].items():
                 for a, c2 in self.nf(tuple(x + y for x, y in zip(b, m))).items():
                     s = out.get(a, 0) + c * c2
                     if s:
@@ -288,9 +322,13 @@ class CoinvariantEngine:
     def ideal_echelon(self, i, j):
         """Echelonized Euler-derivative ideal component in reduced coords.
 
-        Spanning rows are (b theta_T) * de_d for substaircase b, where
-        de_d = sum_v theta_v (d/dx_v) e_d; since x commutes with theta this
-        is sum over v not in T of +-NF(b (d/dx_v) e_d) theta_(T + v).  Rows
+        The substitution pi: theta_1 -> -(theta_2 + ... + theta_n) is a ring
+        map with kernel (de_1), so the rows b theta_T de_1 span the kernel
+        in each block and map to zero, and pi(b theta_1 theta_T de_d) =
+        -sum_w theta_w pi(b theta_T de_d) lies in the span of the rows with
+        1 not in T.  The spanning rows are therefore pi((b theta_T) * de_d)
+        for substaircase b, d >= 2 and T inside {2..n}: the sum over w in
+        {2..n} - T of +-NF(b (d/dx_w - d/dx_1) e_d) theta_(T + w).  Rows
         are eliminated sparsest first; the pivot columns (and so the rank
         and the coset representatives) depend only on the row space.
         """
@@ -301,30 +339,30 @@ class CoinvariantEngine:
         basis, index = self.reduced_basis(i, j)
         ech = _IntEchelon()
         if j >= 1 and basis:
-            # per theta_T: (v - 1, sign, column of a theta_(T + v) for each
-            # a), shared by every d and b; d/dx_v e_d is nonzero for all v
+            # per theta_T: (w - 2, sign, column of a theta_(T + w) for each
+            # a), shared by every d and b
             arts = self.artin_by_deg[i]
             merges = []
-            for ts in theta_subsets(n, j - 1):
+            for ts in combinations(range(2, n + 1), j - 1):
                 per_ts = []
-                for v in range(1, n + 1):
-                    tv, sign = _merge_thetas(ts, (v,))
+                for w in range(2, n + 1):
+                    tw, sign = _merge_thetas(ts, (w,))
                     if sign:
-                        per_ts.append((v - 1, sign,
-                                       {a: index[(a, tv)] for a in arts}))
+                        per_ts.append((w - 2, sign,
+                                       {a: index[(a, tw)] for a in arts}))
                 merges.append(per_ts)
             rows = []
-            for d in range(1, n + 1):
+            for d in range(2, n + 1):
                 bdeg = i - (d - 1)
                 if bdeg < 0 or bdeg > self.top:
                     continue
                 for b in self.artin_by_deg[bdeg]:
-                    partials = [self._nf_times_partial(b, v, d)
-                                for v in range(1, n + 1)]
+                    partials = [self._nf_times_partial(b, w, d)
+                                for w in range(2, n + 1)]
                     for per_ts in merges:
                         row = {}
-                        for v, sign, cols in per_ts:
-                            for a, c in partials[v].items():
+                        for w, sign, cols in per_ts:
+                            for a, c in partials[w].items():
                                 row[cols[a]] = sign * c
                         if row:
                             rows.append(row)
@@ -642,9 +680,9 @@ def verify_artin_basis(n):
     for (i, j), group in by_bideg.items():
         ech, _, index = eng.ideal_echelon(i, j)
         seeded = ech.fork()
-        for key in group:
-            if not seeded.add({index[key]: 1}):
-                a, ts = key
+        for a, ts in group:
+            row = eng.reduced_coords(SuperElement.monomial(n, a, ts), index)
+            if not seeded.add(row):
                 raise VerificationFailure(
                     f"substaircase element {a} theta_{ts} is dependent"
                     " modulo the ideal")

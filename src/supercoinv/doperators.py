@@ -128,22 +128,32 @@ def echelon_selector(n, T):
                        for c in rest])
 
 
-def h_matrix(mu, T):
+def _memoized(memo, key, compute):
+    """compute(), kept under ``key`` in the caller's dict ``memo`` (if
+    given) and reused from there."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def h_matrix(mu, T, memo=None):
     """H = E * C(mu)^(-1), an (n - #T) x n matrix of symmetric polynomials
     in the x-alphabet: the 0/1 selector E keeps the rows of C(mu)^(-1)
-    not in T."""
+    not in T.  A ``memo`` dict keeps C(mu)^(-1) for later calls."""
     n = sum(mu)
-    inv = cmu_inverse(n, mu).grid
+    inv = _memoized(memo, ("inverse", mu), lambda: cmu_inverse(n, mu)).grid
     return PolyMatrix([inv[c - 1] for c in range(1, n + 1) if c not in T])
 
 
-def verify_h_invariance(mu, T):
+def verify_h_invariance(mu, T, memo=None):
     """Check every entry of H = E * C(mu)^(-1) is symmetric within each
     mu-interval of the x-alphabet (adjacent transpositions suffice)."""
     n = sum(mu)
     if len(T) == n:
         return True
-    H = h_matrix(mu, T)
+    H = h_matrix(mu, T, memo)
     ends = _block_ends(mu)
     starts = [1] + [b + 1 for b in ends[:-1]]
     for row in H.grid:
@@ -234,19 +244,23 @@ def weight(tt):
     return total
 
 
-def apply_D(tt, f):
+def apply_D(tt, f, memo=None):
     """The determinantal operator attached to a translation sequence,
     applied to a superspace element:
 
         sum over #I = n - r of (-1)^(sum I) Delta_I(H) (.) d_{([n]-I)*}(f)
 
     where H = E C(mu)^(-1) and Delta_I is the maximal minor on columns I.
+    A caller applying many operators to one f passes the same ``memo``
+    dict to each call (and to ``verify_h_invariance``), so each
+    C(mu)^(-1) and each d_K(f) is computed once; a memo must not be
+    shared between different f.
     """
     mu = tt.mu
     n = sum(mu)
     T = tt.union_set()
     r = len(T)
-    H = h_matrix(mu, T) if r < n else None
+    H = h_matrix(mu, T, memo) if r < n else None
     total = SuperElement.zero(n)
     for I in combinations(range(1, n + 1), n - r):
         minor = H.minor(range(n - r), [i - 1 for i in I]) if n - r else None
@@ -257,7 +271,7 @@ def apply_D(tt, f):
         if minor_x.is_zero():
             continue
         K = star_set([k for k in range(1, n + 1) if k not in set(I)], n)
-        img = euler_chain(K, f)
+        img = _memoized(memo, ("chain", K), lambda: euler_chain(K, f))
         if img.is_zero():
             continue
         term = odot(SuperElement.from_mpoly(minor_x), img)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from math import comb
 
 import pytest
 
@@ -30,7 +32,7 @@ from supercoinv.superspace import (SuperElement, coinvariant_generators,
 def test_direct_and_reduced_routes_agree():
     # the direct route: the ideal component spanned inside the full
     # superspace component, for every bidegree the reduced route visits
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         spec = superspace_ideal(n)
         top = n * (n - 1) // 2
         direct = BidegreeTable(n)
@@ -244,44 +246,95 @@ def test_stale_cache_entries_are_ignored(tmp_path):
     assert CACHE_STATS["rejects"] == before["rejects"]
 
 
+def _full_index(eng, i, j):
+    """Column index of the full A_i x theta_subsets(n, j) coordinates, in
+    which theta_1 is kept."""
+    full = [(a, t) for a in eng.artin_by_deg.get(i, [])
+            for t in theta_subsets(eng.n, j)]
+    return {key: c for c, key in enumerate(full)}
+
+
+def _full_pivots(eng, i, j, ech, basis):
+    """Length of the full index, and the pivot columns of the ideal block
+    in it: every column whose theta-subset contains 1 (the rows
+    x^a theta_S de_1 lead there), and the reduced pivots mapped back."""
+    index = _full_index(eng, i, j)
+    pivots = {index[basis[c]] for c in ech.pivots}
+    pivots |= {c for (a, t), c in index.items() if t[:1] == (1,)}
+    return len(index), sorted(pivots)
+
+
 def test_ideal_echelon_matches_product_rows():
-    # reference: the rows (b theta_T) * de_d as full superspace products,
-    # with de_d from the generator list, reduced and added in (d, b, T)
-    # order; the cached-normal-form rows added sparsest first must give the
-    # same rank and pivot columns
-    n = 4
-    eng = CoinvariantEngine(n)
-    gens = coinvariant_generators(n)
-    for i in range(eng.top + 3):
-        for j in range(n + 1):
-            ech, basis, index = eng.ideal_echelon(i, j)
-            ref = _IntEchelon()
-            if j >= 1 and basis:
+    # reference: every row (b theta_T) * de_d with d >= 1 and any T, 1 in T
+    # included, as a full superspace product with de_d from the generator
+    # list, reduced by eng.nf only and written in the full
+    # A_i x theta_subsets(n, j) coordinates; theta_1 is not substituted.
+    # The de_1 rows fill every column with 1 in its theta-subset, so the
+    # full rank and pivots are those columns plus the reduced echelon's
+    for n in (1, 2, 3, 4):
+        eng = CoinvariantEngine(n)
+        gens = coinvariant_generators(n)
+        for i in range(eng.top + 3):
+            for j in range(n + 1):
+                ech, basis, _ = eng.ideal_echelon(i, j)
+                index = _full_index(eng, i, j)
+                ref = _IntEchelon()
                 for d in range(1, n + 1):
                     bdeg = i - (d - 1)
-                    if bdeg < 0 or bdeg > eng.top:
+                    if j == 0 or bdeg < 0 or bdeg > eng.top:
                         continue
                     for b in eng.artin_by_deg[bdeg]:
                         for ts in theta_subsets(n, j - 1):
                             m = SuperElement.monomial(n, b, ts)
-                            row = eng.reduced_coords(m * gens[n + d - 1],
-                                                     index)
+                            prod = m * gens[n + d - 1]
+                            row = {}
+                            for (exp, tv), c in prod.terms.items():
+                                for a, c2 in eng.nf(exp).items():
+                                    col = index[(a, tv)]
+                                    row[col] = row.get(col, 0) + c * c2
+                            row = {k: v for k, v in row.items() if v}
                             if row:
                                 ref.add(row)
-            assert ech.rank == ref.rank, (i, j)
-            assert set(ech.pivots) == set(ref.pivots), (i, j)
+                arts = eng.artin_by_deg.get(i, [])
+                theta1_cols = len(arts) * comb(n - 1, j - 1) if j else 0
+                assert ref.rank == theta1_cols + ech.rank, (n, i, j)
+                assert sorted(ref.pivots) \
+                    == _full_pivots(eng, i, j, ech, basis)[1], (n, i, j)
+
+
+def test_reduced_coords_kill_de_1_and_fix_theta_1_free_monomials():
+    rng = random.Random(20)
+    for n in (1, 2, 3, 4, 5):
+        eng = CoinvariantEngine(n)
+        de_1 = coinvariant_generators(n)[n]
+        for _ in range(25):
+            i, j = rng.randrange(eng.top + 1), rng.randrange(1, n + 1)
+            g = SuperElement(n, {
+                (rng.choice(monomials(n, i)),
+                 tuple(sorted(rng.sample(range(1, n + 1), j - 1)))):
+                rng.randint(-9, 9) for _ in range(4)})
+            _, index = eng.reduced_basis(i, j)
+            assert eng.reduced_coords(g * de_1, index) == {}, (n, g)
+        for i in range(eng.top + 1):
+            for j in range(n + 1):
+                basis, index = eng.reduced_basis(i, j)
+                for c, (a, ts) in enumerate(basis):
+                    assert 1 not in ts
+                    elem = SuperElement.monomial(n, a, ts)
+                    assert eng.reduced_coords(elem, index) == {c: 1}
 
 
 def test_ideal_echelon_pivots_pinned_at_n_five():
     # digest of [i, j, #basis, sorted pivots] over every ideal echelon at
-    # n = 5; pivot sets depend only on the rows and their order, so the
-    # digest taken with the earlier row-rebuilding kernel must not move
+    # n = 5 in the full A_i x theta_subsets(5, j) index; pivot sets depend
+    # only on the row space, so the digest taken with the earlier full-theta
+    # row builder must not move
     eng = CoinvariantEngine(5)
     pivots = []
     for i in range(eng.top + 3):
         for j in range(6):
             ech, basis, _ = eng.ideal_echelon(i, j)
-            pivots.append([i, j, len(basis), sorted(ech.pivots)])
+            pivots.append([i, j, *_full_pivots(eng, i, j, ech, basis)])
     digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
     assert digest == ("688ec3c2b9cc3fb171984ed05aa00a75"
                       "d694dadb3ae0b537acd4a21a6ba0b397")

@@ -183,6 +183,17 @@ def test_h_matrix_entries_are_block_symmetric():
             assert verify_h_invariance(tt.mu, tt.union_set())
 
 
+def test_apply_D_with_a_shared_memo_matches_fresh_calls():
+    # the checks keep one memo per f: C(mu)^(-1) per mu and d_K(f) per K
+    for n in (2, 3, 4):
+        delta = vandermonde(n)
+        memo = {}
+        for tt in _admissible(n):
+            assert verify_h_invariance(tt.mu, tt.union_set(), memo)
+            assert apply_D(tt, delta, memo) == apply_D(tt, delta)
+        assert {tag for tag, _ in memo} == {"inverse", "chain"}
+
+
 def test_block_spanning_counts_and_bounds():
     for m in range(1, 6):
         for k in range(m + 1):
