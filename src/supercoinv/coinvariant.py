@@ -542,33 +542,38 @@ def operator_closure(n):
 
 
 def _catalecticants(j_subset, degrees):
-    """Yield (d, rows, columns) for each d in degrees: rows[a] is the image
-    (x^a f_J) (.) Vandermonde as an integer row, and columns maps each
-    exponent of the images to its column index.
+    """Yield (d, rows, columns) for each distinct d in degrees, in order:
+    rows[a] is the image (x^a f_J) (.) Vandermonde as an integer row, and
+    columns maps each exponent of the images to its column index.
 
     x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
     g_J = f_J (.) Vandermonde, computed once here.  Row a of the degree-d
     catalecticant of g_J holds c_b prod_i b_i!/(b_i - a_i)! at column b - a
     for every term c_b x^b of g_J with a <= b; exponents a without such a
-    term have a zero image and no row.
+    term have a zero image and no row.  The divisors a <= b are walked
+    once, each into the catalecticant of degree |a| if that one is asked
+    for; columns are numbered in order of first appearance.
     """
     g = odot(f_J(j_subset), vandermonde(j_subset.n))
     if any(ts for _, ts in g.terms):
         raise IntegrityError(f"theta term in f_J (.) Vandermonde for"
                              f" J={j_subset.elems}")
-    terms = [(b, c) for (b, _), c in g.terms.items()]
-    for d in degrees:
-        rows, columns = {}, {}
-        for b, c in terms:
-            for a in product(*(range(x + 1) for x in b)):
-                if sum(a) != d:
-                    continue
-                v = c
-                for x, y in zip(b, a):
-                    v *= perm(x, y)
-                col = columns.setdefault(tuple(x - y for x, y in zip(b, a)),
-                                         len(columns))
-                rows.setdefault(a, {})[col] = v
+    wanted = {d: ({}, {}) for d in degrees}
+    for (b, _), c in g.terms.items():
+        for a in product(*(range(x + 1) for x in b)):
+            bucket = wanted.get(sum(a))
+            if bucket is None:
+                continue
+            rows, columns = bucket
+            v = c
+            for x, y in zip(b, a):
+                v *= perm(x, y)
+            col = columns.setdefault(tuple(x - y for x, y in zip(b, a)),
+                                     len(columns))
+            rows.setdefault(a, {})[col] = v
+    for d in list(wanted):
+        # popped, so a degree the caller is done with can be freed
+        rows, columns = wanted.pop(d)
         yield d, rows, columns
 
 

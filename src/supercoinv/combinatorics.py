@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 
 class IntegrityError(Exception):
@@ -528,21 +529,12 @@ def count_osp(n, mu=None):
     return len(enumerate_osp(n, batch_mu=mu))
 
 
-@dataclass(frozen=True)
-class OrderedMultisetPartition:
+class OrderedMultisetPartition(NamedTuple):
     """A sequence of nonempty sets of positive integers (letters may repeat
-    across blocks but not within a block)."""
+    across blocks but not within a block), each block a sorted tuple.
+    ``enumerate_omp`` builds the blocks so; they are not checked here."""
 
     blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block")
-            if len(set(b)) != len(b):
-                raise ValueError("repeated letter within a block")
 
 
 def enumerate_omp(content, k):
@@ -552,32 +544,39 @@ def enumerate_omp(content, k):
     Blocks are filled left to right.  A letter whose remaining count equals
     the number of blocks still to fill goes into the current block, and a
     block leaves at least one letter for every later block, so every branch
-    ends in a result.
+    ends in a result.  The block sequences that fill the blocks left after a
+    given remaining content are built once per call and shared as suffixes.
     """
-    results = []
     letters = range(1, len(content) + 1)
+    suffixes = {}
 
-    def rec(remaining, total, blocks_left, acc):
+    def fill(remaining, blocks_left):
+        """The block sequences, as tuples, that use up ``remaining`` in
+        ``blocks_left`` blocks."""
         if blocks_left == 0:
-            results.append(OrderedMultisetPartition(tuple(acc)))
-            return
-        forced = tuple(x for x in letters if remaining[x - 1] == blocks_left)
+            return [()]
+        key = (remaining, blocks_left)
+        if key in suffixes:
+            return suffixes[key]
+        forced = [x for x in letters if remaining[x - 1] == blocks_left]
         optional = [x for x in letters if 0 < remaining[x - 1] < blocks_left]
-        room = total - (blocks_left - 1) - len(forced)
+        room = sum(remaining) - (blocks_left - 1) - len(forced)
+        out = []
         for extra in range(0 if forced else 1, min(len(optional), room) + 1):
             for chosen in combinations(optional, extra):
-                block = forced + chosen
+                block = tuple(sorted(forced + list(chosen)))
+                rest = list(remaining)
                 for x in block:
-                    remaining[x - 1] -= 1
-                acc.append(block)
-                rec(remaining, total - len(block), blocks_left - 1, acc)
-                acc.pop()
-                for x in block:
-                    remaining[x - 1] += 1
+                    rest[x - 1] -= 1
+                out.extend((block,) + tail
+                           for tail in fill(tuple(rest), blocks_left - 1))
+        suffixes[key] = out
+        return out
 
-    if max(content, default=0) <= k <= sum(content):
-        rec(list(content), sum(content), k, [])
-    return results
+    if not max(content, default=0) <= k <= sum(content):
+        return []
+    return [OrderedMultisetPartition(blocks)
+            for blocks in fill(tuple(content), k)]
 
 
 def _word_maj(w):
@@ -615,16 +614,21 @@ def omp_inv(m):
 def omp_maj(m):
     """Major index: blocks are read in decreasing order; each descent of the
     resulting word contributes the number of blocks whose final letter sits
-    weakly left of the descent position."""
-    word = []
-    block_end = []
-    for b in m.blocks:
-        word.extend(sorted(b, reverse=True))
-        block_end.append(len(word))
+    weakly left of the descent position.
+
+    Inside the block read after ``finished`` whole blocks every adjacent
+    pair is a descent worth ``finished``; where one block meets the next
+    there is a descent, worth the blocks finished by then, when the
+    earlier block's least letter exceeds the later block's greatest."""
     total = 0
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            total += sum(1 for e in block_end if e <= i + 1)
+    finished = 0
+    last = None
+    for b in m.blocks:
+        total += finished * (len(b) - 1)
+        if last is not None and last > max(b):
+            total += finished
+        last = min(b)
+        finished += 1
     return total
 
 
@@ -766,21 +770,56 @@ def enumerate_ssyt(shape, max_entry):
     return results
 
 
+def _horizontal_strips(lam, size):
+    """Partitions nu (as tuples without trailing zeros) with lam/nu a
+    horizontal strip of the given size: lam_1 >= nu_1 >= lam_2 >= nu_2 ...
+    and |lam| - |nu| = size; lam is a tuple."""
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(lam):
+            if left == 0:
+                out.append(tuple(p for p in acc if p))
+            return
+        low = lam[i + 1] if i + 1 < len(lam) else 0
+        for p in range(lam[i], low - 1, -1):
+            removed = lam[i] - p
+            if removed > left:
+                break
+            acc.append(p)
+            rec(i + 1, left - removed, acc)
+            acc.pop()
+
+    rec(0, size, [])
+    return out
+
+
 def kostka(lam, mu):
-    """Kostka number: semistandard tableaux of shape lam and content mu."""
+    """Kostka number: semistandard tableaux of shape lam and content mu.
+
+    The entries equal to the last letter l = len(mu) form a horizontal strip
+    lam/nu of size mu_l, and the rest is a tableau of shape nu and content
+    (mu_1, ..., mu_{l-1}), so K(lam, mu) sums K(nu, mu[:-1]) over those nu
+    (Pieri).  The values are memoized for the call.
+    """
     lam_p = lam.parts if isinstance(lam, Partition) else tuple(lam)
     mu_p = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if sum(lam_p) != sum(mu_p):
         return 0
-    count = 0
-    for t in enumerate_ssyt(lam_p, len(mu_p)):
-        content = [0] * len(mu_p)
-        for row in t:
-            for v in row:
-                content[v - 1] += 1
-        if tuple(content) == mu_p:
-            count += 1
-    return count
+    memo = {}
+
+    def count(shape, letters):
+        if len(shape) > letters:
+            return 0
+        if letters == 0:
+            return 1
+        key = (shape, letters)
+        if key not in memo:
+            memo[key] = sum(count(nu, letters - 1) for nu in
+                            _horizontal_strips(shape, mu_p[letters - 1]))
+        return memo[key]
+
+    return count(tuple(p for p in lam_p if p), len(mu_p))
 
 
 def count_I(m, k, t):

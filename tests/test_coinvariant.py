@@ -3,7 +3,8 @@
 import hashlib
 import json
 import random
-from math import comb
+from itertools import product
+from math import comb, perm
 
 import pytest
 
@@ -104,6 +105,41 @@ def test_catalecticant_rows_match_the_literal_pairing():
                                            in rows.get(a, {}).items()})
                     assert got == _literal_colon_image(MPoly.monomial(a), J), \
                         (J.elems, a)
+
+
+def _catalecticant_by_degree(J, d):
+    """The degree-d catalecticant of g_J by a walk of every divisor a <= b
+    of every term, keeping those with |a| = d."""
+    g = odot(f_J(J), vandermonde(J.n))
+    rows, columns = {}, {}
+    for (b, _), c in g.terms.items():
+        for a in product(*(range(x + 1) for x in b)):
+            if sum(a) != d:
+                continue
+            v = c
+            for x, y in zip(b, a):
+                v *= perm(x, y)
+            col = columns.setdefault(tuple(x - y for x, y in zip(b, a)),
+                                     len(columns))
+            rows.setdefault(a, {})[col] = v
+    return rows, columns
+
+
+def test_catalecticants_match_the_walk_per_degree():
+    for n in range(1, 6):
+        for J in subsets(n):
+            top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
+            # every degree up to two above the bound, highest first
+            degrees = list(range(top + 2, -1, -1))
+            got = list(_catalecticants(J, degrees))
+            assert [d for d, _, _ in got] == degrees
+            for d, rows, columns in got:
+                # dict equality ignores order, so compare the items in order
+                want_rows, want_columns = _catalecticant_by_degree(J, d)
+                assert list(columns.items()) == list(want_columns.items())
+                assert ([(a, list(row.items())) for a, row in rows.items()]
+                        == [(a, list(row.items()))
+                            for a, row in want_rows.items()]), (J.elems, d)
 
 
 def test_colon_ranks_match_the_literal_pairing():

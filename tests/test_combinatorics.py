@@ -15,11 +15,13 @@ from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       enumerate_artin, enumerate_I,
                                       enumerate_omp, enumerate_osp,
                                       enumerate_signed_artin,
-                                      enumerate_syt, enumerate_syt_all,
+                                      enumerate_ssyt, enumerate_syt,
+                                      enumerate_syt_all,
                                       fields1_formula, gale_leq, j_of_signed,
-                                      kostka, mu_blocks, omp_minimaj,
-                                      partitions, q_stirling, sequence_bound,
-                                      signed_partitions, staircase, subsets)
+                                      kostka, mu_blocks, omp_maj,
+                                      omp_minimaj, partitions, q_stirling,
+                                      sequence_bound, signed_partitions,
+                                      staircase, subsets)
 
 
 def test_q_binomial_specializes_to_binomial():
@@ -74,6 +76,29 @@ def test_kostka_spot_values():
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((3,), (1, 1, 1)) == 1
     assert kostka((1, 1, 1), (2, 1)) == 0
+
+
+def _kostka_by_tableaux(lam, mu):
+    """Semistandard tableaux of shape lam with entries <= len(mu),
+    filtered by content mu."""
+    count = 0
+    for t in enumerate_ssyt(lam, len(mu)):
+        content = [0] * len(mu)
+        for row in t:
+            for v in row:
+                content[v - 1] += 1
+        count += tuple(content) == mu
+    return count
+
+
+def test_kostka_by_strips_matches_filtered_tableaux():
+    for n in range(7):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert kostka(lam, mu) == _kostka_by_tableaux(
+                    lam.parts, mu.parts), (lam.parts, mu.parts)
+    for lam, mu in (((2, 1), (2,)), ((1,), ()), ((), (1,)), ((3, 2), (2, 2))):
+        assert kostka(lam, mu) == 0
 
 
 def test_syt_counts_match_involutions():
@@ -247,6 +272,69 @@ def test_omp_enumeration_by_content_matches_filtered_products():
                 assert len(set(got)) == len(got), (content, k)
                 assert sorted(got) == sorted(by_content.get(content, [])), \
                     (content, k)
+
+
+def _omp_by_recursion(content, k):
+    """Block sequences of the k-block multiset partitions of a content, by
+    the plain left-to-right recursion with one branch per block choice."""
+    results = []
+    letters = range(1, len(content) + 1)
+
+    def rec(remaining, total, blocks_left, acc):
+        if blocks_left == 0:
+            results.append(tuple(tuple(sorted(b)) for b in acc))
+            return
+        forced = tuple(x for x in letters if remaining[x - 1] == blocks_left)
+        optional = [x for x in letters if 0 < remaining[x - 1] < blocks_left]
+        room = total - (blocks_left - 1) - len(forced)
+        for extra in range(0 if forced else 1, min(len(optional), room) + 1):
+            for chosen in combinations(optional, extra):
+                block = forced + chosen
+                for x in block:
+                    remaining[x - 1] -= 1
+                acc.append(block)
+                rec(remaining, total - len(block), blocks_left - 1, acc)
+                acc.pop()
+                for x in block:
+                    remaining[x - 1] += 1
+
+    if max(content, default=0) <= k <= sum(content):
+        rec(list(content), sum(content), k, [])
+    return results
+
+
+def test_omp_enumeration_matches_the_plain_recursion_in_order():
+    for n in range(7):
+        for mu in partitions(n):
+            for k in range(n + 2):
+                got = [m.blocks for m in enumerate_omp(mu.parts, k)]
+                assert got == _omp_by_recursion(mu.parts, k), (mu.parts, k)
+
+
+def test_set_contents_count_ordered_set_partitions():
+    for n in range(1, 7):
+        assert sum(len(enumerate_omp((1,) * n, k))
+                   for k in range(1, n + 1)) == count_osp(n)
+    assert sum(len(enumerate_omp((1,) * 7, k)) for k in range(1, 8)) == 47293
+
+
+def _maj_by_descent_scan(m):
+    """omp_maj read off the word: each descent adds the number of blocks
+    ending weakly left of it."""
+    word, ends = [], []
+    for b in m.blocks:
+        word.extend(sorted(b, reverse=True))
+        ends.append(len(word))
+    return sum(sum(1 for e in ends if e <= i + 1)
+               for i in range(len(word) - 1) if word[i] > word[i + 1])
+
+
+def test_omp_maj_matches_the_descent_scan():
+    for n in range(1, 6):
+        for content in _contents(n):
+            for k in range(1, n + 1):
+                for m in enumerate_omp(content, k):
+                    assert omp_maj(m) == _maj_by_descent_scan(m), m.blocks
 
 
 def _brute_minimaj(m):
