@@ -29,11 +29,9 @@ from .coinvariant import (CACHE_STATS, IntegrityError, VerificationFailure,
                           epsilon_dims, frobenius_reconstruct,
                           ideal_component, monomials, operator_closure,
                           quotient_hilbert, superspace_ideal,
-                          verify_artin_basis, verify_colon_basis,
-                          verify_parabolic_basis)
-from .doperators import (apply_D, ptj_determinant, verify_E_independence,
-                         verify_h_invariance, verify_monomial_bound, weight,
-                         enumerate_L)
+                          verify_colon_basis, verify_parabolic_basis)
+from .doperators import (apply_D, ptj_determinant, verify_E_set,
+                         verify_h_invariance, weight, enumerate_L)
 from .exactalg import MPoly, _IntEchelon
 from .superspace import (SuperElement, coinvariant_generators, f_J,
                          is_antisymmetric, odot, vandermonde)
@@ -174,7 +172,8 @@ def check_reiner(n, ctx):
 
 
 def check_artin(n, ctx):
-    verify_artin_basis(n)
+    # eps_(1^n) is the identity: the parabolic basis is the substaircase one
+    verify_parabolic_basis((1,) * n, n)
 
 
 def check_colon(n, ctx):
@@ -186,8 +185,7 @@ def check_parabolic(n, ctx):
     for lam in partitions(n):
         verify_parabolic_basis(lam.parts, n)
     for sp in signed_partitions(n):
-        verify_monomial_bound(sp)
-        verify_E_independence(sp)
+        verify_E_set(sp)
 
 
 def _admissible_sequences(n):

@@ -30,10 +30,16 @@ x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
 g_J = f_J (.) Vandermonde computed once per J, and the images of the
 degree-d monomials are the rows of the degree-d catalecticant of g_J.
 
-A basis certificate is one elimination per component: the candidate rows
-go in first and each must be kept (independence), then the spanning rows
-(the catalecticant rows, or eps_mu of the coset representatives) and none
-may be kept (span).
+A colon basis certificate is one elimination per catalecticant: the
+candidate rows go in first and each must be kept (independence), then the
+other catalecticant rows and none may be kept (span).  A parabolic basis
+certificate keeps each candidate eps_mu x^a theta_J on a fork of its
+bidegree's ideal echelon and then compares the counts with the eps_mu
+slice table of ``epsilon_dims``.  The ideal is generated by invariants, so
+eps_mu maps it into itself and every candidate lies in the slice; with the
+candidates independent, equal counts hold exactly when they span it.  At
+mu = (1^n) eps_mu is the identity and the candidates are the substaircase
+basis, the union over J of A_n(J) theta_J.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from math import comb, perm
 from .combinatorics import (IntegrityError, Partition, QZPolynomial,
                             enumerate_artin, enumerate_signed_artin,
                             j_of_signed, kostka, partitions,
-                            signed_partitions, subsets)
+                            signed_partitions)
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
@@ -224,6 +230,13 @@ class CoinvariantEngine:
         self._theta_images = {}
         self._echelons = {}
         self._eps_tables = {}
+        # every monomial of the two degrees above the top rewrites to zero,
+        # so the quotient and each of its slices vanish there
+        for d in (self.top + 1, self.top + 2):
+            for exp in monomials(n, d):
+                if self.nf(exp):
+                    raise IntegrityError(f"monomial {exp} of degree {d} has"
+                                         " nonzero normal form")
 
     def _fill_nf_degree(self, d):
         """Normal forms for every degree-d monomial, smallest lex first so
@@ -257,8 +270,8 @@ class CoinvariantEngine:
     def nf(self, exp):
         """Normal form of a monomial modulo the bosonic ideal, as a dict
         from substaircase exponents to integer coefficients.  Degrees above
-        the top substaircase degree reduce to zero; quotient_hilbert
-        certifies that for the two rows above the bound."""
+        the top substaircase degree reduce to zero; the engine certifies
+        that at set-up for the two degrees above the bound."""
         self._fill_nf_degree(sum(exp))
         return self._nf[exp]
 
@@ -448,7 +461,8 @@ def quotient_hilbert(spec, cache_dir=None):
     reduced route.
 
     Bosonic degrees run two rows past the top substaircase degree; those
-    rows are verified to vanish.  Only the superspace ideal is accepted.
+    rows must vanish, as the engine certifies for every monomial there.
+    Only the superspace ideal is accepted.
     """
     if spec.tag != "superspace":
         raise ValueError(f"quotient_hilbert needs the superspace ideal,"
@@ -472,18 +486,7 @@ def quotient_hilbert(spec, cache_dir=None):
             raise VerificationFailure(
                 f"nonzero quotient dimension {v} at bidegree ({i},{j})"
                 " above the claimed bosonic bound")
-    _verify_extra_rows(eng)
     return table
-
-
-def _verify_extra_rows(eng):
-    """Certify that every bosonic monomial in the two rows above the top
-    degree rewrites to zero, so the high components vanish identically."""
-    for d in (eng.top + 1, eng.top + 2):
-        for exp in monomials(eng.n, d):
-            if eng.nf(exp):
-                raise IntegrityError(
-                    f"monomial {exp} of degree {d} has nonzero normal form")
 
 
 def harmonic_basis(spec, i, j):
@@ -671,34 +674,6 @@ def verify_colon_basis(j_subset):
     return True
 
 
-def verify_artin_basis(n):
-    """Check the full substaircase set A_n = union over J of A_n(J) theta_J
-    descends to a basis of the superspace quotient: independent modulo the
-    ideal, and as many as the quotient dimension, in each bidegree."""
-    table = quotient_hilbert(superspace_ideal(n))
-    eng = CoinvariantEngine(n)
-    by_bideg = {}
-    for J in subsets(n):
-        ts = J.elems
-        for a in enumerate_artin(J):
-            by_bideg.setdefault((sum(a), len(ts)), []).append((a, ts))
-    for (i, j), group in by_bideg.items():
-        ech, _, index = eng.ideal_echelon(i, j)
-        seeded = ech.fork()
-        for a, ts in group:
-            row = eng.reduced_coords(SuperElement.monomial(n, a, ts), index)
-            if not seeded.add(row):
-                raise VerificationFailure(
-                    f"substaircase element {a} theta_{ts} is dependent"
-                    " modulo the ideal")
-    counts = {key: len(group) for key, group in by_bideg.items()}
-    if counts != table.nonzero():
-        raise VerificationFailure(
-            f"substaircase bidegree counts (total {sum(counts.values())})"
-            f" do not match the quotient table (total {table.total()})")
-    return True
-
-
 def epsilon_dims(mu, n):
     """Bigraded dimensions of the antisymmetric isotypic slice: the rank of
     eps_mu applied to quotient coset representatives, modulo the ideal.
@@ -709,8 +684,6 @@ def epsilon_dims(mu, n):
     eng = CoinvariantEngine(n)
     table = eng._eps_tables.get(mu_parts)
     if table is None:
-        # the quotient vanishes above the top, so no slice lives there
-        _verify_extra_rows(eng)
         table = BidegreeTable(n)
         for i in range(eng.top + 1):
             for j in range(n + 1):
@@ -733,14 +706,15 @@ def _eps_rows(eng, mu, keys, index):
 
 def verify_parabolic_basis(mu, n):
     """Check that eps_mu applied to the signed substaircase monomials gives
-    a basis of the antisymmetric slice of the quotient, one elimination per
-    bidegree on a fork of the ideal echelon."""
+    a basis of the antisymmetric slice of the quotient: in each bidegree the
+    elements are independent on a fork of the ideal echelon, and as many as
+    the slice dimension in ``epsilon_dims``.  At mu = (1^n) this is the
+    substaircase basis of the whole quotient."""
     mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if sum(mu_parts) != n:
         raise ValueError("mu must be a partition of n")
+    dims = epsilon_dims(mu_parts, n)
     eng = CoinvariantEngine(n)
-    # the quotient vanishes above the top, so the bidegrees below span it
-    _verify_extra_rows(eng)
     by_bideg = {}
     for sp in signed_partitions(n):
         if sp.mu == mu_parts:
@@ -759,13 +733,12 @@ def verify_parabolic_basis(mu, n):
                         f"parabolic element for mu={mu_parts}, J={ts},"
                         f" exponents {a} is zero or dependent modulo the"
                         " ideal")
-            # sparsest first: the verdict asks only that no row be kept
-            reps = eng.coset_representatives(i, j)
-            span = sorted(_eps_rows(eng, mu_parts, reps, index), key=len)
-            if any(map(seeded.add, span)):
+            dim = dims.get(i, j)
+            if len(group) != dim:
                 raise VerificationFailure(
                     f"parabolic elements for mu={mu_parts} do not span the"
-                    f" antisymmetric slice at bidegree ({i},{j})")
+                    f" antisymmetric slice at bidegree ({i},{j}):"
+                    f" {len(group)} independent, slice dimension {dim}")
     if by_bideg:
         raise VerificationFailure(
             f"parabolic elements for mu={mu_parts} at bidegrees"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import gt, lt
 from typing import NamedTuple
 
 
@@ -638,14 +639,10 @@ def omp_dinv(m):
     adjacent-row pairs a < b with a one row above b."""
     cols = [sorted(b, reverse=True) for b in m.blocks]
     total = 0
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            for ra, a in enumerate(cols[i]):
-                for rb, b in enumerate(cols[j]):
-                    if ra == rb and a > b:
-                        total += 1
-                    elif ra == rb + 1 and a < b:
-                        total += 1
+    for i, ci in enumerate(cols, 1):
+        above = ci[1:]
+        for cj in cols[i:]:
+            total += sum(map(gt, ci, cj)) + sum(map(lt, above, cj))
     return total
 
 

@@ -359,20 +359,6 @@ def build_E_set(sp):
     return out
 
 
-def verify_monomial_bound(sp):
-    """Check every monomial of every spanning product fits under the
-    substaircase of J(mu, gamma)."""
-    J = j_of_signed(sp)
-    st = staircase(J)
-    for p in build_E_set(sp):
-        for exp in p.terms:
-            if not all(a < s for a, s in zip(exp, st)):
-                raise VerificationFailure(
-                    f"monomial {exp} escapes the staircase {st}"
-                    f" for (mu, gamma) = ({sp.mu}, {sp.gamma})")
-    return True
-
-
 def verify_L_monomial_bound(m, k, t):
     """Check the entrywise exponent bound for one block's spanning set."""
     bound = sequence_bound(m, k, t)
@@ -385,10 +371,20 @@ def verify_L_monomial_bound(m, k, t):
     return True
 
 
-def verify_E_independence(sp):
-    """Check the spanning products stay independent modulo the colon ideal."""
+def verify_E_set(sp):
+    """Check the spanning products of one signed partition: every monomial
+    fits under the substaircase of J(mu, gamma), the products stay
+    independent modulo the colon ideal, and there are as many as signed
+    substaircase monomials."""
     polys = build_E_set(sp)
     J = j_of_signed(sp)
+    st = staircase(J)
+    for p in polys:
+        for exp in p.terms:
+            if not all(a < s for a, s in zip(exp, st)):
+                raise VerificationFailure(
+                    f"monomial {exp} escapes the staircase {st}"
+                    f" for (mu, gamma) = ({sp.mu}, {sp.gamma})")
     rank = steinberg_independence(polys, J)
     if rank != len(polys):
         raise VerificationFailure(

@@ -118,7 +118,8 @@ CAPPED = {
     "fields2": (_verify("fields2"), "epsilon_dims", lambda mu, n: n, 5, True),
     "fields3": (_verify("fields3"), "frobenius_reconstruct", lambda n: n, 5,
                 True),
-    "artin": (_verify("artin"), "verify_artin_basis", lambda n: n, 5, True),
+    "artin": (_verify("artin"), "verify_parabolic_basis", lambda mu, n: n, 5,
+              True),
     "parabolic": (_verify("parabolic"), "verify_parabolic_basis",
                   lambda mu, n: n, 5, True),
     "operator-closure": (_verify("operator-closure"), "operator_closure",

@@ -9,7 +9,8 @@ from math import comb, perm
 import pytest
 
 from supercoinv import coinvariant
-from supercoinv.combinatorics import (Partition, QZPolynomial, SubsetOfN,
+from supercoinv.combinatorics import (IntegrityError, Partition,
+                                      QZPolynomial, SubsetOfN,
                                       enumerate_artin, enumerate_signed_artin,
                                       fields1_formula, j_of_signed,
                                       partitions, signed_partitions, subsets)
@@ -22,7 +23,7 @@ from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable,
                                     monomials, operator_closure,
                                     quotient_hilbert, steinberg_independence,
                                     superspace_ideal, theta_subsets,
-                                    verify_artin_basis, verify_colon_basis,
+                                    verify_colon_basis,
                                     verify_parabolic_basis)
 from supercoinv.doperators import build_E_set
 from supercoinv.exactalg import MPoly, _IntEchelon
@@ -51,6 +52,22 @@ def test_quotient_matches_closed_formula():
     for n in (1, 2, 3, 4):
         table = quotient_hilbert(superspace_ideal(n))
         assert table.as_qz() == fields1_formula(n)
+
+
+def test_engine_set_up_certifies_the_degree_bound(monkeypatch):
+    # one monomial two degrees above the top with a nonzero normal form
+    # must stop the engine from being built
+    true_nf = CoinvariantEngine.nf
+
+    def leaky(self, exp):
+        if exp == (0, 0, self.top + 2):
+            return {exp: 1}
+        return true_nf(self, exp)
+    monkeypatch.setattr(CoinvariantEngine, "_instances", {})
+    monkeypatch.setattr(CoinvariantEngine, "nf", leaky)
+    with pytest.raises(IntegrityError, match="nonzero normal form"):
+        CoinvariantEngine(3)
+    assert CoinvariantEngine._instances == {}
 
 
 def test_harmonic_dimensions_match_quotient():
@@ -165,8 +182,9 @@ def test_colon_basis_verification_small():
 
 
 def test_artin_basis_small():
+    # eps_(1^n) is the identity: the parabolic basis is the substaircase one
     for n in (1, 2, 3, 4):
-        assert verify_artin_basis(n)
+        assert verify_parabolic_basis((1,) * n, n)
 
 
 def _tampered(enumerate_fn, edit):
@@ -194,13 +212,13 @@ def test_colon_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_drop_middle, "do not match"), (_repeat_first, "dependent")])
+    (_drop_middle, "do not span"), (_repeat_first, "dependent")])
 def test_artin_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
                                                       message):
-    monkeypatch.setattr(coinvariant, "enumerate_artin",
-                        _tampered(enumerate_artin, edit))
+    monkeypatch.setattr(coinvariant, "enumerate_signed_artin",
+                        _tampered(enumerate_signed_artin, edit))
     with pytest.raises(VerificationFailure, match=message):
-        verify_artin_basis(3)
+        verify_parabolic_basis((1, 1, 1), 3)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -214,6 +232,22 @@ def test_parabolic_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
         verify_parabolic_basis((2, 1), 3)
 
 
+@pytest.mark.parametrize("mu", [(1, 1, 1), (2, 1)])
+def test_parabolic_basis_rejects_a_raised_slice_dimension(monkeypatch, mu):
+    # the candidates stay independent; one slice entry too many must show
+    # up as a failure to span
+    true_dims = epsilon_dims(mu, 3)
+    (i, j), v = max(true_dims.nonzero().items())
+
+    def raised(mu_parts, n):
+        table = BidegreeTable(n, true_dims.entries)
+        table.set(i, j, v + 1)
+        return table
+    monkeypatch.setattr(coinvariant, "epsilon_dims", raised)
+    with pytest.raises(VerificationFailure, match="do not span"):
+        verify_parabolic_basis(mu, 3)
+
+
 def test_epsilon_dims_single_row_anchor():
     table = epsilon_dims((3,), 3)
     assert table.as_qz() == QZPolynomial(
@@ -221,7 +255,7 @@ def test_epsilon_dims_single_row_anchor():
 
 
 def test_epsilon_dims_trivial_subgroup_gives_full_quotient():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         assert epsilon_dims((1,) * n, n) == quotient_hilbert(superspace_ideal(n))
 
 

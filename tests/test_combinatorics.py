@@ -18,7 +18,7 @@ from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       enumerate_ssyt, enumerate_syt,
                                       enumerate_syt_all,
                                       fields1_formula, gale_leq, j_of_signed,
-                                      kostka, mu_blocks, omp_maj,
+                                      kostka, mu_blocks, omp_dinv, omp_maj,
                                       omp_minimaj, partitions, q_stirling,
                                       sequence_bound, signed_partitions,
                                       staircase, subsets)
@@ -355,3 +355,40 @@ def test_direct_minimaj_matches_brute_force():
                     seen += 1
     # every ordered multiset partition over the letters 1..n, n <= 5
     assert seen == 11291
+
+
+def _dinv_by_cell_pairs(m):
+    """omp_dinv over every pair of cells in two columns: same-row pairs
+    a > b and pairs with a one row above b and a < b."""
+    cols = [sorted(b, reverse=True) for b in m.blocks]
+    total = 0
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            for ra, a in enumerate(cols[i]):
+                for rb, b in enumerate(cols[j]):
+                    if ra == rb and a > b:
+                        total += 1
+                    elif ra == rb + 1 and a < b:
+                        total += 1
+    return total
+
+
+def test_omp_dinv_matches_the_cell_pair_count():
+    for n in range(1, 7):
+        for mu in partitions(n):
+            for k in range(1, n + 1):
+                for m in enumerate_omp(mu.parts, k):
+                    assert omp_dinv(m) == _dinv_by_cell_pairs(m), m.blocks
+
+
+def test_signed_substaircase_at_the_trivial_subgroup_is_the_artin_set():
+    # every block of mu = (1^n) has size 1, so the shuffle conditions are
+    # empty and each (mu, gamma) gives A_n(J) for its J
+    for n in range(1, 6):
+        signed = sorted((a, j_of_signed(sp).elems)
+                        for sp in signed_partitions(n)
+                        if sp.mu == (1,) * n
+                        for a in enumerate_signed_artin(sp))
+        plain = sorted((a, J.elems) for J in subsets(n)
+                       for a in enumerate_artin(J))
+        assert signed == plain, n

@@ -2,6 +2,8 @@
 
 import pytest
 
+from supercoinv import doperators
+from supercoinv.coinvariant import VerificationFailure
 from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
                                       TranslationSequence,
                                       all_translation_sequences, count_L,
@@ -11,10 +13,9 @@ from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
 from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
                                    echelon_selector, enumerate_L, h_matrix,
                                    power_matrix, ptj_determinant,
-                                   reduction_matrix, verify_E_independence,
+                                   reduction_matrix, verify_E_set,
                                    verify_factorization, verify_h_invariance,
-                                   verify_L_monomial_bound,
-                                   verify_monomial_bound, weight)
+                                   verify_L_monomial_bound, weight)
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import (SuperElement, antisymmetrize,
                                    coinvariant_generators, f_J,
@@ -206,5 +207,18 @@ def test_spanning_products_bound_and_independence():
     for n in (1, 2, 3, 4):
         for sp in signed_partitions(n):
             assert len(build_E_set(sp)) == len(enumerate_signed_artin(sp))
-            assert verify_monomial_bound(sp)
-            assert verify_E_independence(sp)
+            assert verify_E_set(sp)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda out: out + [MPoly.var(3, 1) ** 9], "escapes the staircase"),
+    (lambda out: out[:1] + out, "dependent"),
+    (lambda out: out[1:], "does not match")])
+def test_E_set_check_rejects_a_tampered_spanning_set(monkeypatch, edit,
+                                                      message):
+    sp = SignedPartition((2, 1), (0, 0))
+    true_set = build_E_set(sp)
+    monkeypatch.setattr(doperators, "build_E_set",
+                        lambda arg: edit(list(true_set)))
+    with pytest.raises(VerificationFailure, match=message):
+        verify_E_set(sp)
