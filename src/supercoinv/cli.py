@@ -33,8 +33,8 @@ from .coinvariant import (CACHE_STATS, IntegrityError, VerificationFailure,
 from .doperators import (apply_D, ptj_determinant, verify_E_set,
                          verify_h_invariance, weight, enumerate_L)
 from .exactalg import MPoly, _IntEchelon
-from .superspace import (SuperElement, coinvariant_generators, f_J,
-                         is_antisymmetric, odot, vandermonde)
+from .superspace import (SuperElement, f_J, is_antisymmetric, odot,
+                         power_sum_generators, vandermonde)
 from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
 
 CACHE_ENV = "SUPERCOINV_CACHE"
@@ -197,7 +197,9 @@ def _admissible_sequences(n):
 
 def check_dop_leading(n, ctx):
     delta = vandermonde(n)
-    gens = coinvariant_generators(n)
+    # harmonic for p_k and dp_k exactly when for e_d and de_d: the same
+    # ideal over Q, with n terms per generator instead of up to d C(n, d)
+    gens = power_sum_generators(n)
     memo = {}
     for tt in _admissible_sequences(n):
         mu = tt.mu

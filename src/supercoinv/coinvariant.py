@@ -7,6 +7,16 @@ first rewrites the bosonic part onto the classical substaircase basis
 (valid because each rewrite rule is certified to lie in the bosonic ideal
 by pairing against the Vandermonde) and then eliminates the
 Euler-derivative multiples in the much smaller quotient coordinates.
+Normal forms are computed on demand, one monomial and its lex-smaller
+dependencies at a time, never a whole degree.
+
+The bosonic degree bound is the staircase certificate: NF(x_v x^delta) = 0
+for v = 1..n, where delta = (0, 1, ..., n - 1) is the only substaircase
+exponent of degree top = n(n - 1)/2.  Every degree-top monomial m rewrites
+to c x^delta, so x_v m is congruent to c x_v x^delta, which is in the
+ideal; every monomial of degree top + 1, and so of every higher degree,
+lies in the bosonic ideal, and the quotient and each of its slices vanish
+above the top.
 
 The reduced coordinates use both linear generators.  x_1 is gone because
 h_1 = e_1 is the first rewrite rule, so no substaircase monomial holds it;
@@ -212,11 +222,13 @@ class CoinvariantEngine:
                 raise IntegrityError(f"rewrite rule h_{k} is not in the ideal")
             self.hpolys[k] = h
         self._nf = {}
-        self._nf_degrees_done = set()
-        self.artin_by_deg = {}
-        for d in range(0, self.top + 1):
-            self.artin_by_deg[d] = [e for e in monomials(n, d)
-                                    if all(e[i] <= i for i in range(n))]
+        # the substaircase exponents a_i <= i - 1, by degree, each list in
+        # reverse lex order
+        self.artin_by_deg = {d: [] for d in range(self.top + 1)}
+        for e in product(*(range(i + 1) for i in range(n))):
+            self.artin_by_deg[sum(e)].append(e)
+        for arts in self.artin_by_deg.values():
+            arts.reverse()
         # partials_e[d][w] for d >= 2 and w = 2..n: (d/dx_w - d/dx_1) e_d
         # as {exponent: int}, the coefficient of theta_w in de_d once
         # theta_1 = -(theta_2 + ... + theta_n); de_1 itself maps to zero
@@ -230,50 +242,59 @@ class CoinvariantEngine:
         self._theta_images = {}
         self._echelons = {}
         self._eps_tables = {}
-        # every monomial of the two degrees above the top rewrites to zero,
-        # so the quotient and each of its slices vanish there
-        for d in (self.top + 1, self.top + 2):
-            for exp in monomials(n, d):
-                if self.nf(exp):
-                    raise IntegrityError(f"monomial {exp} of degree {d} has"
-                                         " nonzero normal form")
+        # the staircase certificate of the degree bound (see the module
+        # docstring): x_v x^(0, 1, ..., n - 1) rewrites to zero for every v
+        staircase = tuple(range(n))
+        for v in range(n):
+            exp = staircase[:v] + (v + 1,) + staircase[v + 1:]
+            if self.nf(exp):
+                raise IntegrityError(f"monomial {exp} of degree {self.top + 1}"
+                                     " has nonzero normal form")
 
-    def _fill_nf_degree(self, d):
-        """Normal forms for every degree-d monomial, smallest lex first so
-        each rewrite only refers to already-reduced monomials."""
-        if d in self._nf_degrees_done:
-            return
+    def nf(self, exp):
+        """Normal form of a monomial modulo the bosonic ideal, as a dict
+        from substaircase exponents to integer coefficients, computed on
+        demand and memoised.  A monomial with exp[k - 1] >= k for its first
+        such k rewrites by h_k in x_k..x_n; every other term of the rule
+        gives a lex-smaller monomial of the same degree, reduced first off
+        an explicit stack.  Degrees above the top substaircase degree reduce
+        to zero: the engine certifies that at set-up by the n products of
+        x_v with the staircase monomial."""
+        memo = self._nf
+        out = memo.get(exp)
+        if out is not None:
+            return out
         n = self.n
-        for exp in sorted(monomials(n, d)):
-            if all(exp[i] <= i for i in range(n)):
-                self._nf[exp] = {exp: 1}
+        stack = [exp]
+        while stack:
+            e = stack[-1]
+            if e in memo:
+                stack.pop()
                 continue
-            k = next(i + 1 for i in range(n) if exp[i] > i)
-            base = list(exp)
+            k = next((i + 1 for i in range(n) if e[i] > i), None)
+            if k is None:
+                memo[e] = {e: 1}
+                stack.pop()
+                continue
+            base = list(e)
             base[k - 1] -= k
-            lead = [0] * n
-            lead[k - 1] = k
+            deps = [tuple(b + a for b, a in zip(base, m))
+                    for m in self.hpolys[k].terms if m[k - 1] != k]
+            missing = [d for d in deps if d not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
             acc = {}
-            for m in self.hpolys[k].terms:
-                if m == tuple(lead):
-                    continue
-                e2 = tuple(b + a for b, a in zip(base, m))
-                for a, c in self._nf[e2].items():
+            for d in deps:
+                for a, c in memo[d].items():
                     s = acc.get(a, 0) - c
                     if s:
                         acc[a] = s
                     else:
                         del acc[a]
-            self._nf[exp] = acc
-        self._nf_degrees_done.add(d)
-
-    def nf(self, exp):
-        """Normal form of a monomial modulo the bosonic ideal, as a dict
-        from substaircase exponents to integer coefficients.  Degrees above
-        the top substaircase degree reduce to zero; the engine certifies
-        that at set-up for the two degrees above the bound."""
-        self._fill_nf_degree(sum(exp))
-        return self._nf[exp]
+            memo[e] = acc
+            stack.pop()
+        return memo[exp]
 
     def reduced_basis(self, i, j):
         """Basis index of the (i, j) component of the reduced coordinates:
@@ -461,7 +482,8 @@ def quotient_hilbert(spec, cache_dir=None):
     reduced route.
 
     Bosonic degrees run two rows past the top substaircase degree; those
-    rows must vanish, as the engine certifies for every monomial there.
+    rows must vanish, as the engine's staircase certificate proves for
+    every degree above the top.
     Only the superspace ideal is accepted.
     """
     if spec.tag != "superspace":

@@ -391,3 +391,15 @@ def coinvariant_generators(n, superspace=True):
             e = SuperElement.from_mpoly(MPoly.elementary(n, d))
             gens.append(euler_d(1, e))
     return gens
+
+
+def power_sum_generators(n):
+    """The power sums p_k = x_1^k + ... + x_n^k for k = 1..n and their
+    Euler derivatives dp_k, n terms each.  Over Q they generate the same
+    ideal as ``coinvariant_generators(n)`` (Newton's identities, and
+    d F(p) = sum_k (dF/dp_k) dp_k), so an element is harmonic for one set
+    exactly when it is for the other."""
+    powers = [SuperElement(n, {(tuple(k if i == v else 0 for i in range(n)),
+                                ()): 1 for v in range(n)})
+              for k in range(1, n + 1)]
+    return powers + [euler_d(1, p) for p in powers]

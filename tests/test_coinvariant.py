@@ -55,19 +55,88 @@ def test_quotient_matches_closed_formula():
 
 
 def test_engine_set_up_certifies_the_degree_bound(monkeypatch):
-    # one monomial two degrees above the top with a nonzero normal form
-    # must stop the engine from being built
+    # one product x_v x^(0, 1, 2) with a nonzero normal form must stop the
+    # engine from being built, whichever v it is
     true_nf = CoinvariantEngine.nf
+    for v in range(3):
+        leak = tuple(i + (i == v) for i in range(3))
 
-    def leaky(self, exp):
-        if exp == (0, 0, self.top + 2):
-            return {exp: 1}
-        return true_nf(self, exp)
+        def leaky(self, exp):
+            if exp == leak:
+                return {exp: 1}
+            return true_nf(self, exp)
+        monkeypatch.setattr(CoinvariantEngine, "_instances", {})
+        monkeypatch.setattr(CoinvariantEngine, "nf", leaky)
+        with pytest.raises(IntegrityError, match="nonzero normal form"):
+            CoinvariantEngine(3)
+        assert CoinvariantEngine._instances == {}
+
+
+def test_every_monomial_above_the_top_has_normal_form_zero():
+    # the exhaustive scan the staircase certificate replaced, as an oracle
+    for n in range(1, 6):
+        eng = CoinvariantEngine(n)
+        for d in (eng.top + 1, eng.top + 2):
+            for exp in monomials(n, d):
+                assert eng.nf(exp) == {}
+
+
+def _sorted_fill(eng, d, table):
+    """Normal forms of every degree-d monomial, smallest lex first, so each
+    rewrite only refers to monomials already in the table."""
+    n = eng.n
+    for exp in sorted(monomials(n, d)):
+        if all(exp[i] <= i for i in range(n)):
+            table[exp] = {exp: 1}
+            continue
+        k = next(i + 1 for i in range(n) if exp[i] > i)
+        base = list(exp)
+        base[k - 1] -= k
+        lead = [0] * n
+        lead[k - 1] = k
+        acc = {}
+        for m in eng.hpolys[k].terms:
+            if m == tuple(lead):
+                continue
+            e2 = tuple(b + a for b, a in zip(base, m))
+            for a, c in table[e2].items():
+                s = acc.get(a, 0) - c
+                if s:
+                    acc[a] = s
+                else:
+                    del acc[a]
+        table[exp] = acc
+
+
+def test_on_demand_normal_forms_match_the_sorted_fill(monkeypatch):
+    for n in range(1, 6):
+        monkeypatch.setattr(CoinvariantEngine, "_instances", {})
+        eng = CoinvariantEngine(n)
+        table = {}
+        for d in range(eng.top + 3):
+            _sorted_fill(eng, d, table)
+        # a reverse walk asks for the deepest rewrites first
+        for exp in reversed(list(table)):
+            assert list(eng.nf(exp).items()) == list(table[exp].items())
+
+
+def test_artin_by_degree_matches_the_filtered_monomials():
+    for n in range(1, 7):
+        eng = CoinvariantEngine(n)
+        assert list(eng.artin_by_deg) == list(range(eng.top + 1))
+        for d, arts in eng.artin_by_deg.items():
+            assert arts == [e for e in monomials(n, d)
+                            if all(e[i] <= i for i in range(n))]
+
+
+def test_engine_at_n_seven_holds_few_normal_forms(monkeypatch):
+    # no whole-degree fill at set-up, and no recursion to run out of depth
     monkeypatch.setattr(CoinvariantEngine, "_instances", {})
-    monkeypatch.setattr(CoinvariantEngine, "nf", leaky)
-    with pytest.raises(IntegrityError, match="nonzero normal form"):
-        CoinvariantEngine(3)
-    assert CoinvariantEngine._instances == {}
+    eng = CoinvariantEngine(7)
+    assert eng.top == 21
+    assert len(eng._nf) < 5000
+    for v in range(7):
+        assert eng.nf(tuple(i + (i == v) for i in range(7))) == {}
 
 
 def test_harmonic_dimensions_match_quotient():

@@ -19,7 +19,8 @@ from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import (SuperElement, antisymmetrize,
                                    coinvariant_generators, f_J,
-                                   is_antisymmetric, odot, vandermonde,
+                                   is_antisymmetric, odot,
+                                   power_sum_generators, vandermonde,
                                    young_subgroup_order)
 
 
@@ -122,6 +123,31 @@ def test_images_are_harmonic_antisymmetric_with_leading_term():
             target = odot(SuperElement.from_mpoly(
                 weight(tt) * f_J(Jmax).as_mpoly()), delta).as_mpoly()
             assert lead == target or lead == target.scale(-1)
+
+
+def test_power_sums_and_elementary_generators_agree_on_harmonicity():
+    # over Q, p_k and dp_k generate the same ideal as e_d and de_d
+    for n in range(1, 5):
+        delta = vandermonde(n)
+        x1 = SuperElement.monomial(n, (1,) + (0,) * (n - 1))
+        # e_1 = p_1 sends x_1 v to v; (x_1 - x_2)^2 is caught only by a
+        # bosonic generator of degree 2, (x_1 - x_2)(theta_1 - theta_2) only
+        # by a fermionic one of degree 2
+        shifts = [lambda v: x1 * v]
+        if n >= 2:
+            x2 = SuperElement.monomial(n, (0, 1) + (0,) * (n - 2))
+            t12 = SuperElement.theta(n, 1) - SuperElement.theta(n, 2)
+            shifts += [lambda v: (x1 - x2) * (x1 - x2),
+                       lambda v: (x1 - x2) * t12]
+        sets = (coinvariant_generators(n), power_sum_generators(n))
+        memo = {}
+        for tt in _admissible(n):
+            v = apply_D(tt, delta, memo)
+            for gens in sets:
+                assert all(odot(g, v).is_zero() for g in gens)
+                for shift in shifts:
+                    bad = v + shift(v)
+                    assert not all(odot(g, bad).is_zero() for g in gens)
 
 
 def test_transposition_test_agrees_with_the_antisymmetrizer():
