@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import __version__
 from .combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
@@ -32,7 +33,7 @@ from .coinvariant import (CACHE_STATS, IntegrityError, VerificationFailure,
                           verify_colon_basis, verify_parabolic_basis)
 from .doperators import (apply_D, ptj_determinant, verify_E_set,
                          verify_h_invariance, weight, enumerate_L)
-from .exactalg import MPoly, _IntEchelon
+from .exactalg import MPoly, SparseTerms, _IntEchelon
 from .superspace import (SuperElement, f_J, is_antisymmetric, odot,
                          power_sum_generators, vandermonde)
 from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
@@ -89,12 +90,6 @@ def admit(name, n, ctx):
         if n > cap:
             raise ResourceRefused(f"{name}: n={n} exceeds the cap {cap}"
                                   f" ({note})")
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    name: str
-    n: int
 
 
 @dataclass
@@ -355,30 +350,25 @@ CHECKS = {
 }
 
 
-def run(spec: CheckSpec, ctx: RunContext) -> Report:
-    fn = CHECKS.get(spec.name)
+def run(name, n, ctx: RunContext) -> Report:
+    fn = CHECKS.get(name)
     if fn is None:
-        raise ValueError(f"unknown check {spec.name!r}")
+        raise ValueError(f"unknown check {name!r}")
     hits, rejects = CACHE_STATS["hits"], CACHE_STATS["rejects"]
     start = time.perf_counter()
-    params = {"n": spec.n}
+    params = {"n": n}
     try:
-        admit(spec.name, spec.n, ctx)
-        fn(spec.n, ctx)
+        admit(name, n, ctx)
+        fn(n, ctx)
         status, witness = "pass", ""
     except ResourceRefused as exc:
         status, witness = "skipped", str(exc)
     except (VerificationFailure, IntegrityError) as exc:
         status, witness = "fail", str(exc)
-    return Report(spec.name, params, status, witness,
+    return Report(name, params, status, witness,
                   round(time.perf_counter() - start, 3),
                   cache_hits=CACHE_STATS["hits"] - hits,
                   cache_rejects=CACHE_STATS["rejects"] - rejects)
-
-
-def _run_in_worker(args):
-    name, n, ctx = args
-    return run(CheckSpec(name, n), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +517,11 @@ def build_parser():
 
 
 def _exps_render(exp):
-    if not any(exp):
-        return "1"
-    return "*".join(f"x{i}^{a}" if a > 1 else f"x{i}"
-                    for i, a in enumerate(exp, start=1) if a)
+    return SparseTerms.format_terms([(1, SparseTerms.powers(exp))])
 
 
 def _theta_render(elems):
-    return "*".join(f"t{i}" for i in elems) or "1"
+    return SparseTerms.format_terms([(1, [f"t{i}" for i in elems])])
 
 
 def cmd_hilbert(args, ctx):
@@ -638,10 +625,10 @@ def cmd_verify(args, ctx):
     names = sorted(CHECKS) if args.check == "all" else [args.check]
     if args.jobs > 1 and len(names) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_in_worker,
-                                    [(name, args.n, ctx) for name in names]))
+            reports = list(pool.map(run, names, repeat(args.n),
+                                    repeat(ctx)))
     else:
-        reports = [run(CheckSpec(name, args.n), ctx) for name in names]
+        reports = [run(name, args.n, ctx) for name in names]
     print(emit_reports(reports, args.format))
     if any(r.status == "fail" for r in reports):
         return 1

@@ -116,11 +116,7 @@ class BidegreeTable:
 
     def as_qz(self):
         """The generating polynomial sum_{i,j} entry * q^i z^j (int entries)."""
-        out = QZPolynomial.zero()
-        for (i, j), v in self.entries.items():
-            if v:
-                out = out + QZPolynomial.monomial(i, j, v)
-        return out
+        return QZPolynomial(self.entries)
 
     def nonzero(self):
         return {k: v for k, v in self.entries.items()

@@ -14,27 +14,24 @@ from math import comb
 from operator import gt, lt
 from typing import NamedTuple
 
+from .exactalg import SparseTerms
+
 
 class IntegrityError(Exception):
     """An internal certification failed; results cannot be trusted."""
 
 
-class QZPolynomial:
+class QZPolynomial(SparseTerms):
     """Polynomial in q and z with integer coefficients.
 
     q tracks bosonic (polynomial) degree, z tracks fermionic degree.
-    Stored sparsely as {(q_exp, z_exp): coeff}.
+    Stored sparsely as {(q_exp, z_exp): coeff}, in two variables.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if c:
-                    clean[tuple(key)] = c
-        self.coeffs = clean
+    def __init__(self, terms=None):
+        super().__init__(2, terms)
 
     @classmethod
     def zero(cls):
@@ -72,90 +69,34 @@ class QZPolynomial:
         return (cls.q_binomial(n - 1, k - 1)
                 + cls.monomial(k, 0) * cls.q_binomial(n - 1, k))
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, QZPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return QZPolynomial(out)
-
-    def __neg__(self):
-        return QZPolynomial({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         out = {}
-        for (a, b), c1 in self.coeffs.items():
-            for (d, e), c2 in other.coeffs.items():
+        for (a, b), c1 in self.terms.items():
+            for (d, e), c2 in other.terms.items():
                 k = (a + d, b + e)
                 s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        return QZPolynomial(out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        if not c:
-            return QZPolynomial()
-        return QZPolynomial({k: c * v for k, v in self.coeffs.items()})
-
     def coefficient(self, qe, ze=0):
-        return self.coeffs.get((qe, ze), 0)
+        return self.terms.get((qe, ze), 0)
 
     def eval_ones(self):
         """Value at q = z = 1."""
-        return sum(self.coeffs.values())
+        return sum(self.terms.values())
 
     def render(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (qe, ze) in sorted(self.coeffs, key=lambda k: (k[1], k[0])):
-            c = self.coeffs[(qe, ze)]
-            factors = []
-            if qe == 1:
-                factors.append("q")
-            elif qe > 1:
-                factors.append(f"q^{qe}")
-            if ze == 1:
-                factors.append("z")
-            elif ze > 1:
-                factors.append(f"z^{ze}")
-            if not factors:
-                body = str(c)
-            elif c == 1:
-                body = "*".join(factors)
-            elif c == -1:
-                body = "-" + "*".join(factors)
-            else:
-                body = str(c) + "*" + "*".join(factors)
-            parts.append(body)
-        s = parts[0]
-        for p in parts[1:]:
-            s += p if p.startswith("-") else " + " + p
-        return s
-
-    def __repr__(self):
-        return f"QZPolynomial({self.render()})"
+        return self.format_terms(
+            ((self.terms[k], self.powers(k, "qz"))
+             for k in sorted(self.terms, key=lambda k: (k[1], k[0]))),
+            plus=" + ")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 """Exact arithmetic substrate: sparse multivariate polynomials, and
 matrices over Q or over polynomial rings.
 
+``SparseTerms`` is the one sparse-term algebra: ``MPoly``, the superspace
+``SuperElement`` and the bigraded ``QZPolynomial`` subclass it and share
+its sums, negation, scaling, equality, result construction (``_like``)
+and rendering; each keeps only its product and key-specific methods.
+
 Every computation in this package is exact.  No floating point appears
 anywhere; coefficients are arbitrary-precision integers throughout, and
 every elimination runs on one kernel, ``_IntEchelon``, over Z.
@@ -16,25 +21,111 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-class MPoly:
-    """Sparse multivariate polynomial over Q.
+class SparseTerms:
+    """A sparse sum of terms: a dict ``terms`` from hashable keys to
+    nonzero coefficients (kept as given: integers stay integers) in
+    ``nvars`` variables.
 
-    Terms are stored as a dict mapping exponent tuples (length ``nvars``)
-    to nonzero coefficients, kept as given: integers stay integers.
-    Variables are 1-indexed in the public interface: ``MPoly.var(n, i)``
-    is x_i.
+    The base holds everything that never looks inside a key: building a
+    result (``_like``), sums, negation, scaling, equality, hashing and
+    rendering.  A subclass gives the key normalisation ``_key``, its
+    product and ``render``.  Two elements are equal only when they have
+    the same type, variable count and terms.
     """
 
     __slots__ = ("nvars", "terms")
 
+    _key = tuple
+
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if c:
-                    clean[tuple(exp)] = c
-        self.terms = clean
+        key = self._key
+        self.terms = ({key(k): c for k, c in terms.items() if c}
+                      if terms else {})
+
+    def _like(self, terms):
+        """An element of this type and variable count holding ``terms``
+        as given; every coefficient must be nonzero."""
+        r = object.__new__(type(self))
+        r.nvars = self.nvars
+        r.terms = terms
+        return r
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({k: c * v for k, v in self.terms.items()}
+                          if c else {})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+    @staticmethod
+    def powers(exp, names=None):
+        """The factors of the monomial with exponents ``exp``, skipping
+        zero exponents: ``x2``, ``x3^2`` (``names[i]`` in place of
+        x_(i+1) when given)."""
+        out = []
+        for i, a in enumerate(exp):
+            if a:
+                name = names[i] if names else f"x{i + 1}"
+                out.append(name if a == 1 else f"{name}^{a}")
+        return out
+
+    @staticmethod
+    def format_terms(pairs, plus="+"):
+        """Render (coefficient, factors) pairs as a signed sum: a term is
+        its coefficient alone when it has no factor, its factors joined by
+        ``*`` behind the coefficient otherwise (the coefficient 1 is left
+        out, -1 leaves its sign); terms after the first are joined by
+        ``plus`` unless they start with a minus sign; no pairs give "0"."""
+        s = ""
+        for c, factors in pairs:
+            if not factors:
+                body = str(c)
+            elif c == 1:
+                body = "*".join(factors)
+            elif c == -1:
+                body = "-" + "*".join(factors)
+            else:
+                body = str(c) + "*" + "*".join(factors)
+            s += body if not s or body.startswith("-") else plus + body
+        return s or "0"
+
+
+class MPoly(SparseTerms):
+    """Sparse multivariate polynomial over Q.
+
+    Terms map exponent tuples (length ``nvars``) to nonzero coefficients.
+    Variables are 1-indexed in the public interface: ``MPoly.var(n, i)``
+    is x_i.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, nvars):
@@ -57,43 +148,11 @@ class MPoly:
     def monomial(cls, exp, c=1):
         return cls(len(exp), {tuple(exp): c})
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, MPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        r = MPoly.__new__(MPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = MPoly.__new__(MPoly)
-        r.nvars = self.nvars
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
@@ -107,18 +166,9 @@ class MPoly:
                     out[e] = s
                 else:
                     del out[e]
-        r = MPoly.__new__(MPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        return self._like(out)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        r = MPoly.__new__(MPoly)
-        r.nvars = self.nvars
-        r.terms = {} if not c else {e: c * v for e, v in self.terms.items()}
-        return r
 
     def __pow__(self, k):
         result = MPoly.const(self.nvars, 1)
@@ -143,10 +193,7 @@ class MPoly:
                     out[e] = s
                 else:
                     del out[e]
-        r = MPoly.__new__(MPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        return self._like(out)
 
     def rename_vars(self, mapping):
         """Substitute x_i -> x_{mapping[i]} (dict of 1-indexed variables).
@@ -168,10 +215,7 @@ class MPoly:
                 out[e] = s
             else:
                 del out[e]
-        r = MPoly.__new__(MPoly)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        return self._like(out)
 
     @classmethod
     def elementary(cls, nvars, d, variables=None):
@@ -217,33 +261,9 @@ class MPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
 
-    def render(self, varname="x"):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            for i, a in enumerate(exp):
-                if a == 1:
-                    factors.append(f"{varname}{i + 1}")
-                elif a > 1:
-                    factors.append(f"{varname}{i + 1}^{a}")
-            if not factors:
-                body = str(c)
-            elif c == 1:
-                body = "*".join(factors)
-            elif c == -1:
-                body = "-" + "*".join(factors)
-            else:
-                body = str(c) + "*" + "*".join(factors)
-            parts.append(body)
-        s = parts[0]
-        for p in parts[1:]:
-            s += p if p.startswith("-") else "+" + p
-        return s
-
-    def __repr__(self):
-        return f"MPoly({self.render()})"
+    def render(self):
+        return self.format_terms((c, self.powers(exp))
+                                 for exp, c in self.sorted_terms())
 
 
 def _int_row(row):

@@ -18,7 +18,7 @@ from itertools import permutations
 from math import factorial, perm
 from operator import sub
 
-from .exactalg import MPoly
+from .exactalg import MPoly, SparseTerms
 from .combinatorics import mu_blocks
 
 
@@ -47,20 +47,16 @@ def _merge_thetas(t1, t2):
     return _sort_sign(t1 + t2)
 
 
-class SuperElement:
+class SuperElement(SparseTerms):
     """An element of superspace: dict from (exps, thetas) to coefficients,
     kept as given (integers on every verification path)."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        clean = {}
-        if terms:
-            for (exps, thetas), c in terms.items():
-                if c:
-                    clean[(tuple(exps), tuple(thetas))] = c
-        self.terms = clean
+    @staticmethod
+    def _key(key):
+        exps, thetas = key
+        return tuple(exps), tuple(thetas)
 
     @classmethod
     def zero(cls, nvars):
@@ -79,44 +75,6 @@ class SuperElement:
     def theta(cls, nvars, i):
         return cls(nvars, {((0,) * nvars, (i,)): 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, SuperElement) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        r = SuperElement.__new__(SuperElement)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = SuperElement.__new__(SuperElement)
-        r.nvars = self.nvars
-        r.terms = {k: -c for k, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        r = SuperElement.__new__(SuperElement)
-        r.nvars = self.nvars
-        r.terms = {} if not c else {k: c * v for k, v in self.terms.items()}
-        return r
-
     def __mul__(self, other):
         if not isinstance(other, SuperElement):
             return self.scale(other)
@@ -133,10 +91,7 @@ class SuperElement:
                     out[key] = s
                 else:
                     del out[key]
-        r = SuperElement.__new__(SuperElement)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -164,34 +119,9 @@ class SuperElement:
                       reverse=True)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (exp, thetas), c in self.sorted_terms():
-            factors = []
-            for i, a in enumerate(exp):
-                if a == 1:
-                    factors.append(f"x{i + 1}")
-                elif a > 1:
-                    factors.append(f"x{i + 1}^{a}")
-            for t in thetas:
-                factors.append(f"t{t}")
-            if not factors:
-                body = str(c)
-            elif c == 1:
-                body = "*".join(factors)
-            elif c == -1:
-                body = "-" + "*".join(factors)
-            else:
-                body = str(c) + "*" + "*".join(factors)
-            parts.append(body)
-        s = parts[0]
-        for p in parts[1:]:
-            s += p if p.startswith("-") else "+" + p
-        return s
-
-    def __repr__(self):
-        return f"SuperElement({self.render()})"
+        return self.format_terms(
+            (c, self.powers(exp) + [f"t{t}" for t in thetas])
+            for (exp, thetas), c in self.sorted_terms())
 
     def to_json(self):
         return {
@@ -218,10 +148,7 @@ def act(w, f):
             out[key] = s
         else:
             del out[key]
-    r = SuperElement.__new__(SuperElement)
-    r.nvars = f.nvars
-    r.terms = out
-    return r
+    return f._like(out)
 
 
 def partial_x(i, f):
@@ -237,10 +164,7 @@ def partial_x(i, f):
                 out[key] = s
             else:
                 del out[key]
-    r = SuperElement.__new__(SuperElement)
-    r.nvars = f.nvars
-    r.terms = out
-    return r
+    return f._like(out)
 
 
 def odot(f, g):
@@ -281,10 +205,7 @@ def odot(f, g):
                         out[key] = v
                     else:
                         del out[key]
-    r = SuperElement.__new__(SuperElement)
-    r.nvars = f.nvars
-    r.terms = out
-    return r
+    return f._like(out)
 
 
 def euler_d(j, f):
@@ -306,10 +227,7 @@ def euler_d(j, f):
                 out[key] = s
             else:
                 del out[key]
-    r = SuperElement.__new__(SuperElement)
-    r.nvars = f.nvars
-    r.terms = out
-    return r
+    return f._like(out)
 
 
 def euler_chain(K, f):

@@ -86,8 +86,8 @@ def _qz_latex(c):
     if c.is_zero():
         return "0"
     out = []
-    for (qe, ze) in sorted(c.coeffs, key=lambda k: (k[1], k[0])):
-        v = c.coeffs[(qe, ze)]
+    for (qe, ze) in sorted(c.terms, key=lambda k: (k[1], k[0])):
+        v = c.terms[(qe, ze)]
         body = ""
         if qe:
             body += "q" if qe == 1 else f"q^{{{qe}}}"

@@ -6,8 +6,9 @@ raises AssertionError on the first violated property.
 import random
 from fractions import Fraction
 
-from supercoinv.combinatorics import gale_leq, kostka, partitions, subsets
-from supercoinv.exactalg import QMatrix
+from supercoinv.combinatorics import (QZPolynomial, gale_leq, kostka,
+                                      partitions, subsets)
+from supercoinv.exactalg import MPoly, QMatrix
 from supercoinv.superspace import (SuperElement, antisymmetrize, odot,
                                    young_subgroup_order)
 
@@ -41,6 +42,40 @@ def random_super(rng, n, max_deg=2, max_terms=3):
     for (exp, thetas), c in terms.items():
         total = total + SuperElement.monomial(n, exp, thetas, c)
     return total
+
+
+def random_exponent_terms(rng, nvars, max_deg=2, max_terms=3):
+    return {tuple(rng.randint(0, max_deg) for _ in range(nvars)):
+            rng.randint(-3, 3) for _ in range(rng.randint(0, max_terms))}
+
+
+def suite_sparse_terms(cases, seed):
+    """The arithmetic MPoly, SuperElement and QZPolynomial share: additive
+    inverses, subtraction, scaling by zero, hashes of equal values, the
+    type of every result, and inequality across types."""
+    rng = random.Random(seed)
+    done = 0
+    while done < cases:
+        n = rng.randint(1, 4)
+        draw = rng.choice([
+            lambda: MPoly(n, random_exponent_terms(rng, n)),
+            lambda: random_super(rng, n),
+            lambda: QZPolynomial(random_exponent_terms(rng, 2)),
+        ])
+        a, b = draw(), draw()
+        assert (a + (-a)).is_zero()
+        assert (a - b) + b == a
+        assert a.scale(0).is_zero()
+        # the same value built with its terms in another order
+        for same in ((a - b) + b, (b + a) - b, a + a.scale(0)):
+            assert same == a and hash(same) == hash(a)
+        for result in (a + b, -a, a - b, a.scale(2)):
+            assert type(result) is type(a)
+        t = random_exponent_terms(rng, 2)
+        assert MPoly(2, t) != QZPolynomial(t)
+        assert QZPolynomial(t) != MPoly(2, t)
+        done += 1
+    return done
 
 
 def suite_superspace(cases, seed):
@@ -141,6 +176,7 @@ def suite_rank_nullity(cases, seed):
 
 
 ALL_SUITES = {
+    "sparse-terms": suite_sparse_terms,
     "superspace": suite_superspace,
     "gale": suite_gale,
     "kostka": suite_kostka,

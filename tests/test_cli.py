@@ -352,6 +352,12 @@ def test_output_matches_goldens(capsys):
         (("hilbert", "3"), "hilbert_n3.tsv"),
         (("hilbert", "3", "--format", "latex"), "hilbert_n3.tex"),
         (("frobenius", "3", "--format", "latex"), "frobenius_n3.tex"),
+        (("frobenius", "3"), "frobenius_n3.tsv"),
+        (("cnk", "4", "2"), "cnk_n4_k2.tsv"),
+        (("basis", "artin", "3"), "basis_artin_n3.tsv"),
+        (("basis", "colon", "4", "--j", "3,4"), "basis_colon_n4_j34.tsv"),
+        (("basis", "parabolic", "4", "--mu", "2,2"),
+         "basis_parabolic_n4_mu22.tsv"),
     ]
     for argv, name in cases:
         code, out = run_cli(capsys, *argv)

@@ -160,7 +160,7 @@ def test_colon_with_empty_subset_is_the_classical_coinvariant_ring():
     for n in (1, 2, 3, 4):
         dims = colon_hilbert(SubsetOfN(n, ()))
         expected = {qe: c for (qe, ze), c
-                    in QZPolynomial.q_factorial(n).coeffs.items()}
+                    in QZPolynomial.q_factorial(n).terms.items()}
         assert dims == expected
 
 

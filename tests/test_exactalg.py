@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from supercoinv.combinatorics import QZPolynomial
 from supercoinv.exactalg import MPoly, PolyMatrix, QMatrix, _IntEchelon
+from supercoinv.superspace import SuperElement
 
 
 def random_poly(rng, nvars, max_deg=3, max_terms=4):
@@ -242,3 +244,25 @@ def test_vandermonde_determinant_identity():
             for j in range(i + 1, n + 1):
                 prod = prod * (MPoly.var(n, i) - MPoly.var(n, j))
         assert V.det() == prod
+
+
+def test_repr_and_render_pinned():
+    """Coefficients 1, -1, 2 and -3, a constant term, and exponents 1 and
+    above 1, in each sparse-term type and at zero."""
+    p = MPoly(3, {(2, 0, 1): 1, (0, 1, 0): -1, (1, 0, 3): 2, (0, 2, 0): -3,
+                  (0, 0, 0): 5})
+    assert p.render() == "x1^2*x3+2*x1*x3^3-3*x2^2-x2+5"
+    assert repr(p) == "MPoly(x1^2*x3+2*x1*x3^3-3*x2^2-x2+5)"
+    s = SuperElement(3, {((2, 0, 0), (1, 3)): 1, ((0, 1, 0), ()): -1,
+                         ((0, 0, 0), (2,)): 2, ((1, 0, 2), (1,)): -3,
+                         ((0, 0, 0), ()): -4})
+    assert s.render() == "2*t2+x1^2*t1*t3-3*x1*x3^2*t1-x2-4"
+    assert repr(s) == "SuperElement(2*t2+x1^2*t1*t3-3*x1*x3^2*t1-x2-4)"
+    z = QZPolynomial({(0, 0): 7, (1, 0): 1, (2, 1): -1, (0, 1): 2,
+                      (3, 2): -3, (0, 3): 1})
+    assert z.render() == "7 + q + 2*z-q^2*z-3*q^3*z^2 + z^3"
+    assert repr(z) == "QZPolynomial(7 + q + 2*z-q^2*z-3*q^3*z^2 + z^3)"
+    assert MPoly(2).render() == SuperElement(2).render() \
+        == QZPolynomial().render() == "0"
+    assert (repr(MPoly(2)), repr(SuperElement(2)), repr(QZPolynomial())) \
+        == ("MPoly(0)", "SuperElement(0)", "QZPolynomial(0)")

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 import sits at module level, no module has an ``assert`` statement
 (``python -O`` strips them, so a check must raise), ``Fraction`` is used
-only where a true rational is needed, and every function, class and
-method of the package is referenced somewhere.  No linter is a
+only where a true rational is needed, only ``SparseTerms._like`` builds a
+sparse-term result without its constructor, and every function, class
+and method of the package is referenced somewhere.  No linter is a
 dependency, so these tests are the guards."""
 
 import ast
@@ -82,23 +83,28 @@ FRACTION_SCOPES = {"QMatrix.solve", "QMatrix.kernel_basis",
                    "_back_substitute"}
 
 
-def _fraction_uses(source):
-    """(line, enclosing qualified name) of every use of ``Fraction``; the
-    import itself is not a use."""
-    uses = []
+def _scoped(source, match):
+    """(line, enclosing qualified name) of every node ``match`` accepts."""
+    found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (isinstance(node, ast.Name) and node.id == "Fraction"
-                or isinstance(node, ast.Attribute)
-                and node.attr == "Fraction"):
-            uses.append((node.lineno, scope))
+        if match(node):
+            found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
-    return uses
+    return found
+
+
+def _fraction_uses(source):
+    """(line, enclosing qualified name) of every use of ``Fraction``; the
+    import itself is not a use."""
+    return _scoped(source, lambda node: (
+        isinstance(node, ast.Name) and node.id == "Fraction"
+        or isinstance(node, ast.Attribute) and node.attr == "Fraction"))
 
 
 def test_guard_flags_fraction_outside_back_substitution():
@@ -119,6 +125,41 @@ def test_fraction_only_in_back_substitution():
         stray = [(line, scope) for line, scope
                  in _fraction_uses(path.read_text())
                  if scope not in FRACTION_SCOPES]
+        assert stray == [], path.name
+
+
+# the one place a result is built without running its class's constructor
+NEW_SCOPES = {"SparseTerms._like"}
+
+
+def _new_calls(source):
+    """(line, enclosing qualified name) of every call ``X.__new__(...)``
+    on a named class; ``super().__new__`` in a ``__new__`` is not one."""
+    return _scoped(source, lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)))
+
+
+def test_guard_flags_a_hand_built_result():
+    source = ("class MPoly:\n"
+              "    def partial(self):\n"
+              "        r = MPoly.__new__(MPoly)\n"
+              "        return r\n"
+              "class Engine:\n"
+              "    def __new__(cls):\n"
+              "        return super().__new__(cls)\n"
+              "def act(f):\n"
+              "    return object.__new__(type(f))\n")
+    assert _new_calls(source) == [(3, "MPoly.partial"), (9, "act")]
+
+
+def test_results_are_built_only_by_like():
+    for path in sorted(PACKAGE.glob("*.py")):
+        stray = [(line, scope) for line, scope
+                 in _new_calls(path.read_text())
+                 if scope not in NEW_SCOPES]
         assert stray == [], path.name
 
 

@@ -1,10 +1,14 @@
 """Standalone randomized property suites with a fixed seed."""
 
 from _suites import (suite_gale, suite_kostka, suite_rank_nullity,
-                     suite_superspace)
+                     suite_sparse_terms, suite_superspace)
 
 CASES = 1000
 SEED = 20240817
+
+
+def test_sparse_term_arithmetic():
+    assert suite_sparse_terms(CASES, SEED) == CASES
 
 
 def test_superspace_algebra_relations():
