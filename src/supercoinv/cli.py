@@ -179,8 +179,7 @@ def check_colon(n, ctx):
 def check_parabolic(n, ctx):
     for lam in partitions(n):
         verify_parabolic_basis(lam.parts, n)
-    for sp in signed_partitions(n):
-        verify_E_set(sp)
+    verify_E_set(*signed_partitions(n))
 
 
 def _admissible_sequences(n):
@@ -324,7 +323,7 @@ def check_steinberg(n, ctx):
                 probes.append(row)
         polys = [MPoly(n, {mons[idx]: c for idx, c in row.items()})
                  for row in probes]
-        for _, images in colon_images(polys, empty):
+        for _, (images,) in colon_images([polys], empty):
             for row, image in zip(probes, images):
                 in_ideal = not ech.fork().add(row)
                 in_kernel = not image

@@ -62,9 +62,9 @@ from itertools import combinations, product
 from math import comb, perm
 
 from .combinatorics import (IntegrityError, Partition, QZPolynomial,
-                            enumerate_artin, enumerate_signed_artin,
-                            j_of_signed, kostka, partitions,
-                            signed_partitions)
+                            SubsetOfN, enumerate_artin,
+                            enumerate_signed_artin, j_of_signed, kostka,
+                            partitions, signed_partitions)
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
@@ -148,17 +148,14 @@ def monomials(nvars, deg):
     return out
 
 
-def theta_subsets(n, j):
-    return list(combinations(range(1, n + 1), j))
-
-
 def omega_dimension(n, i, j):
     return comb(i + n - 1, n - 1) * comb(n, j)
 
 
 def omega_basis(n, i, j):
     """Monomial basis of the (i, j) component of superspace, fixed order."""
-    return [(e, t) for e in monomials(n, i) for t in theta_subsets(n, j)]
+    return [(e, t) for e in monomials(n, i)
+            for t in combinations(range(1, n + 1), j)]
 
 
 def element_coords(elem, index):
@@ -186,7 +183,7 @@ def ideal_component(spec, i, j):
         if di < 0 or dj < 0 or dj > n:
             continue
         for exp in monomials(n, di):
-            for ts in theta_subsets(n, dj):
+            for ts in combinations(range(1, n + 1), dj):
                 m = SuperElement.monomial(n, exp, ts)
                 rows.append(element_coords(m * g, index))
     return QMatrix(len(rows), len(basis), rows)
@@ -221,10 +218,8 @@ class CoinvariantEngine:
         # the substaircase exponents a_i <= i - 1, by degree, each list in
         # reverse lex order
         self.artin_by_deg = {d: [] for d in range(self.top + 1)}
-        for e in product(*(range(i + 1) for i in range(n))):
+        for e in reversed(enumerate_artin(SubsetOfN(n, ()))):
             self.artin_by_deg[sum(e)].append(e)
-        for arts in self.artin_by_deg.values():
-            arts.reverse()
         # partials_e[d][w] for d >= 2 and w = 2..n: (d/dx_w - d/dx_1) e_d
         # as {exponent: int}, the coefficient of theta_w in de_d once
         # theta_1 = -(theta_2 + ... + theta_n); de_1 itself maps to zero
@@ -598,48 +593,55 @@ def _catalecticants(j_subset, degrees):
         yield d, rows, columns
 
 
-def colon_images(polys, j_subset):
-    """Yield (d, images) for each degree d of the given homogeneous
-    polynomials: the images (p * f_J) (.) Vandermonde of the degree-d
-    polynomials, in input order, as integer rows over the degree-d
-    catalecticant columns, each the combination of its terms' rows.  Zero
-    polynomials are skipped; an inhomogeneous polynomial raises
-    ValueError."""
+def colon_images(poly_sets, j_subset):
+    """Yield (d, image_sets) for each degree d of the given lists of
+    homogeneous polynomials: image_sets[k] holds the images
+    (p * f_J) (.) Vandermonde of the degree-d polynomials of poly_sets[k],
+    in input order, as integer rows over the degree-d catalecticant
+    columns, each the combination of its terms' rows.  The catalecticants
+    are built once for all the lists.  Zero polynomials are skipped; an
+    inhomogeneous polynomial raises ValueError."""
     by_degree = {}
-    for p in polys:
-        degrees = {sum(e) for e in p.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"colon image of an inhomogeneous polynomial"
-                             f" (degrees {sorted(degrees)})")
-        if degrees:
-            by_degree.setdefault(degrees.pop(), []).append(p)
+    for k, polys in enumerate(poly_sets):
+        for p in polys:
+            degrees = {sum(e) for e in p.terms}
+            if len(degrees) > 1:
+                raise ValueError(f"colon image of an inhomogeneous"
+                                 f" polynomial (degrees {sorted(degrees)})")
+            if degrees:
+                by_degree.setdefault(degrees.pop(),
+                                     [[] for _ in poly_sets])[k].append(p)
     for d, rows, _ in _catalecticants(j_subset, sorted(by_degree)):
-        images = []
-        for p in by_degree[d]:
-            image = {}
-            for a, c in p.terms.items():
-                for col, v in rows.get(a, {}).items():
-                    s = image.get(col, 0) + c * v
-                    if s:
-                        image[col] = s
-                    else:
-                        del image[col]
-            images.append(image)
-        yield d, images
+        yield d, [[_image(p, rows) for p in polys] for polys in by_degree[d]]
 
 
-def steinberg_independence(polys, j_subset):
-    """Rank of the images of homogeneous polynomials modulo the colon
-    ideal.  Images of different degrees share no column, so the rank is the
-    sum of the per-degree ranks."""
-    rank = 0
-    for _, images in colon_images(polys, j_subset):
-        ech = _IntEchelon()
-        for image in images:
-            if image:
-                ech.add(image)
-        rank += ech.rank
-    return rank
+def _image(p, rows):
+    """The combination of the catalecticant rows of p's terms."""
+    image = {}
+    for a, c in p.terms.items():
+        for col, v in rows.get(a, {}).items():
+            s = image.get(col, 0) + c * v
+            if s:
+                image[col] = s
+            else:
+                del image[col]
+    return image
+
+
+def steinberg_independence(poly_sets, j_subset):
+    """Ranks of the images of lists of homogeneous polynomials modulo the
+    colon ideal, one per list, each on its own echelon.  Images of
+    different degrees share no column, so a rank is the sum of the
+    per-degree ranks."""
+    ranks = [0] * len(poly_sets)
+    for _, image_sets in colon_images(poly_sets, j_subset):
+        for k, images in enumerate(image_sets):
+            ech = _IntEchelon()
+            for image in images:
+                if image:
+                    ech.add(image)
+            ranks[k] += ech.rank
+    return ranks
 
 
 def colon_hilbert(j_subset):

@@ -2,6 +2,12 @@
 staircases, signed partitions, ordered (multi)set partitions, standard
 tableaux, and polynomials in q and z.
 
+This module is the one home of the substaircase and block enumerations.
+Within each mu-block of J(mu, gamma) the staircase bounds are those of the
+block's I-sequences, so the signed substaircase set is the product, over
+the blocks, of ``enumerate_I(m_j, gamma_j, t_{j-1})`` with the heights t of
+``block_parameters``.
+
 All enumerations return results in a fixed deterministic order.
 """
 
@@ -9,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import (accumulate, combinations,
+                       combinations_with_replacement, product)
 from math import comb
 from operator import gt, lt
 from typing import NamedTuple
@@ -166,15 +173,6 @@ class SubsetOfN:
         if elems and not (1 <= elems[0] and elems[-1] <= self.n):
             raise ValueError(f"elements {elems} outside 1..{self.n}")
 
-    def __len__(self):
-        return len(self.elems)
-
-    def __contains__(self, x):
-        return x in self.elems
-
-    def __iter__(self):
-        return iter(self.elems)
-
 
 def subsets(n, size=None):
     """All subsets of {1..n}, optionally of a fixed size, in lex order."""
@@ -234,17 +232,8 @@ class SignedPartition:
 
 def signed_partitions(n):
     """All signed partitions (mu, gamma) with mu a partition of n."""
-    out = []
-    for mu in partitions(n):
-        ranges = [range(m + 1) for m in mu.parts]
-        def rec(i, acc):
-            if i == len(mu.parts):
-                out.append(SignedPartition(mu.parts, tuple(acc)))
-                return
-            for g in ranges[i]:
-                rec(i + 1, acc + [g])
-        rec(0, [])
-    return out
+    return [SignedPartition(mu.parts, gamma) for mu in partitions(n)
+            for gamma in product(*(range(m + 1) for m in mu.parts))]
 
 
 @dataclass(frozen=True)
@@ -280,19 +269,9 @@ class TranslationSequence:
 def all_translation_sequences(mu):
     """Every mu-translation sequence, in a fixed deterministic order."""
     mu = tuple(mu)
-    per_block = []
-    for block in mu_blocks(mu):
-        per_block.append([c for k in range(len(block) + 1)
-                          for c in combinations(block, k)])
-    out = []
-    def rec(i, acc):
-        if i == len(per_block):
-            out.append(TranslationSequence(mu, tuple(acc)))
-            return
-        for s in per_block[i]:
-            rec(i + 1, acc + [s])
-    rec(0, [])
-    return out
+    per_block = [[c for k in range(len(block) + 1)
+                  for c in combinations(block, k)] for block in mu_blocks(mu)]
+    return [TranslationSequence(mu, sets) for sets in product(*per_block)]
 
 
 def mu_blocks(mu):
@@ -319,59 +298,29 @@ def enumerate_artin(j_subset):
 
     Returned in lexicographic order.  Empty when 1 is in J (st_1 = 0).
     """
-    st = staircase(j_subset)
-    if any(s == 0 for s in st):
-        return []
-    out = []
-    def rec(i, acc):
-        if i == len(st):
-            out.append(tuple(acc))
-            return
-        for a in range(st[i]):
-            acc.append(a)
-            rec(i + 1, acc)
-            acc.pop()
-    rec(0, [])
-    return out
+    return list(product(*map(range, staircase(j_subset))))
+
+
+def block_parameters(sp):
+    """(m_j, gamma_j, t_{j-1}) per block: t_{j-1} is the staircase height of
+    J(mu, gamma) before block j, the sum of m_i - gamma_i over the earlier
+    blocks (J holds the top gamma_i entries of each block)."""
+    heights = accumulate((m - g for m, g in zip(sp.mu, sp.gamma)), initial=0)
+    return list(zip(sp.mu, sp.gamma, heights))
 
 
 def enumerate_signed_artin(sp):
     """Substaircase exponent tuples for J(mu, gamma) with the block shuffle
     conditions: within each mu-interval the first mu_j - gamma_j exponents
     strictly increase and the last gamma_j weakly increase.
+
+    Under the staircase of J(mu, gamma) block j has the bounds
+    t+1, ..., t+m-gamma, then gamma repeats of t+m-gamma, with t = t_{j-1}:
+    exactly ``sequence_bound(m, gamma, t)``, so the set is the product of
+    the blocks' I-sequences, in lexicographic order.
     """
-    st = staircase(j_of_signed(sp))
-    blocks = mu_blocks(sp.mu)
-    per_block = []
-    for block, g in zip(blocks, sp.gamma):
-        m = len(block)
-        bounds = [st[p - 1] for p in block]
-        choices = []
-        def rec(i, acc):
-            if i == m:
-                choices.append(tuple(acc))
-                return
-            lo = 0
-            if i > 0:
-                if i < m - g:
-                    lo = acc[-1] + 1
-                elif i > m - g:
-                    lo = acc[-1]
-            for a in range(lo, bounds[i]):
-                acc.append(a)
-                rec(i + 1, acc)
-                acc.pop()
-        rec(0, [])
-        per_block.append(choices)
-    out = []
-    def assemble(i, acc):
-        if i == len(per_block):
-            out.append(tuple(acc))
-            return
-        for c in per_block[i]:
-            assemble(i + 1, acc + list(c))
-    assemble(0, [])
-    return out
+    blocks = [enumerate_I(m, g, t) for m, g, t in block_parameters(sp)]
+    return [sum(parts, ()) for parts in product(*blocks)]
 
 
 def count_signed_artin_product(sp):
@@ -708,7 +657,7 @@ def enumerate_ssyt(shape, max_entry):
     return results
 
 
-def _horizontal_strips(lam, size):
+def horizontal_strips(lam, size):
     """Partitions nu (as tuples without trailing zeros) with lam/nu a
     horizontal strip of the given size: lam_1 >= nu_1 >= lam_2 >= nu_2 ...
     and |lam| - |nu| = size; lam is a tuple."""
@@ -754,7 +703,7 @@ def kostka(lam, mu):
         key = (shape, letters)
         if key not in memo:
             memo[key] = sum(count(nu, letters - 1) for nu in
-                            _horizontal_strips(shape, mu_p[letters - 1]))
+                            horizontal_strips(shape, mu_p[letters - 1]))
         return memo[key]
 
     return count(tuple(p for p in lam_p if p), len(mu_p))
@@ -781,18 +730,8 @@ def enumerate_I(m, k, t):
     """Sequences c_1 < ... < c_{m-k}, c_{m-k+1} <= ... <= c_m of nonnegative
     integers under the entrywise bound for (m, k, t)."""
     bound = sequence_bound(m, k, t)
-    strict_part = list(combinations(range(0, t + m - k), m - k))
-    top = t + m - k - 1
-    weak_part = []
-    def rec(i, lo, acc):
-        if i == k:
-            weak_part.append(tuple(acc))
-            return
-        for v in range(lo, top + 1):
-            acc.append(v)
-            rec(i + 1, v, acc)
-            acc.pop()
-    rec(0, 0, [])
+    strict_part = list(combinations(range(t + m - k), m - k))
+    weak_part = list(combinations_with_replacement(range(t + m - k), k))
     # a sequence is in bounds iff both of its parts are, so check each once
     for part, part_bound in ((strict_part, bound[:m - k]),
                              (weak_part, bound[m - k:])):

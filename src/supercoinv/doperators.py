@@ -8,10 +8,10 @@ projected back down to the x-alphabet before they touch superspace.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .combinatorics import (enumerate_signed_artin, j_of_signed,
-                            sequence_bound, staircase)
+from .combinatorics import (block_parameters, enumerate_signed_artin,
+                            j_of_signed, sequence_bound, staircase)
 from .exactalg import MPoly, PolyMatrix
 from .superspace import SuperElement, euler_chain, odot, star_set
 from .coinvariant import steinberg_independence, VerificationFailure
@@ -36,15 +36,6 @@ def drop_y(p, n):
     return MPoly(n, out)
 
 
-def _block_ends(mu):
-    ends = []
-    total = 0
-    for m in mu:
-        total += m
-        ends.append(total)
-    return ends
-
-
 def power_matrix(n, r):
     """The r x n matrix with (i, j) entry y_i^(n - j + 1)."""
     return PolyMatrix([[_y(n, i) ** (n - j + 1) for j in range(1, n + 1)]
@@ -54,7 +45,7 @@ def power_matrix(n, r):
 def factor_matrix(n, mu, r):
     """The r x n factor matrix: the entry in column j of the block ending at
     position B is y_i^(B - j + 1) times prod_{m > B} (y_i - x_m)."""
-    ends = _block_ends(mu)
+    ends = list(accumulate(mu))
     grid = []
     for i in range(1, r + 1):
         row = []
@@ -73,7 +64,7 @@ def reduction_matrix(n, mu):
     """The lower unitriangular column-operation matrix C(mu): in the column
     of a block with terminal variables x_{B+1}..x_n, the entry l steps below
     the diagonal is (-1)^l e_l of those terminal variables."""
-    ends = _block_ends(mu)
+    ends = list(accumulate(mu))
     zero = MPoly.zero(2 * n)
     grid = [[zero for _ in range(n)] for _ in range(n)]
     for j in range(1, n + 1):
@@ -154,7 +145,7 @@ def verify_h_invariance(mu, T, memo=None):
     if len(T) == n:
         return True
     H = h_matrix(mu, T, memo)
-    ends = _block_ends(mu)
+    ends = list(accumulate(mu))
     starts = [1] + [b + 1 for b in ends[:-1]]
     for row in H.grid:
         for p in row:
@@ -219,7 +210,7 @@ def _shift_poly(p, offset, n):
 def nu_of_translation_set(mu, j, T_j):
     """The partition nu(T_j) recording how far T_j sits from the top of its
     mu-interval."""
-    ends = _block_ends(mu)
+    ends = list(accumulate(mu))
     B = ends[j]
     g = len(T_j)
     ts = sorted(T_j)
@@ -232,7 +223,7 @@ def weight(tt):
     s_{nu(T_j)} in the top gamma_j variables of the block."""
     mu = tt.mu
     n = sum(mu)
-    ends = _block_ends(mu)
+    ends = list(accumulate(mu))
     total = MPoly.const(n, 1)
     for j, T_j in enumerate(tt.sets):
         g = len(T_j)
@@ -330,19 +321,6 @@ def l_polynomials(m, k, t, n=None, offset=0):
     return out
 
 
-def block_parameters(sp):
-    """(m_j, gamma_j, t_{j-1}) per block: the staircase heights t are read
-    off the staircase of J(mu, gamma) at the block boundaries."""
-    st = staircase(j_of_signed(sp))
-    ends = _block_ends(sp.mu)
-    params = []
-    t_prev = 0
-    for j, (m, g) in enumerate(zip(sp.mu, sp.gamma)):
-        params.append((m, g, t_prev))
-        t_prev = st[ends[j] - 1]
-    return params
-
-
 def build_E_set(sp):
     """Products of block spanning polynomials: one factor per mu-interval,
     drawn from the shifted L-set with the staircase height of the previous
@@ -371,27 +349,34 @@ def verify_L_monomial_bound(m, k, t):
     return True
 
 
-def verify_E_set(sp):
-    """Check the spanning products of one signed partition: every monomial
-    fits under the substaircase of J(mu, gamma), the products stay
+def verify_E_set(*sps):
+    """Check the spanning products of each given signed partition: every
+    monomial fits under the substaircase of J(mu, gamma), the products stay
     independent modulo the colon ideal, and there are as many as signed
-    substaircase monomials."""
-    polys = build_E_set(sp)
-    J = j_of_signed(sp)
-    st = staircase(J)
-    for p in polys:
-        for exp in p.terms:
-            if not all(a < s for a, s in zip(exp, st)):
+    substaircase monomials.  Signed partitions with the same J(mu, gamma)
+    share one set of catalecticants."""
+    by_J = {}
+    for sp in sps:
+        by_J.setdefault(j_of_signed(sp), []).append(sp)
+    for J, group in by_J.items():
+        st = staircase(J)
+        poly_sets = [build_E_set(sp) for sp in group]
+        for sp, polys in zip(group, poly_sets):
+            for p in polys:
+                for exp in p.terms:
+                    if not all(a < s for a, s in zip(exp, st)):
+                        raise VerificationFailure(
+                            f"monomial {exp} escapes the staircase {st}"
+                            f" for (mu, gamma) = ({sp.mu}, {sp.gamma})")
+        ranks = steinberg_independence(poly_sets, J)
+        for sp, polys, rank in zip(group, poly_sets, ranks):
+            if rank != len(polys):
                 raise VerificationFailure(
-                    f"monomial {exp} escapes the staircase {st}"
-                    f" for (mu, gamma) = ({sp.mu}, {sp.gamma})")
-    rank = steinberg_independence(polys, J)
-    if rank != len(polys):
-        raise VerificationFailure(
-            f"spanning set dependent modulo the colon ideal:"
-            f" rank {rank} of {len(polys)} for (mu, gamma) ="
-            f" ({sp.mu}, {sp.gamma})")
-    if len(polys) != len(enumerate_signed_artin(sp)):
-        raise VerificationFailure("spanning set size does not match the"
-                                  " signed substaircase count")
+                    f"spanning set dependent modulo the colon ideal:"
+                    f" rank {rank} of {len(polys)} for (mu, gamma) ="
+                    f" ({sp.mu}, {sp.gamma})")
+            if len(polys) != len(enumerate_signed_artin(sp)):
+                raise VerificationFailure(
+                    "spanning set size does not match the signed"
+                    " substaircase count")
     return True

@@ -102,7 +102,8 @@ class SparseTerms:
         its coefficient alone when it has no factor, its factors joined by
         ``*`` behind the coefficient otherwise (the coefficient 1 is left
         out, -1 leaves its sign); terms after the first are joined by
-        ``plus`` unless they start with a minus sign; no pairs give "0"."""
+        ``plus``, a negative one by ``plus`` with its "+" turned into its
+        minus sign, so " + " pairs with " - "; no pairs give "0"."""
         s = ""
         for c, factors in pairs:
             if not factors:
@@ -113,7 +114,12 @@ class SparseTerms:
                 body = "-" + "*".join(factors)
             else:
                 body = str(c) + "*" + "*".join(factors)
-            s += body if not s or body.startswith("-") else plus + body
+            if not s:
+                s = body
+            elif body.startswith("-"):
+                s += plus.replace("+", "-") + body[1:]
+            else:
+                s += plus + body
         return s or "0"
 
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import (Partition, QZPolynomial, enumerate_omp,
-                            enumerate_ssyt, enumerate_syt_all, kostka,
-                            omp_statistic, partitions)
+                            enumerate_ssyt, enumerate_syt_all,
+                            horizontal_strips, kostka, omp_statistic,
+                            partitions)
 from .exactalg import MPoly
 
 
@@ -145,38 +146,17 @@ def hall(f, g):
     return total
 
 
-def _vertical_strips(lam, d):
-    """Partitions mu with lam/mu a vertical strip of size d."""
-    parts = list(lam.parts)
-    out = []
-    def rec(i, removed, acc):
-        if removed > d:
-            return
-        if i == len(parts):
-            if removed == d:
-                out.append(Partition(tuple(p for p in acc if p > 0)))
-            return
-        for delta in (0, 1):
-            p = parts[i] - delta
-            if p < 0:
-                continue
-            if acc and p > acc[-1]:
-                continue
-            acc.append(p)
-            rec(i + 1, removed + delta, acc)
-            acc.pop()
-    rec(0, 0, [])
-    return out
-
-
 def e_perp(mu, f):
-    """Skew by e_mu: the Hall adjoint of multiplication by e_mu."""
+    """Skew by e_mu: the Hall adjoint of multiplication by e_mu.  Each e_d
+    sends s_lam to the sum of s_nu over the vertical strips lam/nu of size
+    d, which are the horizontal strips lam'/nu' of the conjugates."""
     parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
     g = to_basis(f, "s")
     for d in parts:
         out = {}
         for lam, c in g.coeffs:
-            for nu in _vertical_strips(lam, d):
+            for conj in horizontal_strips(lam.conjugate().parts, d):
+                nu = Partition(conj).conjugate()
                 out[nu] = out.get(nu, QZPolynomial.zero()) + c
         g = SymFn.build(g.degree - d, "s", out)
     return g

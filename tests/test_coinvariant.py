@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 from math import comb, perm
 
 import pytest
@@ -22,7 +22,7 @@ from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable,
                                     harmonic_basis, ideal_component,
                                     monomials, operator_closure,
                                     quotient_hilbert, steinberg_independence,
-                                    superspace_ideal, theta_subsets,
+                                    superspace_ideal,
                                     verify_colon_basis,
                                     verify_parabolic_basis)
 from supercoinv.doperators import build_E_set
@@ -229,19 +229,24 @@ def test_catalecticants_match_the_walk_per_degree():
 
 
 def test_colon_ranks_match_the_literal_pairing():
+    # the spanning sets sharing a J are ranked in one call, each on its own
     for n in (1, 2, 3, 4):
+        by_J = {}
         for sp in signed_partitions(n):
-            polys, J = build_E_set(sp), j_of_signed(sp)
-            ech = _IntEchelon()
-            for p in polys:
-                image = _literal_colon_image(p, J)
-                if image.terms:
-                    ech.add(image.terms)
-            assert steinberg_independence(polys, J) == ech.rank, \
-                (sp.mu, sp.gamma)
+            by_J.setdefault(j_of_signed(sp), []).append(build_E_set(sp))
+        for J, poly_sets in by_J.items():
+            want = []
+            for polys in poly_sets:
+                ech = _IntEchelon()
+                for p in polys:
+                    image = _literal_colon_image(p, J)
+                    if image.terms:
+                        ech.add(image.terms)
+                want.append(ech.rank)
+            assert steinberg_independence(poly_sets, J) == want, J.elems
     x1 = MPoly.var(3, 1)
     with pytest.raises(ValueError):
-        steinberg_independence([x1 * x1 + x1], SubsetOfN(3, ()))
+        steinberg_independence([[x1 * x1 + x1]], SubsetOfN(3, ()))
 
 
 def test_colon_basis_verification_small():
@@ -386,10 +391,10 @@ def test_stale_cache_entries_are_ignored(tmp_path):
 
 
 def _full_index(eng, i, j):
-    """Column index of the full A_i x theta_subsets(n, j) coordinates, in
+    """Column index of the full A_i x (j-subsets of 1..n) coordinates, in
     which theta_1 is kept."""
     full = [(a, t) for a in eng.artin_by_deg.get(i, [])
-            for t in theta_subsets(eng.n, j)]
+            for t in combinations(range(1, eng.n + 1), j)]
     return {key: c for c, key in enumerate(full)}
 
 
@@ -407,7 +412,7 @@ def test_ideal_echelon_matches_product_rows():
     # reference: every row (b theta_T) * de_d with d >= 1 and any T, 1 in T
     # included, as a full superspace product with de_d from the generator
     # list, reduced by eng.nf only and written in the full
-    # A_i x theta_subsets(n, j) coordinates; theta_1 is not substituted.
+    # A_i x (j-subsets of 1..n) coordinates; theta_1 is not substituted.
     # The de_1 rows fill every column with 1 in its theta-subset, so the
     # full rank and pivots are those columns plus the reduced echelon's
     for n in (1, 2, 3, 4):
@@ -423,7 +428,7 @@ def test_ideal_echelon_matches_product_rows():
                     if j == 0 or bdeg < 0 or bdeg > eng.top:
                         continue
                     for b in eng.artin_by_deg[bdeg]:
-                        for ts in theta_subsets(n, j - 1):
+                        for ts in combinations(range(1, n + 1), j - 1):
                             m = SuperElement.monomial(n, b, ts)
                             prod = m * gens[n + d - 1]
                             row = {}
@@ -465,7 +470,7 @@ def test_reduced_coords_kill_de_1_and_fix_theta_1_free_monomials():
 
 def test_ideal_echelon_pivots_pinned_at_n_five():
     # digest of [i, j, #basis, sorted pivots] over every ideal echelon at
-    # n = 5 in the full A_i x theta_subsets(5, j) index; pivot sets depend
+    # n = 5 in the full A_i x (j-subsets of 1..5) index; pivot sets depend
     # only on the row space, so the digest taken with the earlier full-theta
     # row builder must not move
     eng = CoinvariantEngine(5)

@@ -9,7 +9,8 @@ from supercoinv import combinatorics
 from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       SignedPartition, SubsetOfN,
                                       TranslationSequence,
-                                      all_translation_sequences, count_I,
+                                      all_translation_sequences,
+                                      block_parameters, count_I,
                                       count_L, count_osp,
                                       count_signed_artin_product,
                                       enumerate_artin, enumerate_I,
@@ -392,3 +393,46 @@ def test_signed_substaircase_at_the_trivial_subgroup_is_the_artin_set():
         plain = sorted((a, J.elems) for J in subsets(n)
                        for a in enumerate_artin(J))
         assert signed == plain, n
+
+
+def _signed_artin_by_definition(sp):
+    """Substaircase tuples for J(mu, gamma) whose first m - gamma entries
+    strictly increase in each block and whose last gamma weakly increase."""
+    def shuffled(a):
+        for block, m, g in zip(mu_blocks(sp.mu), sp.mu, sp.gamma):
+            seq = [a[p - 1] for p in block]
+            strict, weak = seq[:m - g], seq[m - g:]
+            if any(x >= y for x, y in zip(strict, strict[1:])) \
+                    or any(x > y for x, y in zip(weak, weak[1:])):
+                return False
+        return True
+    st = staircase(j_of_signed(sp))
+    return [a for a in product(*map(range, st)) if shuffled(a)]
+
+
+def test_signed_artin_matches_the_filtered_staircase_in_order():
+    for n in range(1, 7):
+        for sp in signed_partitions(n):
+            assert enumerate_signed_artin(sp) \
+                == _signed_artin_by_definition(sp), (sp.mu, sp.gamma)
+
+
+def test_artin_matches_nested_loops_in_order():
+    for n in range(1, 7):
+        for J in subsets(n):
+            want = [()]
+            for s in staircase(J):
+                want = [a + (x,) for a in want for x in range(s)]
+            assert enumerate_artin(J) == want, J.elems
+
+
+def test_block_heights_are_the_staircase_before_each_block():
+    for n in range(1, 7):
+        for sp in signed_partitions(n):
+            st = staircase(j_of_signed(sp))
+            starts = [block[0] for block in mu_blocks(sp.mu)]
+            want = [st[s - 2] if s > 1 else 0 for s in starts]
+            params = block_parameters(sp)
+            assert [t for _, _, t in params] == want, (sp.mu, sp.gamma)
+            assert [(m, g) for m, g, _ in params] \
+                == list(zip(sp.mu, sp.gamma))

@@ -260,8 +260,8 @@ def test_repr_and_render_pinned():
     assert repr(s) == "SuperElement(2*t2+x1^2*t1*t3-3*x1*x3^2*t1-x2-4)"
     z = QZPolynomial({(0, 0): 7, (1, 0): 1, (2, 1): -1, (0, 1): 2,
                       (3, 2): -3, (0, 3): 1})
-    assert z.render() == "7 + q + 2*z-q^2*z-3*q^3*z^2 + z^3"
-    assert repr(z) == "QZPolynomial(7 + q + 2*z-q^2*z-3*q^3*z^2 + z^3)"
+    assert z.render() == "7 + q + 2*z - q^2*z - 3*q^3*z^2 + z^3"
+    assert repr(z) == "QZPolynomial(7 + q + 2*z - q^2*z - 3*q^3*z^2 + z^3)"
     assert MPoly(2).render() == SuperElement(2).render() \
         == QZPolynomial().render() == "0"
     assert (repr(MPoly(2)), repr(SuperElement(2)), repr(QZPolynomial())) \

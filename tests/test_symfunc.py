@@ -1,7 +1,7 @@
 """Symmetric functions, basis changes, skewing, and the C_{n,k} family."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -160,3 +160,25 @@ def test_latex_and_render_cover_zero_and_signs():
     assert z.latex() == "0"
     f = _schur((1, 1), QZPolynomial({(1, 0): -1, (0, 1): 1}))
     assert "s" in f.latex()
+
+
+def _vertical_strip_skews(lam, d):
+    """Every nu with lam_i - nu_i in {0, 1} for all i, a partition, and
+    |lam| - |nu| = d."""
+    out = []
+    for nu in product(*((p, p - 1) for p in lam.parts)):
+        if sum(lam.parts) - sum(nu) == d \
+                and all(x >= y for x, y in zip(nu, nu[1:])):
+            out.append(Partition(tuple(p for p in nu if p)))
+    return out
+
+
+def test_e_perp_removes_vertical_strips():
+    for size in range(8):
+        for lam in partitions(size):
+            for d in range(1, size + 1):
+                want = SymFn.build(size - d, "s", {
+                    nu: QZPolynomial.one()
+                    for nu in _vertical_strip_skews(lam, d)})
+                got = e_perp((d,), _schur(lam.parts))
+                assert got.coeffs == want.coeffs, (lam.parts, d)
