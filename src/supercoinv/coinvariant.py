@@ -232,6 +232,7 @@ class CoinvariantEngine:
         self._nf_partials = {}
         self._theta_images = {}
         self._echelons = {}
+        self._kept_keys = {}
         self._eps_tables = {}
         # the staircase certificate of the degree bound (see the module
         # docstring): x_v x^(0, 1, ..., n - 1) rewrites to zero for every v
@@ -353,9 +354,20 @@ class CoinvariantEngine:
         -sum_w theta_w pi(b theta_T de_d) lies in the span of the rows with
         1 not in T.  The spanning rows are therefore pi((b theta_T) * de_d)
         for substaircase b, d >= 2 and T inside {2..n}: the sum over w in
-        {2..n} - T of +-NF(b (d/dx_w - d/dx_1) e_d) theta_(T + w).  Rows
-        are eliminated sparsest first; the pivot columns (and so the rank
-        and the coset representatives) depend only on the row space.
+        {2..n} - T of +-NF(b (d/dx_w - d/dx_1) e_d) theta_(T + w).
+
+        Only j = 1 builds that whole family, one row per (d, b).  Since
+        pi(theta_w) = theta_w for w >= 2, theta_w pi(b theta_T de_d) =
+        +-pi(b theta_(T + w) de_d) for w not in T, and every T of size
+        j - 1 >= 1 is some w added to a smaller set, the (i, j) row space is
+        the sum over w of theta_w times the (i, j - 1) row space.  The rows
+        kept at (i, j - 1) span that space (a block that stops early at full
+        rank is the whole component), so a block with j >= 2 builds only the
+        rows of the keys (T + w, d, b) for each kept key (T, d, b) and each
+        w in {2..n} - T.  The kept keys of a block wait in ``_kept_keys``
+        until the block one theta-degree up has used them.  Rows are
+        eliminated sparsest first; the pivot columns (and so the rank and
+        the coset representatives) depend only on the row space.
         """
         key = (i, j)
         if key in self._echelons:
@@ -363,11 +375,23 @@ class CoinvariantEngine:
         n = self.n
         basis, index = self.reduced_basis(i, j)
         ech = _IntEchelon()
+        kept = []
         if j >= 1 and basis:
+            # the theta-subsets T to build for each (d, b) at j >= 2
+            if j >= 2:
+                self.ideal_echelon(i, j - 1)
+                wanted = {}
+                # popped: (i, j) is built once, and no other block reads them
+                for ts, d, b in self._kept_keys.pop((i, j - 1)):
+                    tset = wanted.setdefault((d, b), set())
+                    for w in range(2, n + 1):
+                        tw, sign = _merge_thetas(ts, (w,))
+                        if sign:
+                            tset.add(tw)
             # per theta_T: (w - 2, sign, column of a theta_(T + w) for each
             # a), shared by every d and b
             arts = self.artin_by_deg[i]
-            merges = []
+            merges = {}
             for ts in combinations(range(2, n + 1), j - 1):
                 per_ts = []
                 for w in range(2, n + 1):
@@ -375,27 +399,32 @@ class CoinvariantEngine:
                     if sign:
                         per_ts.append((w - 2, sign,
                                        {a: index[(a, tw)] for a in arts}))
-                merges.append(per_ts)
+                merges[ts] = per_ts
             rows = []
             for d in range(2, n + 1):
                 bdeg = i - (d - 1)
                 if bdeg < 0 or bdeg > self.top:
                     continue
                 for b in self.artin_by_deg[bdeg]:
+                    tsets = [()] if j == 1 else sorted(wanted.get((d, b), ()))
+                    if not tsets:
+                        continue
                     partials = [self._nf_times_partial(b, w, d)
                                 for w in range(2, n + 1)]
-                    for per_ts in merges:
+                    for ts in tsets:
                         row = {}
-                        for w, sign, cols in per_ts:
+                        for w, sign, cols in merges[ts]:
                             for a, c in partials[w].items():
                                 row[cols[a]] = sign * c
                         if row:
-                            rows.append(row)
-            rows.sort(key=len)
-            for row in rows:
-                ech.add(row)
-                if ech.rank == len(basis):
-                    break
+                            rows.append((row, (ts, d, b)))
+            rows.sort(key=lambda r: len(r[0]))
+            for row, gen in rows:
+                if ech.add(row):
+                    kept.append(gen)
+                    if ech.rank == len(basis):
+                        break
+        self._kept_keys[key] = kept
         self._echelons[key] = (ech, basis, index)
         return self._echelons[key]
 

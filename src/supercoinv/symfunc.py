@@ -103,7 +103,7 @@ def _qz_latex(c):
         out.append(body)
     s = out[0]
     for p in out[1:]:
-        s += p if p.startswith("-") else " + " + p
+        s += " - " + p[1:] if p.startswith("-") else " + " + p
     return s
 
 

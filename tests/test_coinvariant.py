@@ -446,6 +446,53 @@ def test_ideal_echelon_matches_product_rows():
                     == _full_pivots(eng, i, j, ech, basis)[1], (n, i, j)
 
 
+def test_pruned_ideal_rows_span_the_full_family(monkeypatch):
+    # reference: the full (T, d, b) family of every block, each row the
+    # reduced coordinates of the superspace product (b theta_T) * de_d with
+    # de_d from the generator list; blocks with j >= 2 build only the
+    # theta_w multiples of the keys kept one theta-degree lower, so every
+    # family row must still reduce to zero on the block's echelon.  A fresh
+    # engine, walked by ascending j, shows each block's kept keys before
+    # the block above takes them.
+    for n in (1, 2, 3, 4):
+        monkeypatch.delitem(CoinvariantEngine._instances, n, raising=False)
+        eng = CoinvariantEngine(n)
+        gens = coinvariant_generators(n)
+        for i in range(eng.top + 3):
+            for j in range(n + 1):
+                ech, _, index = eng.ideal_echelon(i, j)
+                family = set()
+                for d in range(2, n + 1):
+                    bdeg = i - (d - 1)
+                    if j == 0 or bdeg < 0 or bdeg > eng.top:
+                        continue
+                    for b in eng.artin_by_deg[bdeg]:
+                        for ts in combinations(range(2, n + 1), j - 1):
+                            family.add((ts, d, b))
+                            m = SuperElement.monomial(n, b, ts)
+                            row = eng.reduced_coords(m * gens[n + d - 1],
+                                                     index)
+                            assert ech.reduce(row) == {}, (n, i, j, ts, d, b)
+                assert set(eng._kept_keys[(i, j)]) <= family, (n, i, j)
+
+
+def test_hilbert_five_eliminates_only_the_pruned_rows(monkeypatch):
+    # the full (b, T, d) family sends 2,898 rows through _IntEchelon.add
+    # for the n = 5 table; building each j >= 2 block from the keys kept
+    # at j - 1 sends 2,468
+    calls = []
+    add = _IntEchelon.add
+
+    def counted(self, row):
+        calls.append(1)
+        return add(self, row)
+
+    monkeypatch.setattr(_IntEchelon, "add", counted)
+    monkeypatch.delitem(CoinvariantEngine._instances, 5, raising=False)
+    quotient_hilbert(superspace_ideal(5))
+    assert len(calls) == 2468
+
+
 def test_reduced_coords_kill_de_1_and_fix_theta_1_free_monomials():
     rng = random.Random(20)
     for n in (1, 2, 3, 4, 5):

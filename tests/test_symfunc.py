@@ -162,6 +162,13 @@ def test_latex_and_render_cover_zero_and_signs():
     assert "s" in f.latex()
 
 
+def test_latex_joins_negative_terms_with_a_spaced_minus():
+    mixed = QZPolynomial({(1, 0): 1, (0, 1): -1, (2, 1): 3})
+    assert _schur((1,), mixed).latex() == r"\left(q - z + 3q^{2}z\right) s_{1}"
+    leading = QZPolynomial({(0, 0): -2, (1, 0): -1, (0, 1): -5})
+    assert _schur((2,), leading).latex() == r"\left(-2 - q - 5z\right) s_{2}"
+
+
 def _vertical_strip_skews(lam, d):
     """Every nu with lam_i - nu_i in {0, 1} for all i, a partition, and
     |lam| - |nu| = d."""
