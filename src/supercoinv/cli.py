@@ -14,7 +14,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import __version__
@@ -25,12 +25,12 @@ from .combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
                             enumerate_signed_artin, fields1_formula, gale_leq,
                             j_of_signed, partitions, sequence_bound,
                             signed_partitions, subsets, TranslationSequence)
-from .coinvariant import (CACHE_STATS, IntegrityError, VerificationFailure,
-                          bosonic_ideal, colon_hilbert, colon_images,
-                          epsilon_dims, frobenius_reconstruct,
+from .coinvariant import (CACHE_STATS, CoinvariantEngine, IntegrityError,
+                          VerificationFailure, bosonic_ideal, colon_hilbert,
+                          colon_images, epsilon_dims, frobenius_reconstruct,
                           ideal_component, monomials, operator_closure,
-                          quotient_hilbert, superspace_ideal,
-                          verify_colon_basis, verify_parabolic_basis)
+                          quotient_hilbert, verify_colon_basis,
+                          verify_parabolic_basis)
 from .doperators import (apply_D, ptj_determinant, verify_E_set,
                          verify_h_invariance, weight, enumerate_L)
 from .exactalg import MPoly, SparseTerms, _IntEchelon
@@ -57,6 +57,14 @@ class RunContext:
     seed: int = 0
     quotient: int = 5
     osp_cap: int = 8
+    _engines: dict = field(default_factory=dict, init=False, repr=False)
+
+    def engine(self, n):
+        """The coinvariant engine of n, built on first use and shared by
+        every check and verb of the run (not a setting; freed with it)."""
+        if n not in self._engines:
+            self._engines[n] = CoinvariantEngine(n)
+        return self._engines[n]
 
 
 # the caps (RunContext fields) each capped check or verb is held to; the
@@ -72,6 +80,7 @@ CAPS = {
     "hilbert": ("quotient",),
     "frobenius": ("quotient",),
     "cnk --stat": ("osp_cap",),
+    "basis": ("osp_cap",),
 }
 
 
@@ -109,7 +118,7 @@ class Report:
 
 
 def check_fields1(n, ctx):
-    table = quotient_hilbert(superspace_ideal(n), cache_dir=ctx.cache)
+    table = quotient_hilbert(ctx.engine(n), cache_dir=ctx.cache)
     expected = fields1_formula(n)
     got = table.as_qz()
     if got != expected:
@@ -124,7 +133,7 @@ def check_fields1(n, ctx):
 
 def check_fields2(n, ctx):
     for lam in partitions(n):
-        dims = epsilon_dims(lam.parts, n)
+        dims = epsilon_dims(ctx.engine(n), lam.parts)
         expected = count_osp(n, mu=lam.parts)
         if dims.total() != expected:
             raise VerificationFailure(
@@ -141,7 +150,7 @@ def _cnk_sum(n):
 
 
 def check_fields3(n, ctx):
-    got = frobenius_reconstruct(n)
+    got = frobenius_reconstruct(ctx.engine(n))
     expected = _cnk_sum(n)
     if got != expected:
         raise VerificationFailure(
@@ -168,7 +177,7 @@ def check_reiner(n, ctx):
 
 def check_artin(n, ctx):
     # eps_(1^n) is the identity: the parabolic basis is the substaircase one
-    verify_parabolic_basis((1,) * n, n)
+    verify_parabolic_basis(ctx.engine(n), (1,) * n)
 
 
 def check_colon(n, ctx):
@@ -178,7 +187,7 @@ def check_colon(n, ctx):
 
 def check_parabolic(n, ctx):
     for lam in partitions(n):
-        verify_parabolic_basis(lam.parts, n)
+        verify_parabolic_basis(ctx.engine(n), lam.parts)
     verify_E_set(*signed_partitions(n))
 
 
@@ -285,7 +294,7 @@ def check_omp_stats(n, ctx):
 
 def check_operator_closure(n, ctx):
     closure = operator_closure(n)
-    table = quotient_hilbert(superspace_ideal(n), cache_dir=ctx.cache)
+    table = quotient_hilbert(ctx.engine(n), cache_dir=ctx.cache)
     if closure != table:
         raise VerificationFailure(
             f"closure table {closure.nonzero()} != quotient table"
@@ -526,7 +535,7 @@ def _theta_render(elems):
 def cmd_hilbert(args, ctx):
     admit("hilbert", args.n, ctx)
     before = CACHE_STATS["rejects"]
-    table = quotient_hilbert(superspace_ideal(args.n), cache_dir=ctx.cache)
+    table = quotient_hilbert(ctx.engine(args.n), cache_dir=ctx.cache)
     rows = [[i, j, v] for (i, j), v in sorted(table.nonzero().items())]
     print(emit_rows(["bosonic", "fermionic", "dimension"], rows, args.format))
     rejects = CACHE_STATS["rejects"] - before
@@ -537,7 +546,7 @@ def cmd_hilbert(args, ctx):
 
 def cmd_frobenius(args, ctx):
     admit("frobenius", args.n, ctx)
-    f = frobenius_reconstruct(args.n)
+    f = frobenius_reconstruct(ctx.engine(args.n))
     if args.format == "latex":
         print(f.latex())
         return 0
@@ -596,6 +605,7 @@ def cmd_basis(args, ctx):
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    admit("basis", n, ctx)
     rows = []
     if args.kind == "artin":
         for J in subsets(n):

@@ -4,11 +4,11 @@ The ideal is generated by the elementary symmetric polynomials e_1..e_n
 together with their Euler derivatives de_1..de_n.  ``quotient_hilbert``
 computes the quotient dimensions per bidegree by the reduced route: it
 first rewrites the bosonic part onto the classical substaircase basis
-(valid because each rewrite rule is certified to lie in the bosonic ideal
-by pairing against the Vandermonde) and then eliminates the
-Euler-derivative multiples in the much smaller quotient coordinates.
-Normal forms are computed on demand, one monomial and its lex-smaller
-dependencies at a time, never a whole degree.
+(valid because each rewrite rule h_k(x_k..x_n) is certified to lie in the
+bosonic ideal by the identity sum_{j=0..k} (-1)^j e_j h_{k-j}(x_k..x_n)
+= 0) and then eliminates the Euler-derivative multiples in the much
+smaller quotient coordinates.  Normal forms are computed on demand, one
+monomial and its lex-smaller dependencies at a time, never a whole degree.
 
 The bosonic degree bound is the staircase certificate: NF(x_v x^delta) = 0
 for v = 1..n, where delta = (0, 1, ..., n - 1) is the only substaircase
@@ -61,10 +61,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, perm
 
-from .combinatorics import (IntegrityError, Partition, QZPolynomial,
-                            SubsetOfN, enumerate_artin,
-                            enumerate_signed_artin, j_of_signed, kostka,
-                            partitions, signed_partitions)
+from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
+                            enumerate_artin, enumerate_signed_artin,
+                            j_of_signed, kostka, partitions,
+                            signed_partitions)
 from .exactalg import MPoly, QMatrix, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
@@ -190,30 +190,29 @@ def ideal_component(spec, i, j):
 
 
 class CoinvariantEngine:
-    """Per-n workspace: certified rewriting onto the substaircase basis and
-    echelonized ideal components in the reduced coordinates."""
+    """Per-n workspace: certified rewriting onto the substaircase basis,
+    echelonized ideal components in reduced coordinates and eps_mu slice
+    tables, built by the caller and passed to each quotient function."""
 
-    _instances = {}
-
-    def __new__(cls, n):
-        if n not in cls._instances:
-            inst = super().__new__(cls)
-            inst._setup(n)
-            cls._instances[n] = inst
-        return cls._instances[n]
+    def __init__(self, n):
+        self._setup(n)
 
     def _setup(self, n):
         self.n = n
-        self.delta = vandermonde(n)
         self.top = n * (n - 1) // 2
-        # rewrite rules: h_k in the terminal variables x_k..x_n lies in the
-        # bosonic ideal; certified by pairing against the Vandermonde
+        # rewrite rules: h_k(x_k..x_n) is in the bosonic ideal by the t^k
+        # coefficient of E(-t) H_{x_k..x_n}(t) = prod_{i<k} (1 - x_i t),
+        # sum_{j=0..k} (-1)^j e_j h_{k-j}(x_k..x_n) = 0 (the rule at j = 0)
+        es = [MPoly.elementary(n, d) for d in range(n + 1)]
         self.hpolys = {}
         for k in range(1, n + 1):
-            h = MPoly.complete_homogeneous(n, k, range(k, n + 1))
-            if not odot(SuperElement.from_mpoly(h), self.delta).is_zero():
+            hs = [MPoly.complete_homogeneous(n, m, range(k, n + 1))
+                  for m in range(k + 1)]
+            coeff = sum(((es[j] * hs[k - j]).scale((-1) ** j)
+                         for j in range(k + 1)), MPoly.zero(n))
+            if not coeff.is_zero():
                 raise IntegrityError(f"rewrite rule h_{k} is not in the ideal")
-            self.hpolys[k] = h
+            self.hpolys[k] = hs[k]
         self._nf = {}
         # the substaircase exponents a_i <= i - 1, by degree, each list in
         # reverse lex order
@@ -225,9 +224,8 @@ class CoinvariantEngine:
         # theta_1 = -(theta_2 + ... + theta_n); de_1 itself maps to zero
         self.partials_e = {}
         for d in range(2, n + 1):
-            e = MPoly.elementary(n, d)
-            p1 = e.partial(1)
-            self.partials_e[d] = {w: (e.partial(w) - p1).terms
+            p1 = es[d].partial(1)
+            self.partials_e[d] = {w: (es[d].partial(w) - p1).terms
                                   for w in range(2, n + 1)}
         self._nf_partials = {}
         self._theta_images = {}
@@ -497,21 +495,16 @@ def _cache_write(cache_dir, spec, i, j, rank, dim):
     os.replace(tmp, path)
 
 
-def quotient_hilbert(spec, cache_dir=None):
-    """Bigraded Hilbert table of the superspace coinvariant quotient, by the
-    reduced route.
+def quotient_hilbert(eng, cache_dir=None):
+    """Bigraded Hilbert table of the engine's superspace coinvariant
+    quotient by the reduced route, cached under the superspace ideal.
 
     Bosonic degrees run two rows past the top substaircase degree; those
     rows must vanish, as the engine's staircase certificate proves for
     every degree above the top.
-    Only the superspace ideal is accepted.
     """
-    if spec.tag != "superspace":
-        raise ValueError(f"quotient_hilbert needs the superspace ideal,"
-                         f" not {spec.tag!r}")
-    n = spec.n
-    eng = CoinvariantEngine(n)
-    top = eng.top
+    n, top = eng.n, eng.top
+    spec = superspace_ideal(n)
     table = BidegreeTable(n)
     for i in range(top + 3):
         for j in range(n + 1):
@@ -723,15 +716,14 @@ def verify_colon_basis(j_subset):
     return True
 
 
-def epsilon_dims(mu, n):
-    """Bigraded dimensions of the antisymmetric isotypic slice: the rank of
-    eps_mu applied to quotient coset representatives, modulo the ideal.
-    Each table is computed once per process and kept on the engine."""
-    mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
-    if sum(mu_parts) != n:
+def epsilon_dims(eng, mu):
+    """Bigraded dimensions of the antisymmetric isotypic slice for the parts
+    mu: the rank of eps_mu applied to quotient coset representatives, modulo
+    the ideal.  Each table is computed once per engine and kept on it."""
+    n = eng.n
+    if sum(mu) != n:
         raise ValueError("mu must be a partition of n")
-    eng = CoinvariantEngine(n)
-    table = eng._eps_tables.get(mu_parts)
+    table = eng._eps_tables.get(mu)
     if table is None:
         table = BidegreeTable(n)
         for i in range(eng.top + 1):
@@ -739,10 +731,10 @@ def epsilon_dims(mu, n):
                 ech, _, index = eng.ideal_echelon(i, j)
                 reps = eng.coset_representatives(i, j)
                 count = sum(map(ech.fork().add,
-                                _eps_rows(eng, mu_parts, reps, index)))
+                                _eps_rows(eng, mu, reps, index)))
                 if count:
                     table.set(i, j, count)
-        eng._eps_tables[mu_parts] = table
+        eng._eps_tables[mu] = table
     return BidegreeTable(n, table.entries)
 
 
@@ -753,55 +745,52 @@ def _eps_rows(eng, mu, keys, index):
         yield eng.reduced_coords(elem, index)
 
 
-def verify_parabolic_basis(mu, n):
+def verify_parabolic_basis(eng, mu):
     """Check that eps_mu applied to the signed substaircase monomials gives
     a basis of the antisymmetric slice of the quotient: in each bidegree the
     elements are independent on a fork of the ideal echelon, and as many as
     the slice dimension in ``epsilon_dims``.  At mu = (1^n) this is the
     substaircase basis of the whole quotient."""
-    mu_parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
-    if sum(mu_parts) != n:
-        raise ValueError("mu must be a partition of n")
-    dims = epsilon_dims(mu_parts, n)
-    eng = CoinvariantEngine(n)
+    dims = epsilon_dims(eng, mu)
     by_bideg = {}
-    for sp in signed_partitions(n):
-        if sp.mu == mu_parts:
+    for sp in signed_partitions(eng.n):
+        if sp.mu == mu:
             ts = j_of_signed(sp).elems
             for a in enumerate_signed_artin(sp):
                 by_bideg.setdefault((sum(a), len(ts)), []).append((a, ts))
     for i in range(eng.top + 1):
-        for j in range(n + 1):
+        for j in range(eng.n + 1):
             ech, _, index = eng.ideal_echelon(i, j)
             seeded = ech.fork()
             group = by_bideg.pop((i, j), [])
-            rows = _eps_rows(eng, mu_parts, group, index)
+            rows = _eps_rows(eng, mu, group, index)
             for (a, ts), row in zip(group, rows):
                 if not seeded.add(row):
                     raise VerificationFailure(
-                        f"parabolic element for mu={mu_parts}, J={ts},"
+                        f"parabolic element for mu={mu}, J={ts},"
                         f" exponents {a} is zero or dependent modulo the"
                         " ideal")
             dim = dims.get(i, j)
             if len(group) != dim:
                 raise VerificationFailure(
-                    f"parabolic elements for mu={mu_parts} do not span the"
+                    f"parabolic elements for mu={mu} do not span the"
                     f" antisymmetric slice at bidegree ({i},{j}):"
                     f" {len(group)} independent, slice dimension {dim}")
     if by_bideg:
         raise VerificationFailure(
-            f"parabolic elements for mu={mu_parts} at bidegrees"
+            f"parabolic elements for mu={mu} at bidegrees"
             f" {sorted(by_bideg)} lie above the bosonic bound {eng.top}")
     return True
 
 
-def frobenius_reconstruct(n):
-    """Reconstruct the bigraded Frobenius image from the antisymmetric slice
-    dimensions: solve the Kostka system <s_lam, e_mu> = K_{lam', mu} per
-    bidegree and return a Schur expansion with coefficients in Z[q, z]."""
+def frobenius_reconstruct(eng):
+    """Reconstruct the bigraded Frobenius image from the engine's
+    antisymmetric slice dimensions: solve the Kostka system <s_lam, e_mu> =
+    K_{lam', mu} per bidegree and return a Schur expansion over Z[q, z]."""
+    n = eng.n
     mus = partitions(n)
     lams = partitions(n)
-    tables = {mu: epsilon_dims(mu, n) for mu in mus}
+    tables = {mu: epsilon_dims(eng, mu.parts) for mu in mus}
     K = {(lam, mu): kostka(lam.conjugate(), mu) for lam in lams for mu in mus}
     rows = []
     for mu in mus:

@@ -8,6 +8,8 @@ SUPERCOINV_STRETCH is set to a nonempty value.
 import os
 from math import comb
 
+import pytest
+
 from supercoinv.combinatorics import (OMP_STATISTICS, Partition,
                                       QZPolynomial, SignedPartition,
                                       SubsetOfN, TranslationSequence,
@@ -17,9 +19,9 @@ from supercoinv.combinatorics import (OMP_STATISTICS, Partition,
                                       enumerate_I, enumerate_osp,
                                       fields1_formula, gale_leq, j_of_signed,
                                       partitions, sequence_bound, subsets)
+from supercoinv.cli import RunContext
 from supercoinv.coinvariant import (epsilon_dims, frobenius_reconstruct,
                                     operator_closure, quotient_hilbert,
-                                    superspace_ideal,
                                     verify_colon_basis,
                                     verify_parabolic_basis)
 from supercoinv.doperators import (apply_D, enumerate_L, ptj_determinant,
@@ -36,37 +38,45 @@ def _ok(num, label):
     print(f"criterion {num} ({label}): PASS")
 
 
-def test_criterion_01_hilbert_series():
+@pytest.fixture(scope="module")
+def run():
+    """One run for the criteria: they share each n's engine, as the checks
+    of one ``verify all`` run do."""
+    return RunContext()
+
+
+def test_criterion_01_hilbert_series(run):
     top = 6 if os.environ.get("SUPERCOINV_STRETCH") else 5
     osp_totals = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
     for n in range(1, top + 1):
-        table = quotient_hilbert(superspace_ideal(n))
+        table = quotient_hilbert(run.engine(n))
         assert table.as_qz() == fields1_formula(n), n
         assert table.total() == len(enumerate_osp(n)) == osp_totals[n], n
     _ok(1, f"bigraded Hilbert series, n <= {top}")
 
 
-def test_criterion_02_antisymmetric_slices():
+def test_criterion_02_antisymmetric_slices(run):
     for n in range(1, 6):
         for lam in partitions(n):
-            dims = epsilon_dims(lam.parts, n)
+            dims = epsilon_dims(run.engine(n), lam.parts)
             expected = count_osp(n, mu=lam.parts)
             assert dims.total() == expected, (n, lam.parts)
     _ok(2, "antisymmetric slice dimensions, n <= 5")
 
 
-def test_criterion_03_frobenius_reconstruction():
+def test_criterion_03_frobenius_reconstruction(run):
     for n in range(1, 6):
-        got = frobenius_reconstruct(n)
+        got = frobenius_reconstruct(run.engine(n))
         expected = SymFn.build(n, "s", {})
         for k in range(1, n + 1):
             expected = expected.add(
                 cnk_syt(n, k).scale(QZPolynomial.monomial(0, n - k)))
         assert got == expected, n
-    spot = frobenius_reconstruct(2).as_dict()
+    spot = frobenius_reconstruct(run.engine(2)).as_dict()
     assert spot == {Partition((2,)): QZPolynomial.one(),
                     Partition((1, 1)): QZPolynomial({(1, 0): 1, (0, 1): 1})}
-    sign_col = frobenius_reconstruct(3).coefficient(Partition((1, 1, 1)))
+    sign_col = frobenius_reconstruct(run.engine(3)).coefficient(
+        Partition((1, 1, 1)))
     assert sign_col == QZPolynomial({(3, 0): 1, (1, 1): 1, (2, 1): 1,
                                      (0, 2): 1})
     _ok(3, "bigraded Frobenius images, n <= 5")
@@ -86,9 +96,9 @@ def test_criterion_04_skewing_recursion():
     _ok(4, "box-removal recursion, 2 <= n <= 6")
 
 
-def test_criterion_05_artin_and_colon_bases():
+def test_criterion_05_artin_and_colon_bases(run):
     for n in range(1, 6):
-        assert verify_parabolic_basis((1,) * n, n)
+        assert verify_parabolic_basis(run.engine(n), (1,) * n)
         for J in subsets(n):
             assert verify_colon_basis(J)
     from supercoinv.combinatorics import enumerate_artin
@@ -98,10 +108,10 @@ def test_criterion_05_artin_and_colon_bases():
     _ok(5, "substaircase and colon bases, n <= 5")
 
 
-def test_criterion_06_parabolic_bases():
+def test_criterion_06_parabolic_bases(run):
     for n in range(1, 6):
         for lam in partitions(n):
-            assert verify_parabolic_basis(lam.parts, n)
+            assert verify_parabolic_basis(run.engine(n), lam.parts)
     sp = SignedPartition((3, 3, 2), (1, 2, 0))
     factors = []
     s_prev = 0
@@ -172,9 +182,9 @@ def test_criterion_09_multiset_partition_statistics():
     _ok(9, "all block statistics equidistribute, n <= 7")
 
 
-def test_criterion_10_operator_closure():
+def test_criterion_10_operator_closure(run):
     for n in range(1, 6):
-        assert operator_closure(n) == quotient_hilbert(superspace_ideal(n)), n
+        assert operator_closure(n) == quotient_hilbert(run.engine(n)), n
     _ok(10, "operator closure equals the quotient table, n <= 5")
 
 

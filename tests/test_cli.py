@@ -1,6 +1,8 @@
 """The command line harness: verbs, formats, exit codes, caching."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -67,12 +69,23 @@ def test_verify_single_check_passes(capsys):
     assert "\tpass\t" in out
 
 
-def test_verify_all_small(capsys):
+def test_verify_all_small(capsys, monkeypatch):
+    # the checks of one run share one engine; the next run builds its own
+    built = []
+
+    class Counted(cli.CoinvariantEngine):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+    monkeypatch.setattr(cli, "CoinvariantEngine", Counted)
     code, out = run_cli(capsys, "verify", "all", "--n", "2")
     assert code == 0
     lines = out.strip().splitlines()[1:]
     assert len(lines) == len(cli.CHECKS)
     assert all("\tpass\t" in l for l in lines)
+    assert built == [2]
+    assert run_cli(capsys, "verify", "fields1", "--n", "2")[0] == 0
+    assert built == [2, 2]
 
 
 def test_verify_reports_json(capsys):
@@ -109,27 +122,27 @@ def _verify(check):
     return lambda n: ("verify", check, "--n", str(n))
 
 
-def _n_of_spec(spec, **kwargs):
-    return spec.n
+def _n_of_engine(eng, *args, **kwargs):
+    return eng.n
 
 
 CAPPED = {
-    "fields1": (_verify("fields1"), "quotient_hilbert", _n_of_spec, 5, True),
-    "fields2": (_verify("fields2"), "epsilon_dims", lambda mu, n: n, 5, True),
-    "fields3": (_verify("fields3"), "frobenius_reconstruct", lambda n: n, 5,
+    "fields1": (_verify("fields1"), "quotient_hilbert", _n_of_engine, 5, True),
+    "fields2": (_verify("fields2"), "epsilon_dims", _n_of_engine, 5, True),
+    "fields3": (_verify("fields3"), "frobenius_reconstruct", _n_of_engine, 5,
                 True),
-    "artin": (_verify("artin"), "verify_parabolic_basis", lambda mu, n: n, 5,
+    "artin": (_verify("artin"), "verify_parabolic_basis", _n_of_engine, 5,
               True),
     "parabolic": (_verify("parabolic"), "verify_parabolic_basis",
-                  lambda mu, n: n, 5, True),
+                  _n_of_engine, 5, True),
     "operator-closure": (_verify("operator-closure"), "operator_closure",
                          lambda n: n, 5, True),
     "omp-stats": (_verify("omp-stats"), "cnk_omp", lambda n, k, stat: n, 8,
                   False),
     "hilbert": (lambda n: ("hilbert", str(n)), "quotient_hilbert",
-                _n_of_spec, 5, True),
+                _n_of_engine, 5, True),
     "frobenius": (lambda n: ("frobenius", str(n)), "frobenius_reconstruct",
-                  lambda n: n, 5, True),
+                  _n_of_engine, 5, True),
     "cnk --stat": (lambda n: ("cnk", str(n), "1", "--stat", "inv"),
                    "cnk_omp", lambda n, k, stat: n, 8, False),
 }
@@ -162,6 +175,29 @@ def test_caps_are_checked_once_at_the_cli(name, capsys, monkeypatch):
     assert calls == [cap + 1]
     assert run_cli(capsys, *argv(cap + 2) + ("--force",))[0] == 3
     assert calls == [cap + 1]
+
+
+@pytest.mark.parametrize("kind, entry", [
+    ("artin", "subsets"), ("colon", "enumerate_artin"),
+    ("parabolic", "signed_partitions")])
+def test_basis_is_held_to_the_osp_cap(kind, entry, capsys, monkeypatch):
+    # basis reads no --config, so the default cap of 8 holds: n = 9 is
+    # refused before its enumeration starts
+    calls = []
+
+    def stub(arg):
+        calls.append(arg)
+        return []
+    monkeypatch.setattr(cli, entry, stub)
+
+    def argv(n):
+        opts = {"artin": (), "colon": ("--j", ""),
+                "parabolic": ("--mu", str(n))}[kind]
+        return ("basis", kind, str(n)) + opts
+    assert run_cli(capsys, *argv(8))[0] == 0
+    assert len(calls) == 1
+    assert run_cli(capsys, *argv(9)) == (3, "")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["fields1", "fields2"])
@@ -343,6 +379,16 @@ def test_parallel_verify_matches_serial(capsys):
         rows = [l.split("\t") for l in text.strip().splitlines()]
         return [r[:3] + r[4:] for r in rows]
     assert strip(serial) == strip(parallel)
+
+
+def test_run_context_frees_its_engines_with_it():
+    ctx = cli.RunContext()
+    eng = ctx.engine(3)
+    assert ctx.engine(3) is eng and ctx.engine(2) is not eng
+    ref = weakref.ref(eng)
+    del ctx, eng
+    gc.collect()
+    assert ref() is None
 
 
 def test_output_matches_goldens(capsys):

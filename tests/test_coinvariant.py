@@ -16,8 +16,7 @@ from supercoinv.combinatorics import (IntegrityError, Partition,
                                       partitions, signed_partitions, subsets)
 from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable,
                                     CoinvariantEngine, VerificationFailure,
-                                    _catalecticants, bosonic_ideal,
-                                    colon_hilbert,
+                                    _catalecticants, colon_hilbert,
                                     epsilon_dims, frobenius_reconstruct,
                                     harmonic_basis, ideal_component,
                                     monomials, operator_closure,
@@ -42,15 +41,12 @@ def test_direct_and_reduced_routes_agree():
             for j in range(n + 1):
                 comp = ideal_component(spec, i, j)
                 direct.set(i, j, comp.ncols - comp.rank())
-        assert quotient_hilbert(spec) == direct
-    # the reduced route exists only for the superspace ideal
-    with pytest.raises(ValueError):
-        quotient_hilbert(bosonic_ideal(3))
+        assert quotient_hilbert(CoinvariantEngine(n)) == direct
 
 
 def test_quotient_matches_closed_formula():
     for n in (1, 2, 3, 4):
-        table = quotient_hilbert(superspace_ideal(n))
+        table = quotient_hilbert(CoinvariantEngine(n))
         assert table.as_qz() == fields1_formula(n)
 
 
@@ -65,11 +61,30 @@ def test_engine_set_up_certifies_the_degree_bound(monkeypatch):
             if exp == leak:
                 return {exp: 1}
             return true_nf(self, exp)
-        monkeypatch.setattr(CoinvariantEngine, "_instances", {})
         monkeypatch.setattr(CoinvariantEngine, "nf", leaky)
         with pytest.raises(IntegrityError, match="nonzero normal form"):
             CoinvariantEngine(3)
-        assert CoinvariantEngine._instances == {}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_engine_set_up_certifies_the_rewrite_rules(monkeypatch, k):
+    # x_4^k pairs to nonzero with the Vandermonde for k < 4, so the rule
+    # h_k(x_k..x_4) + x_4^k is not in the ideal and must stop the build
+    true_h = MPoly.complete_homogeneous
+
+    def wrong(nvars, d, variables):
+        variables = list(variables)
+        h = true_h(nvars, d, variables)
+        if (d, variables[0]) == (k, k):
+            h = h + MPoly.monomial((0,) * (nvars - 1) + (k,))
+        return h
+    monkeypatch.setattr(MPoly, "complete_homogeneous", wrong)
+    with pytest.raises(IntegrityError, match=f"rewrite rule h_{k} "):
+        CoinvariantEngine(4)
+
+
+def test_each_engine_is_built_afresh():
+    assert CoinvariantEngine(3) is not CoinvariantEngine(3)
 
 
 def test_every_monomial_above_the_top_has_normal_form_zero():
@@ -108,9 +123,8 @@ def _sorted_fill(eng, d, table):
         table[exp] = acc
 
 
-def test_on_demand_normal_forms_match_the_sorted_fill(monkeypatch):
+def test_on_demand_normal_forms_match_the_sorted_fill():
     for n in range(1, 6):
-        monkeypatch.setattr(CoinvariantEngine, "_instances", {})
         eng = CoinvariantEngine(n)
         table = {}
         for d in range(eng.top + 3):
@@ -129,9 +143,8 @@ def test_artin_by_degree_matches_the_filtered_monomials():
                             if all(e[i] <= i for i in range(n))]
 
 
-def test_engine_at_n_seven_holds_few_normal_forms(monkeypatch):
+def test_engine_at_n_seven_holds_few_normal_forms():
     # no whole-degree fill at set-up, and no recursion to run out of depth
-    monkeypatch.setattr(CoinvariantEngine, "_instances", {})
     eng = CoinvariantEngine(7)
     assert eng.top == 21
     assert len(eng._nf) < 5000
@@ -142,7 +155,7 @@ def test_engine_at_n_seven_holds_few_normal_forms(monkeypatch):
 def test_harmonic_dimensions_match_quotient():
     for n in (1, 2, 3):
         spec = superspace_ideal(n)
-        table = quotient_hilbert(spec)
+        table = quotient_hilbert(CoinvariantEngine(n))
         for (i, j), dim in table.nonzero().items():
             basis = harmonic_basis(spec, i, j)
             assert len(basis) == dim
@@ -153,7 +166,7 @@ def test_harmonic_dimensions_match_quotient():
 
 def test_operator_closure_matches_quotient():
     for n in (1, 2, 3):
-        assert operator_closure(n) == quotient_hilbert(superspace_ideal(n))
+        assert operator_closure(n) == quotient_hilbert(CoinvariantEngine(n))
 
 
 def test_colon_with_empty_subset_is_the_classical_coinvariant_ring():
@@ -258,7 +271,7 @@ def test_colon_basis_verification_small():
 def test_artin_basis_small():
     # eps_(1^n) is the identity: the parabolic basis is the substaircase one
     for n in (1, 2, 3, 4):
-        assert verify_parabolic_basis((1,) * n, n)
+        assert verify_parabolic_basis(CoinvariantEngine(n), (1,) * n)
 
 
 def _tampered(enumerate_fn, edit):
@@ -292,7 +305,7 @@ def test_artin_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
     monkeypatch.setattr(coinvariant, "enumerate_signed_artin",
                         _tampered(enumerate_signed_artin, edit))
     with pytest.raises(VerificationFailure, match=message):
-        verify_parabolic_basis((1, 1, 1), 3)
+        verify_parabolic_basis(CoinvariantEngine(3), (1, 1, 1))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -303,44 +316,47 @@ def test_parabolic_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
     monkeypatch.setattr(coinvariant, "enumerate_signed_artin",
                         _tampered(enumerate_signed_artin, edit))
     with pytest.raises(VerificationFailure, match=message):
-        verify_parabolic_basis((2, 1), 3)
+        verify_parabolic_basis(CoinvariantEngine(3), (2, 1))
 
 
 @pytest.mark.parametrize("mu", [(1, 1, 1), (2, 1)])
 def test_parabolic_basis_rejects_a_raised_slice_dimension(monkeypatch, mu):
     # the candidates stay independent; one slice entry too many must show
     # up as a failure to span
-    true_dims = epsilon_dims(mu, 3)
+    eng = CoinvariantEngine(3)
+    true_dims = epsilon_dims(eng, mu)
     (i, j), v = max(true_dims.nonzero().items())
 
-    def raised(mu_parts, n):
-        table = BidegreeTable(n, true_dims.entries)
+    def raised(eng, mu):
+        table = BidegreeTable(eng.n, true_dims.entries)
         table.set(i, j, v + 1)
         return table
     monkeypatch.setattr(coinvariant, "epsilon_dims", raised)
     with pytest.raises(VerificationFailure, match="do not span"):
-        verify_parabolic_basis(mu, 3)
+        verify_parabolic_basis(eng, mu)
 
 
 def test_epsilon_dims_single_row_anchor():
-    table = epsilon_dims((3,), 3)
+    table = epsilon_dims(CoinvariantEngine(3), (3,))
     assert table.as_qz() == QZPolynomial(
         {(3, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1})
 
 
 def test_epsilon_dims_trivial_subgroup_gives_full_quotient():
     for n in (1, 2, 3, 4, 5):
-        assert epsilon_dims((1,) * n, n) == quotient_hilbert(superspace_ideal(n))
+        eng = CoinvariantEngine(n)
+        assert epsilon_dims(eng, (1,) * n) == quotient_hilbert(eng)
 
 
 def test_parabolic_basis_small():
     for n in (1, 2, 3):
+        eng = CoinvariantEngine(n)
         for lam in partitions(n):
-            assert verify_parabolic_basis(lam.parts, n)
+            assert verify_parabolic_basis(eng, lam.parts)
 
 
 def test_frobenius_table_at_n_two():
-    f = frobenius_reconstruct(2)
+    f = frobenius_reconstruct(CoinvariantEngine(2))
     assert f.as_dict() == {
         Partition((2,)): QZPolynomial.one(),
         Partition((1, 1)): QZPolynomial({(1, 0): 1, (0, 1): 1}),
@@ -348,28 +364,28 @@ def test_frobenius_table_at_n_two():
 
 
 def test_frobenius_sign_column_at_n_three():
-    f = frobenius_reconstruct(3)
+    f = frobenius_reconstruct(CoinvariantEngine(3))
     assert f.coefficient(Partition((1, 1, 1))) == QZPolynomial(
         {(3, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1})
 
 
 def test_cache_round_trip_is_bit_exact(tmp_path):
-    spec = superspace_ideal(3)
-    cold = quotient_hilbert(spec, cache_dir=str(tmp_path))
+    cold = quotient_hilbert(CoinvariantEngine(3), cache_dir=str(tmp_path))
     assert list(tmp_path.iterdir())
-    warm = quotient_hilbert(spec, cache_dir=str(tmp_path))
-    bare = quotient_hilbert(spec)
+    warm = quotient_hilbert(CoinvariantEngine(3), cache_dir=str(tmp_path))
+    bare = quotient_hilbert(CoinvariantEngine(3))
     assert cold == warm == bare
 
 
 def test_stale_cache_entries_are_ignored(tmp_path):
     spec = superspace_ideal(2)
-    quotient_hilbert(spec, cache_dir=str(tmp_path))
+    eng = CoinvariantEngine(2)
+    quotient_hilbert(eng, cache_dir=str(tmp_path))
     paths = sorted(tmp_path.iterdir())
     for path in paths:
         text = path.read_text().replace(spec.content_hash(), "0" * 16)
         path.write_text(text)
-    again = quotient_hilbert(spec, cache_dir=str(tmp_path))
+    again = quotient_hilbert(eng, cache_dir=str(tmp_path))
     assert again.as_qz() == fields1_formula(2)
 
     # a truncated entry and an entry whose dim was edited are rejected,
@@ -380,12 +396,12 @@ def test_stale_cache_entries_are_ignored(tmp_path):
     entry["dim"] += 1
     edited.write_text(json.dumps(entry))
     before = dict(CACHE_STATS)
-    again = quotient_hilbert(spec, cache_dir=str(tmp_path))
+    again = quotient_hilbert(eng, cache_dir=str(tmp_path))
     assert again.as_qz() == fields1_formula(2)
     assert CACHE_STATS["rejects"] - before["rejects"] == 2
     assert CACHE_STATS["hits"] - before["hits"] == len(paths) - 2
     before = dict(CACHE_STATS)
-    assert quotient_hilbert(spec, cache_dir=str(tmp_path)) == again
+    assert quotient_hilbert(eng, cache_dir=str(tmp_path)) == again
     assert CACHE_STATS["hits"] - before["hits"] == len(paths)
     assert CACHE_STATS["rejects"] == before["rejects"]
 
@@ -446,7 +462,7 @@ def test_ideal_echelon_matches_product_rows():
                     == _full_pivots(eng, i, j, ech, basis)[1], (n, i, j)
 
 
-def test_pruned_ideal_rows_span_the_full_family(monkeypatch):
+def test_pruned_ideal_rows_span_the_full_family():
     # reference: the full (T, d, b) family of every block, each row the
     # reduced coordinates of the superspace product (b theta_T) * de_d with
     # de_d from the generator list; blocks with j >= 2 build only the
@@ -455,7 +471,6 @@ def test_pruned_ideal_rows_span_the_full_family(monkeypatch):
     # engine, walked by ascending j, shows each block's kept keys before
     # the block above takes them.
     for n in (1, 2, 3, 4):
-        monkeypatch.delitem(CoinvariantEngine._instances, n, raising=False)
         eng = CoinvariantEngine(n)
         gens = coinvariant_generators(n)
         for i in range(eng.top + 3):
@@ -488,8 +503,7 @@ def test_hilbert_five_eliminates_only_the_pruned_rows(monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(_IntEchelon, "add", counted)
-    monkeypatch.delitem(CoinvariantEngine._instances, 5, raising=False)
-    quotient_hilbert(superspace_ideal(5))
+    quotient_hilbert(CoinvariantEngine(5))
     assert len(calls) == 2468
 
 

@@ -2,9 +2,11 @@
 import sits at module level, no module has an ``assert`` statement
 (``python -O`` strips them, so a check must raise), ``Fraction`` is used
 only where a true rational is needed, only ``SparseTerms._like`` builds a
-sparse-term result without its constructor, and every function, class
-and method of the package is referenced somewhere.  No linter is a
-dependency, so these tests are the guards."""
+sparse-term result without its constructor, no class body holds a
+container and no function writes module-level state (one allowed
+exception), and every function, class and method of the package is
+referenced somewhere.  No linter is a dependency, so these tests are the
+guards."""
 
 import ast
 import pathlib
@@ -221,3 +223,131 @@ def test_every_definition_is_referenced():
               for folder in ("tests", "bench")
               for path in sorted((ROOT / folder).glob("*.py"))]
     assert _unreferenced(package, others) == []
+
+
+# module-level state a function may write, each with the reason it stays
+MUTABLE_STATE_ALLOWED = {
+    "coinvariant.CACHE_STATS": "bench/worker.py reads the cache counters",
+}
+CONTAINER_CALLS = {"dict", "list", "set"}
+MUTATING_METHODS = {"append", "extend", "insert", "remove", "pop", "popitem",
+                    "clear", "update", "setdefault", "add", "discard", "sort",
+                    "reverse"}
+
+
+def _targets(node):
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_container(node):
+    return (isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                              ast.ListComp, ast.SetComp))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CONTAINER_CALLS)
+
+
+def _written_names(func, module_names):
+    """(line, name) of every module-level name the function writes through
+    a subscript or attribute target, a mutating method or ``global``;
+    a parameter or local of the same name shadows it."""
+    params = func.args
+    local = {a.arg for a in params.posonlyargs + params.args
+             + params.kwonlyargs + [params.vararg, params.kwarg] if a}
+    local |= {node.id for node in ast.walk(func)
+              if isinstance(node, ast.Name)
+              and isinstance(node.ctx, ast.Store)}
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            found += [(node.lineno, name) for name in node.names]
+            continue
+        if isinstance(node, ast.Delete):
+            targets = node.targets
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = _targets(node)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATING_METHODS):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            for t in (target.elts if isinstance(target, ast.Tuple)
+                      else [target]):
+                if isinstance(t, ast.Name) and not isinstance(node, ast.Call):
+                    continue
+                name = _root_name(t)
+                if name in module_names and name not in local:
+                    found.append((node.lineno, name))
+    return found
+
+
+def _mutable_state(source):
+    """(line, name) of every class-body assignment of a dict, list or set
+    (named Class.attribute), and of every write by a function to a
+    module-level name."""
+    tree = ast.parse(source)
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            module_names |= {t.id for t in _targets(node)
+                             if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module_names |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.Assign, ast.AnnAssign))
+                        and item.value is not None
+                        and _is_container(item.value)):
+                    for t in _targets(item):
+                        found.add((item.lineno, f"{node.name}.{t.id}"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(_written_names(node, module_names))
+    return sorted(found)
+
+
+def test_guard_flags_mutable_state():
+    source = ("import os\n"
+              "TABLE = {}\n"
+              "STATS = {'hits': 0}\n"
+              "SEEN = []\n"
+              "COUNT = 0\n"
+              "class Engine:\n"
+              "    _instances = {}\n"
+              "    _order: list = list()\n"
+              "    _limit = 5\n"
+              "    def get(self, n):\n"
+              "        TABLE[n] = self\n"
+              "        STATS['hits'] += 1\n"
+              "        SEEN.append(n)\n"
+              "        os.environ['X'] = '1'\n"
+              "        return TABLE.get(n)\n"
+              "def bump():\n"
+              "    global COUNT\n"
+              "    COUNT += 1\n"
+              "def shadowed(TABLE):\n"
+              "    TABLE[1] = 2\n"
+              "    SEEN = []\n"
+              "    SEEN.append(1)\n"
+              "    del STATS['hits']\n")
+    assert _mutable_state(source) == [
+        (7, "Engine._instances"), (8, "Engine._order"), (11, "TABLE"),
+        (12, "STATS"), (13, "SEEN"), (14, "os"), (17, "COUNT"),
+        (23, "STATS")]
+
+
+def test_package_keeps_no_mutable_state():
+    for path in sorted(PACKAGE.glob("*.py")):
+        stray = [(line, name) for line, name
+                 in _mutable_state(path.read_text())
+                 if f"{path.stem}.{name}" not in MUTABLE_STATE_ALLOWED]
+        assert stray == [], path.name
