@@ -26,16 +26,16 @@ from .combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
                             j_of_signed, partitions, sequence_bound,
                             signed_partitions, subsets, TranslationSequence)
 from .coinvariant import (CACHE_STATS, CoinvariantEngine, IntegrityError,
-                          VerificationFailure, bosonic_ideal, colon_hilbert,
-                          colon_images, epsilon_dims, frobenius_reconstruct,
-                          ideal_component, monomials, operator_closure,
-                          quotient_hilbert, verify_colon_basis,
-                          verify_parabolic_basis)
+                          VerificationFailure, _catalecticants, _image,
+                          epsilon_dims, frobenius_reconstruct, monomials,
+                          operator_closure, quotient_hilbert,
+                          verify_colon_basis, verify_parabolic_basis)
 from .doperators import (apply_D, ptj_determinant, verify_E_set,
                          verify_h_invariance, weight, enumerate_L)
 from .exactalg import MPoly, SparseTerms, _IntEchelon
-from .superspace import (SuperElement, f_J, is_antisymmetric, odot,
-                         power_sum_generators, vandermonde)
+from .superspace import (SuperElement, coinvariant_generators, f_J,
+                         is_antisymmetric, odot, power_sum_generators,
+                         vandermonde)
 from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
 
 CACHE_ENV = "SUPERCOINV_CACHE"
@@ -76,6 +76,7 @@ CAPS = {
     "artin": ("quotient",),
     "parabolic": ("quotient",),
     "operator-closure": ("quotient",),
+    "steinberg": ("quotient",),
     "omp-stats": ("osp_cap",),
     "hilbert": ("quotient",),
     "frobenius": ("quotient",),
@@ -302,43 +303,47 @@ def check_operator_closure(n, ctx):
 
 
 def check_steinberg(n, ctx):
-    """Two routes to membership in the bosonic invariant ideal: rank
-    computations against the generators versus annihilating the Vandermonde
-    under the superderivative pairing."""
-    rng = random.Random(ctx.seed)
-    spec = bosonic_ideal(n)
-    # f_J = 1 for the empty J, so the colon images are p (.) Vandermonde
-    empty = SubsetOfN(n, ())
-    pairing_ranks = colon_hilbert(empty)
-    top = n * (n - 1) // 2
-    for d in range(top + 2):
-        mons = monomials(n, d)
-        ech = _IntEchelon()
-        for row in sorted(ideal_component(spec, d, 0).rows, key=len):
-            if row:
-                ech.add(row)
-        pair_rank = pairing_ranks.get(d, 0)
-        if ech.rank + pair_rank != len(mons):
+    """Steinberg's theorem, I = Ann(Vandermonde) for the ideal I of
+    e_1..e_n, with the substaircase monomials A_d a basis of each degree d
+    <= top + 1 of S/I, by a sandwich of three facts:
+
+    - the engine's certified rewriting makes A_d span (S/I)_d;
+    - each e_k annihilates the Vandermonde, and the annihilator is an
+      ideal, so I_d lies in Ann_d;
+    - the degree-d catalecticant of the Vandermonde, whose kernel is Ann_d,
+      has rank |A_d|.
+
+    Then |A_d| = dim S_d/Ann_d <= dim (S/I)_d <= |A_d|, so I_d = Ann_d.
+    Seeded random probes in each degree check that the two membership
+    tests agree: a zero engine normal form and a zero pairing image."""
+    eng = ctx.engine(n)
+    delta = vandermonde(n)
+    for k, g in enumerate(coinvariant_generators(n, False), 1):
+        if not odot(g, delta).is_zero():
             raise VerificationFailure(
-                f"kernel of the Vandermonde pairing differs from the ideal"
-                f" in degree {d}: {ech.rank} + {pair_rank}"
-                f" != {len(mons)}")
-        # random elements, checked by both routes
-        probes = []
+                f"e_{k} does not annihilate the Vandermonde")
+    rng = random.Random(ctx.seed)
+    # f_J = 1 for the empty J, so the rows are the images x^a (.) Vandermonde
+    for d, rows, _ in _catalecticants(SubsetOfN(n, ()), range(eng.top + 2)):
+        ech = _IntEchelon()
+        for row in rows.values():
+            ech.add(row)
+        size = len(eng.artin_by_deg.get(d, ()))
+        if ech.rank != size:
+            raise VerificationFailure(
+                f"the Vandermonde pairing has rank {ech.rank} in degree {d},"
+                f" not the {size} substaircase monomials")
+        _, index = eng.reduced_basis(d, 0)
+        mons = monomials(n, d)
         for _ in range(20):
             coeffs = [rng.randint(-3, 3) for _ in mons]
-            row = {idx: c for idx, c in enumerate(coeffs) if c}
-            if row:
-                probes.append(row)
-        polys = [MPoly(n, {mons[idx]: c for idx, c in row.items()})
-                 for row in probes]
-        for _, (images,) in colon_images([polys], empty):
-            for row, image in zip(probes, images):
-                in_ideal = not ech.fork().add(row)
-                in_kernel = not image
-                if in_ideal != in_kernel:
-                    raise VerificationFailure(
-                        f"membership routes disagree in degree {d}")
+            p = MPoly(n, {m: c for m, c in zip(mons, coeffs) if c})
+            in_ideal = not eng.reduced_coords(SuperElement.from_mpoly(p),
+                                              index)
+            in_kernel = not _image(p, rows)
+            if in_ideal != in_kernel:
+                raise VerificationFailure(
+                    f"membership routes disagree in degree {d}")
 
 
 CHECKS = {
@@ -630,14 +635,23 @@ def cmd_basis(args, ctx):
     return 0
 
 
+def _run_checks(names, n, ctx):
+    return [run(name, n, ctx) for name in names]
+
+
 def cmd_verify(args, ctx):
     names = sorted(CHECKS) if args.check == "all" else [args.check]
     if args.jobs > 1 and len(names) > 1:
+        # the checks built on the engine (those under the quotient cap) run
+        # as one task, so its worker builds the engine once
+        shared = [x for x in names if "quotient" in CAPS.get(x, ())]
+        tasks = [shared] + [[x] for x in names if x not in shared]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, names, repeat(args.n),
-                                    repeat(ctx)))
+            done = pool.map(_run_checks, tasks, repeat(args.n), repeat(ctx))
+            by_name = {r.check: r for group in done for r in group}
+        reports = [by_name[x] for x in names]
     else:
-        reports = [run(name, args.n, ctx) for name in names]
+        reports = _run_checks(names, args.n, ctx)
     print(emit_reports(reports, args.format))
     if any(r.status == "fail" for r in reports):
         return 1

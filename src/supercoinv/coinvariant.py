@@ -32,8 +32,7 @@ choice of coordinates.
 
 The direct route, ``ideal_component``, spans the ideal component inside
 the full superspace component; the test suite takes its rank as the
-reference for the reduced route, and the Steinberg check uses it for the
-bosonic ideal.
+reference for the reduced route.
 
 The colon quotients C[x]/(I_n : f_J) come from one catalecticant builder:
 x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
@@ -92,10 +91,6 @@ class IdealSpec:
 
 def superspace_ideal(n):
     return IdealSpec(n, "superspace", tuple(coinvariant_generators(n, True)))
-
-
-def bosonic_ideal(n):
-    return IdealSpec(n, "bosonic", tuple(coinvariant_generators(n, False)))
 
 
 class BidegreeTable:
@@ -615,28 +610,6 @@ def _catalecticants(j_subset, degrees):
         yield d, rows, columns
 
 
-def colon_images(poly_sets, j_subset):
-    """Yield (d, image_sets) for each degree d of the given lists of
-    homogeneous polynomials: image_sets[k] holds the images
-    (p * f_J) (.) Vandermonde of the degree-d polynomials of poly_sets[k],
-    in input order, as integer rows over the degree-d catalecticant
-    columns, each the combination of its terms' rows.  The catalecticants
-    are built once for all the lists.  Zero polynomials are skipped; an
-    inhomogeneous polynomial raises ValueError."""
-    by_degree = {}
-    for k, polys in enumerate(poly_sets):
-        for p in polys:
-            degrees = {sum(e) for e in p.terms}
-            if len(degrees) > 1:
-                raise ValueError(f"colon image of an inhomogeneous"
-                                 f" polynomial (degrees {sorted(degrees)})")
-            if degrees:
-                by_degree.setdefault(degrees.pop(),
-                                     [[] for _ in poly_sets])[k].append(p)
-    for d, rows, _ in _catalecticants(j_subset, sorted(by_degree)):
-        yield d, [[_image(p, rows) for p in polys] for polys in by_degree[d]]
-
-
 def _image(p, rows):
     """The combination of the catalecticant rows of p's terms."""
     image = {}
@@ -651,38 +624,31 @@ def _image(p, rows):
 
 
 def steinberg_independence(poly_sets, j_subset):
-    """Ranks of the images of lists of homogeneous polynomials modulo the
-    colon ideal, one per list, each on its own echelon.  Images of
-    different degrees share no column, so a rank is the sum of the
-    per-degree ranks."""
+    """Ranks of the images (p * f_J) (.) Vandermonde of lists of
+    homogeneous polynomials modulo the colon ideal, one per list, each on
+    its own echelon.  The catalecticants are built once for all the lists,
+    and an image is the combination of its terms' rows; images of different
+    degrees share no column, so a rank is the sum of the per-degree ranks.
+    Zero polynomials are skipped; an inhomogeneous polynomial raises
+    ValueError."""
+    by_degree = {}
+    for k, polys in enumerate(poly_sets):
+        for p in polys:
+            degrees = {sum(e) for e in p.terms}
+            if len(degrees) > 1:
+                raise ValueError(f"colon image of an inhomogeneous"
+                                 f" polynomial (degrees {sorted(degrees)})")
+            if degrees:
+                by_degree.setdefault(degrees.pop(),
+                                     [[] for _ in poly_sets])[k].append(p)
     ranks = [0] * len(poly_sets)
-    for _, image_sets in colon_images(poly_sets, j_subset):
-        for k, images in enumerate(image_sets):
+    for d, rows, _ in _catalecticants(j_subset, sorted(by_degree)):
+        for k, polys in enumerate(by_degree[d]):
             ech = _IntEchelon()
-            for image in images:
-                if image:
-                    ech.add(image)
+            for p in polys:
+                ech.add(_image(p, rows))
             ranks[k] += ech.rank
     return ranks
-
-
-def colon_hilbert(j_subset):
-    """Graded dimensions of the colon quotient, degree by degree: the rank
-    of the catalecticant p -> (p * f_J) (.) Vandermonde in each degree."""
-    n = j_subset.n
-    fdeg = f_J(j_subset).bosonic_part().degree()
-    top = n * (n - 1) // 2 - fdeg
-    out = {}
-    for d, rows, _ in _catalecticants(j_subset, range(top + 3)):
-        ech = _IntEchelon()
-        for row in rows.values():
-            ech.add(row)
-        if ech.rank and d > top:
-            raise VerificationFailure(
-                f"colon quotient alive above its degree bound at degree {d}")
-        if ech.rank:
-            out[d] = ech.rank
-    return out
 
 
 def verify_colon_basis(j_subset):

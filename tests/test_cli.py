@@ -7,6 +7,8 @@ import weakref
 import pytest
 
 from supercoinv import cli
+from supercoinv.exactalg import MPoly
+from supercoinv.superspace import SuperElement
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +139,8 @@ CAPPED = {
                   _n_of_engine, 5, True),
     "operator-closure": (_verify("operator-closure"), "operator_closure",
                          lambda n: n, 5, True),
+    "steinberg": (_verify("steinberg"), "CoinvariantEngine", lambda n: n, 5,
+                  True),
     "omp-stats": (_verify("omp-stats"), "cnk_omp", lambda n, k, stat: n, 8,
                   False),
     "hilbert": (lambda n: ("hilbert", str(n)), "quotient_hilbert",
@@ -417,3 +421,46 @@ def test_seed_changes_probes_but_not_outcomes(capsys):
     code_b, _ = run_cli(capsys, "verify", "steinberg", "--n", "3",
                         "--seed", "2")
     assert code_a == code_b == 0
+
+
+def _steinberg_witness(ctx):
+    """Run the steinberg check at n = 3; it must fail.  Return the witness."""
+    report = cli.run("steinberg", 3, ctx)
+    assert report.status == "fail"
+    return report.witness
+
+
+def test_steinberg_fails_when_the_pairing_rank_falls_short(monkeypatch):
+    # drop the one degree-0 row, the image of 1: rank 0 < |A_0| = 1
+    catalecticants = cli._catalecticants
+
+    def short(j_subset, degrees):
+        for d, rows, columns in catalecticants(j_subset, degrees):
+            yield d, {a: r for a, r in rows.items() if any(a)}, columns
+    monkeypatch.setattr(cli, "_catalecticants", short)
+    witness = _steinberg_witness(cli.RunContext())
+    assert "rank 0 in degree 0, not the 1 substaircase" in witness
+
+
+def test_steinberg_fails_on_a_generator_outside_the_annihilator(monkeypatch):
+    # x_1 in place of e_1: d/dx_1 of the Vandermonde is not zero
+    generators = cli.coinvariant_generators
+
+    def with_x1(n, superspace):
+        return [SuperElement.from_mpoly(MPoly.var(n, 1))] \
+            + generators(n, superspace)[1:]
+    monkeypatch.setattr(cli, "coinvariant_generators", with_x1)
+    witness = _steinberg_witness(cli.RunContext())
+    assert "e_1 does not annihilate the Vandermonde" in witness
+
+
+def test_steinberg_fails_when_the_probes_disagree(monkeypatch):
+    # an engine that reduces the monomial 1 to zero puts every degree-0
+    # probe in the ideal, while a nonzero constant pairs to a nonzero image
+    ctx = cli.RunContext()
+    eng = ctx.engine(3)
+    nf = eng.nf
+    monkeypatch.setattr(eng, "nf",
+                        lambda exp: {} if exp == (0, 0, 0) else nf(exp))
+    witness = _steinberg_witness(ctx)
+    assert "membership routes disagree in degree 0" in witness
