@@ -36,7 +36,7 @@ from .exactalg import MPoly, SparseTerms, _IntEchelon
 from .superspace import (SuperElement, coinvariant_generators, f_J,
                          is_antisymmetric, odot, power_sum_generators,
                          vandermonde)
-from .symfunc import SymFn, cnk_omp, cnk_syt, e1_perp, to_basis
+from .symfunc import Schur, cnk_omp, cnk_syt, e1_perp, to_basis
 
 CACHE_ENV = "SUPERCOINV_CACHE"
 
@@ -144,10 +144,8 @@ def check_fields2(n, ctx):
 
 
 def _cnk_sum(n):
-    total = SymFn.build(n, "s", {})
-    for k in range(1, n + 1):
-        total = total.add(cnk_syt(n, k).scale(QZPolynomial.monomial(0, n - k)))
-    return total
+    return sum((cnk_syt(n, k).scale(QZPolynomial.monomial(0, n - k))
+                for k in range(1, n + 1)), Schur(n))
 
 
 def check_fields3(n, ctx):
@@ -164,11 +162,11 @@ def check_reiner(n, ctx):
         return
     for k in range(1, n + 1):
         lhs = e1_perp(cnk_syt(n, k))
-        rhs = SymFn.build(n - 1, "s", {})
+        rhs = Schur(n - 1)
         if k - 1 >= 1:
-            rhs = rhs.add(cnk_syt(n - 1, k - 1))
+            rhs = rhs + cnk_syt(n - 1, k - 1)
         if k <= n - 1:
-            rhs = rhs.add(cnk_syt(n - 1, k))
+            rhs = rhs + cnk_syt(n - 1, k)
         rhs = rhs.scale(QZPolynomial.q_int(k))
         if lhs != rhs:
             raise VerificationFailure(
@@ -298,8 +296,8 @@ def check_operator_closure(n, ctx):
     table = quotient_hilbert(ctx.engine(n), cache_dir=ctx.cache)
     if closure != table:
         raise VerificationFailure(
-            f"closure table {closure.nonzero()} != quotient table"
-            f" {table.nonzero()}")
+            f"closure table {closure.render()} != quotient table"
+            f" {table.render()}")
 
 
 def check_steinberg(n, ctx):
@@ -541,7 +539,7 @@ def cmd_hilbert(args, ctx):
     admit("hilbert", args.n, ctx)
     before = CACHE_STATS["rejects"]
     table = quotient_hilbert(ctx.engine(args.n), cache_dir=ctx.cache)
-    rows = [[i, j, v] for (i, j), v in sorted(table.nonzero().items())]
+    rows = [[i, j, v] for (i, j), v in sorted(table.terms.items())]
     print(emit_rows(["bosonic", "fermionic", "dimension"], rows, args.format))
     rejects = CACHE_STATS["rejects"] - before
     if rejects:

@@ -64,11 +64,11 @@ from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
                             enumerate_artin, enumerate_signed_artin,
                             j_of_signed, kostka, partitions,
                             signed_partitions)
-from .exactalg import MPoly, QMatrix, _IntEchelon
+from .exactalg import MPoly, QMatrix, SparseTerms, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
                          partial_x, vandermonde)
-from .symfunc import SymFn
+from .symfunc import Schur
 
 
 class VerificationFailure(Exception):
@@ -93,36 +93,24 @@ def superspace_ideal(n):
     return IdealSpec(n, "superspace", tuple(coinvariant_generators(n, True)))
 
 
-class BidegreeTable:
-    """A table of values indexed by (bosonic degree, fermionic degree)."""
+class BidegreeTable(SparseTerms):
+    """Integer values indexed by (bosonic degree, fermionic degree) for
+    the superspace on n = ``nvars`` sets of variables; zeros are dropped."""
 
-    def __init__(self, n, entries=None):
-        self.n = n
-        self.entries = dict(entries or {})
+    __slots__ = ()
 
     def get(self, i, j):
-        return self.entries.get((i, j), 0)
-
-    def set(self, i, j, v):
-        self.entries[(i, j)] = v
+        return self.terms.get((i, j), 0)
 
     def total(self):
-        return sum(v for v in self.entries.values())
+        return sum(self.terms.values())
 
     def as_qz(self):
-        """The generating polynomial sum_{i,j} entry * q^i z^j (int entries)."""
-        return QZPolynomial(self.entries)
+        """The generating polynomial sum_{i,j} entry * q^i z^j."""
+        return QZPolynomial(self.terms)
 
-    def nonzero(self):
-        return {k: v for k, v in self.entries.items()
-                if (not isinstance(v, int)) or v}
-
-    def __eq__(self, other):
-        return (isinstance(other, BidegreeTable) and self.n == other.n
-                and self.nonzero() == other.nonzero())
-
-    def __repr__(self):
-        return f"BidegreeTable(n={self.n}, {self.nonzero()})"
+    def render(self):
+        return self.as_qz().render()
 
 
 def monomials(nvars, deg):
@@ -500,19 +488,19 @@ def quotient_hilbert(eng, cache_dir=None):
     """
     n, top = eng.n, eng.top
     spec = superspace_ideal(n)
-    table = BidegreeTable(n)
+    dims = {}
     for i in range(top + 3):
         for j in range(n + 1):
             cached = _cache_read(cache_dir, spec, i, j)
             if cached is not None:
-                table.set(i, j, cached["dim"])
+                dims[(i, j)] = cached["dim"]
                 continue
-            dim = eng.quotient_dim(i, j)
-            table.set(i, j, dim)
+            dim = dims[(i, j)] = eng.quotient_dim(i, j)
             _cache_write(cache_dir, spec, i, j,
                          omega_dimension(n, i, j) - dim, dim)
-    for (i, j), v in table.entries.items():
-        if i > top and v:
+    table = BidegreeTable(n, dims)
+    for (i, j), v in table.terms.items():
+        if i > top:
             raise VerificationFailure(
                 f"nonzero quotient dimension {v} at bidegree ({i},{j})"
                 " above the claimed bosonic bound")
@@ -567,11 +555,7 @@ def operator_closure(n):
             queue.append(euler_d(jj, elem))
         for v in range(1, n + 1):
             queue.append(partial_x(v, elem))
-    table = BidegreeTable(n)
-    for (i, j), ech in echelons.items():
-        if ech.rank:
-            table.set(i, j, ech.rank)
-    return table
+    return BidegreeTable(n, {key: ech.rank for key, ech in echelons.items()})
 
 
 def _catalecticants(j_subset, degrees):
@@ -605,7 +589,9 @@ def _catalecticants(j_subset, degrees):
                                      len(columns))
             rows.setdefault(a, {})[col] = v
     for d in list(wanted):
-        # popped, so a degree the caller is done with can be freed
+        # every degree is built before the first yield, so peak memory
+        # holds them all; popping only frees a degree once the caller
+        # drops it
         rows, columns = wanted.pop(d)
         yield d, rows, columns
 
@@ -685,23 +671,22 @@ def verify_colon_basis(j_subset):
 def epsilon_dims(eng, mu):
     """Bigraded dimensions of the antisymmetric isotypic slice for the parts
     mu: the rank of eps_mu applied to quotient coset representatives, modulo
-    the ideal.  Each table is computed once per engine and kept on it."""
+    the ideal.  Each table is computed once per engine and kept on it; a
+    table is an immutable value, so the kept one is returned."""
     n = eng.n
     if sum(mu) != n:
         raise ValueError("mu must be a partition of n")
     table = eng._eps_tables.get(mu)
     if table is None:
-        table = BidegreeTable(n)
+        counts = {}
         for i in range(eng.top + 1):
             for j in range(n + 1):
                 ech, _, index = eng.ideal_echelon(i, j)
                 reps = eng.coset_representatives(i, j)
-                count = sum(map(ech.fork().add,
-                                _eps_rows(eng, mu, reps, index)))
-                if count:
-                    table.set(i, j, count)
-        eng._eps_tables[mu] = table
-    return BidegreeTable(n, table.entries)
+                counts[(i, j)] = sum(map(ech.fork().add,
+                                         _eps_rows(eng, mu, reps, index)))
+        table = eng._eps_tables[mu] = BidegreeTable(n, counts)
+    return table
 
 
 def _eps_rows(eng, mu, keys, index):
@@ -757,7 +742,8 @@ def frobenius_reconstruct(eng):
     mus = partitions(n)
     lams = partitions(n)
     tables = {mu: epsilon_dims(eng, mu.parts) for mu in mus}
-    K = {(lam, mu): kostka(lam.conjugate(), mu) for lam in lams for mu in mus}
+    K = {(lam, mu): kostka(lam.conjugate().parts, mu.parts)
+         for lam in lams for mu in mus}
     rows = []
     for mu in mus:
         rows.append({c: K[(lam, mu)] for c, lam in enumerate(lams)
@@ -765,7 +751,7 @@ def frobenius_reconstruct(eng):
     M = QMatrix(len(mus), len(lams), rows)
     bidegrees = set()
     for t in tables.values():
-        bidegrees.update(t.nonzero())
+        bidegrees.update(t.terms)
     out = {}
     for (i, j) in sorted(bidegrees):
         b = [tables[mu].get(i, j) for mu in mus]
@@ -780,6 +766,6 @@ def frobenius_reconstruct(eng):
                     f"non-nonnegative-integral Schur coefficient {v} for"
                     f" {lam.parts} at bidegree ({i},{j})")
             if v:
-                out[lam] = out.get(lam, QZPolynomial.zero()) \
-                    + QZPolynomial.monomial(i, j, int(v))
-    return SymFn.build(n, "s", out)
+                out[lam] = (out.get(lam, 0)
+                            + QZPolynomial.monomial(i, j, int(v)))
+    return Schur(n, out)

@@ -14,7 +14,6 @@ All enumerations return results in a fixed deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import (accumulate, combinations,
                        combinations_with_replacement, product)
 from math import comb
@@ -65,16 +64,18 @@ class QZPolynomial(SparseTerms):
         return out
 
     @classmethod
-    @lru_cache(maxsize=None)
     def q_binomial(cls, n, k):
         """Gaussian binomial [n choose k]_q; zero when k < 0 or k > n.  By
-        q-Pascal, [n, k] = [n - 1, k - 1] + q^k [n - 1, k]."""
+        q-Pascal, [m, r] = [m - 1, r - 1] + q^r [m - 1, r], one row m at a
+        time for r <= k."""
         if k < 0 or k > n:
             return cls.zero()
-        if k == 0 or k == n:
-            return cls.one()
-        return (cls.q_binomial(n - 1, k - 1)
-                + cls.monomial(k, 0) * cls.q_binomial(n - 1, k))
+        row = [cls.one()]           # [m, r] for r = 0..min(m, k)
+        for m in range(1, n + 1):
+            prev = row + [cls.zero()]
+            row = [cls.one()] + [prev[r - 1] + cls.monomial(r, 0) * prev[r]
+                                 for r in range(1, min(m, k) + 1)]
+        return row[k]
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -91,9 +92,6 @@ class QZPolynomial(SparseTerms):
         return self._like(out)
 
     __rmul__ = __mul__
-
-    def coefficient(self, qe, ze=0):
-        return self.terms.get((qe, ze), 0)
 
     def eval_ones(self):
         """Value at q = z = 1."""
@@ -333,14 +331,18 @@ def count_signed_artin_product(sp):
     return total
 
 
-@lru_cache(maxsize=None)
 def q_stirling(n, k):
-    """q-Stirling number of the second kind, Stir_q(n, k)."""
-    if n == 0:
-        return QZPolynomial.one() if k == 0 else QZPolynomial.zero()
+    """q-Stirling number of the second kind, Stir_q(n, k), one row m at a
+    time by Stir_q(m, r) = Stir_q(m - 1, r - 1) + [r]_q Stir_q(m - 1, r)
+    from Stir_q(0, r) = [r = 0]."""
     if k < 0 or k > n:
         return QZPolynomial.zero()
-    return q_stirling(n - 1, k - 1) + QZPolynomial.q_int(k) * q_stirling(n - 1, k)
+    row = [QZPolynomial.one()] + [QZPolynomial.zero()] * k
+    for _ in range(n):
+        row = [QZPolynomial.zero()] + [
+            row[r - 1] + QZPolynomial.q_int(r) * row[r]
+            for r in range(1, k + 1)]
+    return row[k]
 
 
 def fields1_formula(n):
@@ -600,11 +602,10 @@ class StandardTableau:
 
 
 def enumerate_syt(shape):
-    """All standard Young tableaux of the given shape (Partition or tuple)."""
-    parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
-    n = sum(parts)
+    """All standard Young tableaux of the given shape, a tuple of parts."""
+    n = sum(shape)
     results = []
-    grid = [[0] * p for p in parts]
+    grid = [[0] * p for p in shape]
 
     def rec(v):
         if v > n:
@@ -627,16 +628,16 @@ def enumerate_syt_all(n):
     """All standard Young tableaux with n boxes, grouped by shape order."""
     out = []
     for lam in partitions(n):
-        out.extend(enumerate_syt(lam))
+        out.extend(enumerate_syt(lam.parts))
     return out
 
 
 def enumerate_ssyt(shape, max_entry):
-    """Semistandard tableaux of a shape with entries in 1..max_entry."""
-    parts = shape.parts if isinstance(shape, Partition) else tuple(shape)
+    """Semistandard tableaux of a shape (a tuple of parts) with entries in
+    1..max_entry."""
     results = []
-    grid = [[0] * p for p in parts]
-    cells = [(i, j) for i, p in enumerate(parts) for j in range(p)]
+    grid = [[0] * p for p in shape]
+    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
 
     def rec(idx):
         if idx == len(cells):
@@ -682,16 +683,15 @@ def horizontal_strips(lam, size):
 
 
 def kostka(lam, mu):
-    """Kostka number: semistandard tableaux of shape lam and content mu.
+    """Kostka number: semistandard tableaux of shape lam and content mu,
+    both tuples of parts.
 
     The entries equal to the last letter l = len(mu) form a horizontal strip
     lam/nu of size mu_l, and the rest is a tableau of shape nu and content
     (mu_1, ..., mu_{l-1}), so K(lam, mu) sums K(nu, mu[:-1]) over those nu
     (Pieri).  The values are memoized for the call.
     """
-    lam_p = lam.parts if isinstance(lam, Partition) else tuple(lam)
-    mu_p = mu.parts if isinstance(mu, Partition) else tuple(mu)
-    if sum(lam_p) != sum(mu_p):
+    if sum(lam) != sum(mu):
         return 0
     memo = {}
 
@@ -703,10 +703,10 @@ def kostka(lam, mu):
         key = (shape, letters)
         if key not in memo:
             memo[key] = sum(count(nu, letters - 1) for nu in
-                            horizontal_strips(shape, mu_p[letters - 1]))
+                            horizontal_strips(shape, mu[letters - 1]))
         return memo[key]
 
-    return count(tuple(p for p in lam_p if p), len(mu_p))
+    return count(tuple(p for p in lam if p), len(mu))
 
 
 def count_I(m, k, t):

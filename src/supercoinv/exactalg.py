@@ -1,10 +1,14 @@
 """Exact arithmetic substrate: sparse multivariate polynomials, and
 matrices over Q or over polynomial rings.
 
-``SparseTerms`` is the one sparse-term algebra: ``MPoly``, the superspace
-``SuperElement`` and the bigraded ``QZPolynomial`` subclass it and share
-its sums, negation, scaling, equality, result construction (``_like``)
-and rendering; each keeps only its product and key-specific methods.
+``SparseTerms`` is the one sparse-term algebra.  Five classes subclass it:
+``MPoly``, the superspace ``SuperElement``, the bigraded ``QZPolynomial``,
+the symmetric functions ``SymFn`` (``Schur`` and ``Monomial``) and the
+Hilbert and slice tables ``BidegreeTable``.  They share its sums,
+negation, scaling, equality, hashing, result construction (``_like``) and
+rendering; each keeps only its product and key-specific methods.  Every
+element is an immutable value: no method changes ``terms`` after
+construction.
 
 Every computation in this package is exact.  No floating point appears
 anywhere; coefficients are arbitrary-precision integers throughout, and
@@ -30,7 +34,9 @@ class SparseTerms:
     result (``_like``), sums, negation, scaling, equality, hashing and
     rendering.  A subclass gives the key normalisation ``_key``, its
     product and ``render``.  Two elements are equal only when they have
-    the same type, variable count and terms.
+    the same type, variable count and terms, and only such two can be
+    added.  A zero element is false, so a zero coefficient that is itself
+    sparse is dropped like an integer 0, and 0 + x is x, so ``sum`` works.
     """
 
     __slots__ = ("nvars", "terms")
@@ -54,6 +60,9 @@ class SparseTerms:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         return (type(other) is type(self) and self.nvars == other.nvars
                 and self.terms == other.terms)
@@ -62,6 +71,9 @@ class SparseTerms:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            raise ValueError("sum of elements of different types or"
+                             " variable counts")
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key, 0) + c
@@ -70,6 +82,10 @@ class SparseTerms:
             else:
                 del out[key]
         return self._like(out)
+
+    def __radd__(self, other):
+        # 0 + x, as in sum(...) and out.get(key, 0) + c
+        return self if other == 0 else NotImplemented
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})

@@ -5,82 +5,67 @@ polynomials C_{n,k}(x; q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinatorics import (Partition, QZPolynomial, enumerate_omp,
                             enumerate_ssyt, enumerate_syt_all,
                             horizontal_strips, kostka, omp_statistic,
                             partitions)
-from .exactalg import MPoly
+from .exactalg import MPoly, SparseTerms
 
 
-BASES = ("m", "s")
+class SymFn(SparseTerms):
+    """A homogeneous symmetric function of degree ``nvars``: a sparse sum
+    of basis functions indexed by partitions, with QZPolynomial
+    coefficients.  A subclass names the basis, so a Schur and a monomial
+    expansion are never equal and never added."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SymFn:
-    """A homogeneous symmetric function of a fixed degree, expanded in a
-    named basis with QZPolynomial coefficients."""
+    @staticmethod
+    def _key(lam):
+        return lam
 
-    degree: int
-    basis: str
-    coeffs: tuple  # sorted tuple of (Partition, QZPolynomial)
+    def __init__(self, degree, terms=None):
+        super().__init__(degree, terms)
+        if any(lam.size() != degree for lam in self.terms):
+            raise ValueError("index degree mismatch")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        clean = tuple(sorted(((lam, c) for lam, c in dict(self.coeffs).items()
-                              if not c.is_zero()),
-                             key=lambda kv: kv[0].parts, reverse=True))
-        for lam, _ in clean:
-            if lam.size() != self.degree:
-                raise ValueError("index degree mismatch")
-        object.__setattr__(self, "coeffs", clean)
+    @property
+    def degree(self):
+        return self.nvars
 
-    @classmethod
-    def build(cls, degree, basis, mapping):
-        return cls(degree, basis, tuple(mapping.items()))
-
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def coefficient(self, lam):
-        return self.as_dict().get(lam, QZPolynomial.zero())
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def add(self, other):
-        if self.basis != other.basis or self.degree != other.degree:
-            raise ValueError("basis/degree mismatch")
-        out = self.as_dict()
-        for lam, c in other.coeffs:
-            s = out.get(lam, QZPolynomial.zero()) + c
-            out[lam] = s
-        return SymFn.build(self.degree, self.basis, out)
-
-    def scale(self, qz):
-        return SymFn.build(self.degree, self.basis,
-                           {lam: c * qz for lam, c in self.coeffs})
+    @property
+    def coeffs(self):
+        """The (partition, coefficient) pairs, largest partition first."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0].parts,
+                      reverse=True)
 
     def render(self):
-        if not self.coeffs:
-            return "0"
         return " + ".join(f"({c.render()})*{self.basis}{list(lam.parts)}"
-                          for lam, c in self.coeffs)
-
-    def __repr__(self):
-        return f"SymFn({self.render()})"
+                          for lam, c in self.coeffs) or "0"
 
     def latex(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for lam, c in self.coeffs:
             idx = "".join(str(p) if p < 10 else f"({p})" for p in lam.parts)
             parts.append(f"\\left({_qz_latex(c)}\\right)"
                          f" {self.basis}_{{{idx}}}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
+
+
+class Schur(SymFn):
+    """A symmetric function in the Schur basis."""
+
+    __slots__ = ()
+
+    basis = "s"
+
+
+class Monomial(SymFn):
+    """A symmetric function in the monomial basis."""
+
+    __slots__ = ()
+
+    basis = "m"
 
 
 def _qz_latex(c):
@@ -110,7 +95,8 @@ def _qz_latex(c):
 def _kostka_matrix(n):
     """K[lam][mu] = kostka(lam, mu) over partitions of n."""
     parts = partitions(n)
-    return parts, {lam: {mu: kostka(lam, mu) for mu in parts} for lam in parts}
+    return parts, {lam: {mu: kostka(lam.parts, mu.parts) for mu in parts}
+                   for lam in parts}
 
 
 def to_basis(f, basis):
@@ -120,15 +106,14 @@ def to_basis(f, basis):
         return f
     if (f.basis, basis) != ("s", "m"):
         raise ValueError(f"no change from basis {f.basis!r} to {basis!r}")
-    n = f.degree
     out = {}
-    parts, K = _kostka_matrix(n)
-    for lam, c in f.coeffs:
+    parts, K = _kostka_matrix(f.degree)
+    for lam, c in f.terms.items():
         for mu in parts:
             k = K[lam][mu]
             if k:
-                out[mu] = out.get(mu, QZPolynomial.zero()) + c.scale(k)
-    return SymFn.build(n, "m", out)
+                out[mu] = out.get(mu, 0) + c.scale(k)
+    return Monomial(f.degree, out)
 
 
 def hall(f, g):
@@ -136,8 +121,8 @@ def hall(f, g):
     orthonormal."""
     if f.degree != g.degree:
         return QZPolynomial.zero()
-    fs = to_basis(f, "s").as_dict()
-    gs = to_basis(g, "s").as_dict()
+    fs = to_basis(f, "s").terms
+    gs = to_basis(g, "s").terms
     total = QZPolynomial.zero()
     for lam, c in fs.items():
         d = gs.get(lam)
@@ -147,18 +132,18 @@ def hall(f, g):
 
 
 def e_perp(mu, f):
-    """Skew by e_mu: the Hall adjoint of multiplication by e_mu.  Each e_d
-    sends s_lam to the sum of s_nu over the vertical strips lam/nu of size
-    d, which are the horizontal strips lam'/nu' of the conjugates."""
-    parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
+    """Skew by e_mu, for mu a tuple of parts: the Hall adjoint of
+    multiplication by e_mu.  Each e_d sends s_lam to the sum of s_nu over
+    the vertical strips lam/nu of size d, which are the horizontal strips
+    lam'/nu' of the conjugates."""
     g = to_basis(f, "s")
-    for d in parts:
+    for d in mu:
         out = {}
-        for lam, c in g.coeffs:
+        for lam, c in g.terms.items():
             for conj in horizontal_strips(lam.conjugate().parts, d):
                 nu = Partition(conj).conjugate()
-                out[nu] = out.get(nu, QZPolynomial.zero()) + c
-        g = SymFn.build(g.degree - d, "s", out)
+                out[nu] = out.get(nu, 0) + c
+        g = Schur(g.degree - d, out)
     return g
 
 
@@ -168,12 +153,12 @@ def e1_perp(f):
 
 
 def schur_poly(nu, nvars):
-    """The Schur polynomial s_nu(x_1..x_nvars) via semistandard tableaux."""
-    parts = nu.parts if isinstance(nu, Partition) else tuple(nu)
-    if len(parts) > nvars:
+    """The Schur polynomial s_nu(x_1..x_nvars) via semistandard tableaux;
+    nu is a tuple of parts."""
+    if len(nu) > nvars:
         return MPoly.zero(nvars)
     out = {}
-    for t in enumerate_ssyt(parts, nvars):
+    for t in enumerate_ssyt(nu, nvars):
         exp = [0] * nvars
         for row in t:
             for v in row:
@@ -192,19 +177,19 @@ def cnk_syt(n, k):
         raise ValueError("need 1 <= k <= n")
     r = n - k
     shift = r * (r - 1) // 2
+    binoms = [QZPolynomial.q_binomial(des, r) for des in range(n)]
     out = {}
     for t in enumerate_syt_all(n):
         des = t.des()
-        binom = QZPolynomial.q_binomial(des, r)
-        if binom.is_zero():
+        binom = binoms[des]
+        if not binom:
             continue
         exp = t.maj() + shift - r * des
         if exp < 0:
             raise AssertionError("negative q-exponent in tableau formula")
-        term = QZPolynomial.monomial(exp, 0) * binom
         lam = t.shape()
-        out[lam] = out.get(lam, QZPolynomial.zero()) + term
-    return SymFn.build(n, "s", out)
+        out[lam] = out.get(lam, 0) + QZPolynomial.monomial(exp, 0) * binom
+    return Schur(n, out)
 
 
 def cnk_omp(n, k, stat="minimaj"):
@@ -223,4 +208,4 @@ def cnk_omp(n, k, stat="minimaj"):
             v = omp_statistic(m, stat)
             counts[v] = counts.get(v, 0) + 1
         out[mu] = QZPolynomial({(v, 0): c for v, c in counts.items()})
-    return SymFn.build(n, "m", out)
+    return Monomial(n, out)

@@ -6,11 +6,13 @@ raises AssertionError on the first violated property.
 import random
 from fractions import Fraction
 
+from supercoinv.coinvariant import BidegreeTable
 from supercoinv.combinatorics import (QZPolynomial, gale_leq, kostka,
                                       partitions, subsets)
 from supercoinv.exactalg import MPoly, QMatrix
 from supercoinv.superspace import (SuperElement, antisymmetrize, odot,
                                    young_subgroup_order)
+from supercoinv.symfunc import Monomial, Schur
 
 
 def random_partition(rng, n):
@@ -49,23 +51,47 @@ def random_exponent_terms(rng, nvars, max_deg=2, max_terms=3):
             rng.randint(-3, 3) for _ in range(rng.randint(0, max_terms))}
 
 
+def random_symfn_terms(rng, degree, max_terms=3):
+    pool = partitions(degree)
+    return {lam: QZPolynomial(random_exponent_terms(rng, 2))
+            for lam in rng.sample(pool, rng.randint(0, min(max_terms,
+                                                           len(pool))))}
+
+
+def random_table_terms(rng, n, max_terms=3):
+    return {(rng.randint(0, 3), rng.randint(0, n)): rng.randint(-3, 3)
+            for _ in range(rng.randint(0, max_terms))}
+
+
+# one random element of each sparse-term type in n variables (QZPolynomial
+# always has two, a symmetric function has degree n)
+SPARSE_DRAWS = [
+    lambda rng, n: MPoly(n, random_exponent_terms(rng, n)),
+    random_super,
+    lambda rng, n: QZPolynomial(random_exponent_terms(rng, 2)),
+    lambda rng, n: Schur(n, random_symfn_terms(rng, n)),
+    lambda rng, n: Monomial(n, random_symfn_terms(rng, n)),
+    lambda rng, n: BidegreeTable(n, random_table_terms(rng, n)),
+]
+
+
 def suite_sparse_terms(cases, seed):
-    """The arithmetic MPoly, SuperElement and QZPolynomial share: additive
-    inverses, subtraction, scaling by zero, hashes of equal values, the
-    type of every result, and inequality across types."""
+    """The arithmetic every sparse-term type shares (MPoly, SuperElement,
+    QZPolynomial, Schur, Monomial, BidegreeTable): additive inverses,
+    subtraction, scaling by zero, sums from 0, truth as nonzero, hashes of
+    equal values, the type of every result, inequality across types, and
+    sums refused across types or variable counts."""
     rng = random.Random(seed)
     done = 0
     while done < cases:
         n = rng.randint(1, 4)
-        draw = rng.choice([
-            lambda: MPoly(n, random_exponent_terms(rng, n)),
-            lambda: random_super(rng, n),
-            lambda: QZPolynomial(random_exponent_terms(rng, 2)),
-        ])
-        a, b = draw(), draw()
+        draw = rng.choice(SPARSE_DRAWS)
+        a, b = draw(rng, n), draw(rng, n)
         assert (a + (-a)).is_zero()
         assert (a - b) + b == a
         assert a.scale(0).is_zero()
+        assert sum([a, b]) == a + b
+        assert bool(a) is not a.is_zero()
         # the same value built with its terms in another order
         for same in ((a - b) + b, (b + a) - b, a + a.scale(0)):
             assert same == a and hash(same) == hash(a)
@@ -74,6 +100,16 @@ def suite_sparse_terms(cases, seed):
         t = random_exponent_terms(rng, 2)
         assert MPoly(2, t) != QZPolynomial(t)
         assert QZPolynomial(t) != MPoly(2, t)
+        t = random_symfn_terms(rng, n)
+        assert Schur(n, t) != Monomial(n, t)
+        other = rng.choice(SPARSE_DRAWS)(rng, rng.randint(1, 4))
+        if type(other) is not type(a) or other.nvars != a.nvars:
+            try:
+                a + other
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"{a!r} + {other!r} did not raise")
         done += 1
     return done
 
@@ -144,8 +180,8 @@ def suite_kostka(cases, seed):
         pool = partitions(n)
         lam = rng.choice(pool)
         mu = rng.choice(pool)
-        assert kostka(lam, lam) == 1
-        k = kostka(lam, mu)
+        assert kostka(lam.parts, lam.parts) == 1
+        k = kostka(lam.parts, mu.parts)
         assert k >= 0
         if k and lam != mu:
             assert mu.dominance_leq(lam) and not lam.dominance_leq(mu)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import weakref
 
 import pytest
@@ -403,7 +404,10 @@ def test_output_matches_goldens(capsys):
         (("hilbert", "3", "--format", "latex"), "hilbert_n3.tex"),
         (("frobenius", "3", "--format", "latex"), "frobenius_n3.tex"),
         (("frobenius", "3"), "frobenius_n3.tsv"),
+        (("frobenius", "4"), "frobenius_n4.tsv"),
+        (("frobenius", "4", "--format", "latex"), "frobenius_n4.tex"),
         (("cnk", "4", "2"), "cnk_n4_k2.tsv"),
+        (("cnk", "4", "2", "--stat", "dinv"), "cnk_n4_k2_dinv.tsv"),
         (("basis", "artin", "3"), "basis_artin_n3.tsv"),
         (("basis", "colon", "4", "--j", "3,4"), "basis_colon_n4_j34.tsv"),
         (("basis", "parabolic", "4", "--mu", "2,2"),
@@ -421,6 +425,20 @@ def test_seed_changes_probes_but_not_outcomes(capsys):
     code_b, _ = run_cli(capsys, "verify", "steinberg", "--n", "3",
                         "--seed", "2")
     assert code_a == code_b == 0
+
+
+def test_steinberg_probes_are_drawn_from_the_seed_option(capsys, monkeypatch):
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+    monkeypatch.setattr(cli.random, "Random", Recording)
+    code, _ = run_cli(capsys, "verify", "steinberg", "--n", "3",
+                      "--seed", "17")
+    assert code == 0
+    assert seeds == [17]
 
 
 def _steinberg_witness(ctx):

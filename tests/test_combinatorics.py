@@ -96,7 +96,7 @@ def test_kostka_by_strips_matches_filtered_tableaux():
     for n in range(7):
         for lam in partitions(n):
             for mu in partitions(n):
-                assert kostka(lam, mu) == _kostka_by_tableaux(
+                assert kostka(lam.parts, mu.parts) == _kostka_by_tableaux(
                     lam.parts, mu.parts), (lam.parts, mu.parts)
     for lam, mu in (((2, 1), (2,)), ((1,), ()), ((), (1,)), ((3, 2), (2, 2))):
         assert kostka(lam, mu) == 0

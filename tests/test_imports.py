@@ -3,10 +3,10 @@ import sits at module level, no module has an ``assert`` statement
 (``python -O`` strips them, so a check must raise), ``Fraction`` is used
 only where a true rational is needed, only ``SparseTerms._like`` builds a
 sparse-term result without its constructor, no class body holds a
-container and no function writes module-level state (one allowed
-exception), and every function, class and method of the package is
-referenced somewhere.  No linter is a dependency, so these tests are the
-guards."""
+container, no function is wrapped in a process-global cache and no
+function writes module-level state (one allowed exception), and every
+function, class and method of the package is referenced somewhere.  No
+linter is a dependency, so these tests are the guards."""
 
 import ast
 import pathlib
@@ -230,6 +230,7 @@ MUTABLE_STATE_ALLOWED = {
     "coinvariant.CACHE_STATS": "bench/worker.py reads the cache counters",
 }
 CONTAINER_CALLS = {"dict", "list", "set"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
 MUTATING_METHODS = {"append", "extend", "insert", "remove", "pop", "popitem",
                     "clear", "update", "setdefault", "add", "discard", "sort",
                     "reverse"}
@@ -288,9 +289,23 @@ def _written_names(func, module_names):
     return found
 
 
+def _cache_decorators(func):
+    """(line, function name) of every ``cache``/``lru_cache`` decorator of
+    the function, called or not, by name or as a module attribute."""
+    found = []
+    for dec in func.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = (target.attr if isinstance(target, ast.Attribute)
+                else getattr(target, "id", None))
+        if name in CACHE_DECORATORS:
+            found.append((dec.lineno, func.name))
+    return found
+
+
 def _mutable_state(source):
     """(line, name) of every class-body assignment of a dict, list or set
-    (named Class.attribute), and of every write by a function to a
+    (named Class.attribute), of every function under a cache decorator
+    (named by the function), and of every write by a function to a
     module-level name."""
     tree = ast.parse(source)
     module_names = set()
@@ -312,6 +327,7 @@ def _mutable_state(source):
                         found.add((item.lineno, f"{node.name}.{t.id}"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             found.update(_written_names(node, module_names))
+            found.update(_cache_decorators(node))
     return sorted(found)
 
 
@@ -343,6 +359,27 @@ def test_guard_flags_mutable_state():
         (7, "Engine._instances"), (8, "Engine._order"), (11, "TABLE"),
         (12, "STATS"), (13, "SEEN"), (14, "os"), (17, "COUNT"),
         (23, "STATS")]
+
+
+def test_guard_flags_a_cache_decorator():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\n"
+              "def binom(n, k):\n"
+              "    return n\n"
+              "class Q:\n"
+              "    @classmethod\n"
+              "    @functools.lru_cache\n"
+              "    def row(cls, n):\n"
+              "        return n\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return 0\n"
+              "@cache\n"
+              "def fact(n):\n"
+              "    return n\n")
+    assert _mutable_state(source) == [(3, "binom"), (8, "row"),
+                                      (14, "fact")]
 
 
 def test_package_keeps_no_mutable_state():
