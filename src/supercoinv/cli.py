@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import __version__
-from .combinatorics import (OMP_STATISTICS, Partition, QZPolynomial,
-                            SignedPartition, SubsetOfN,
-                            all_translation_sequences, count_I, count_L,
+from .combinatorics import (OMP_STATISTICS, QZPolynomial, SignedPartition,
+                            SubsetOfN, all_translation_sequences,
+                            check_partition, count_I, count_L,
                             count_osp, enumerate_artin, enumerate_I,
                             enumerate_signed_artin, fields1_formula, gale_leq,
                             j_of_signed, partitions, sequence_bound,
@@ -134,11 +134,11 @@ def check_fields1(n, ctx):
 
 def check_fields2(n, ctx):
     for lam in partitions(n):
-        dims = epsilon_dims(ctx.engine(n), lam.parts)
-        expected = count_osp(n, mu=lam.parts)
+        dims = epsilon_dims(ctx.engine(n), lam)
+        expected = count_osp(n, mu=lam)
         if dims.total() != expected:
             raise VerificationFailure(
-                f"antisymmetric slice for mu={lam.parts} has dimension"
+                f"antisymmetric slice for mu={lam} has dimension"
                 f" {dims.total()}, expected {expected} batch ordered set"
                 " partitions")
 
@@ -186,13 +186,13 @@ def check_colon(n, ctx):
 
 def check_parabolic(n, ctx):
     for lam in partitions(n):
-        verify_parabolic_basis(ctx.engine(n), lam.parts)
+        verify_parabolic_basis(ctx.engine(n), lam)
     verify_E_set(*signed_partitions(n))
 
 
 def _admissible_sequences(n):
     for lam in partitions(n):
-        for tt in all_translation_sequences(lam.parts):
+        for tt in all_translation_sequences(lam):
             if 1 not in tt.sets[0]:
                 yield tt
 
@@ -553,7 +553,7 @@ def cmd_frobenius(args, ctx):
     if args.format == "latex":
         print(f.latex())
         return 0
-    rows = [[",".join(map(str, lam.parts)), c.render()]
+    rows = [[",".join(map(str, lam)), c.render()]
             for lam, c in f.coeffs]
     print(emit_rows(["schur", "coefficient"], rows, args.format))
     return 0
@@ -573,7 +573,7 @@ def cmd_cnk(args, ctx):
     if args.format == "latex":
         print(f.latex())
         return 0
-    rows = [[f.basis, ",".join(map(str, lam.parts)), c.render()]
+    rows = [[f.basis, ",".join(map(str, lam)), c.render()]
             for lam, c in f.coeffs]
     print(emit_rows(["basis", "index", "coefficient"], rows, args.format))
     return 0
@@ -597,7 +597,7 @@ def _basis_argument(args):
         mu = _parse_ints(args.mu)
         if sum(mu) != args.n:
             raise ValueError("--mu must be a partition of n")
-        return Partition(mu).parts
+        return check_partition(mu)
     return None
 
 

@@ -62,7 +62,7 @@ from math import comb, perm
 
 from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
                             enumerate_artin, enumerate_signed_artin,
-                            j_of_signed, kostka, partitions,
+                            conjugate, j_of_signed, kostka, partitions,
                             signed_partitions)
 from .exactalg import MPoly, QMatrix, SparseTerms, _IntEchelon
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
@@ -741,8 +741,8 @@ def frobenius_reconstruct(eng):
     n = eng.n
     mus = partitions(n)
     lams = partitions(n)
-    tables = {mu: epsilon_dims(eng, mu.parts) for mu in mus}
-    K = {(lam, mu): kostka(lam.conjugate().parts, mu.parts)
+    tables = {mu: epsilon_dims(eng, mu) for mu in mus}
+    K = {(lam, mu): kostka(conjugate(lam), mu)
          for lam in lams for mu in mus}
     rows = []
     for mu in mus:
@@ -764,7 +764,7 @@ def frobenius_reconstruct(eng):
             if v.denominator != 1 or v < 0:
                 raise VerificationFailure(
                     f"non-nonnegative-integral Schur coefficient {v} for"
-                    f" {lam.parts} at bidegree ({i},{j})")
+                    f" {lam} at bidegree ({i},{j})")
             if v:
                 out[lam] = (out.get(lam, 0)
                             + QZPolynomial.monomial(i, j, int(v)))

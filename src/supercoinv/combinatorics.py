@@ -2,6 +2,11 @@
 staircases, signed partitions, ordered (multi)set partitions, standard
 tableaux, and polynomials in q and z.
 
+A partition, a standard tableau and an ordered (multi)set partition are
+plain tuples: the parts, largest first; the rows, each a tuple of entries;
+the blocks, each a sorted tuple.  The enumerations build them valid, and
+``check_partition`` validates parts given from outside.
+
 This module is the one home of the substaircase and block enumerations.
 Within each mu-block of J(mu, gamma) the staircase bounds are those of the
 block's I-sequences, so the signed substaircase set is the product, over
@@ -18,7 +23,6 @@ from itertools import (accumulate, combinations,
                        combinations_with_replacement, product)
 from math import comb
 from operator import gt, lt
-from typing import NamedTuple
 
 from .exactalg import SparseTerms
 
@@ -104,43 +108,22 @@ class QZPolynomial(SparseTerms):
             plus=" + ")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition: weakly decreasing tuple of positive integers."""
+def check_partition(parts):
+    """``parts`` as a tuple, checked to be weakly decreasing positive
+    integers; raises ValueError otherwise."""
+    parts = tuple(parts)
+    for a, b in zip(parts, parts[1:]):
+        if a < b:
+            raise ValueError(f"parts {parts} not weakly decreasing")
+    if parts and parts[-1] <= 0:
+        raise ValueError("parts must be positive")
+    return parts
 
-    parts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for i in range(len(self.parts) - 1):
-            if self.parts[i] < self.parts[i + 1]:
-                raise ValueError(f"parts {self.parts} not weakly decreasing")
-        if self.parts and self.parts[-1] <= 0:
-            raise ValueError("parts must be positive")
-
-    def size(self):
-        return sum(self.parts)
-
-    def length(self):
-        return len(self.parts)
-
-    def conjugate(self):
-        if not self.parts:
-            return Partition(())
-        return Partition(tuple(sum(1 for p in self.parts if p > i)
-                               for i in range(self.parts[0])))
-
-    def dominance_leq(self, other):
-        """True if self is dominated by other (partial sums comparison)."""
-        if self.size() != other.size():
-            raise ValueError("dominance needs equal sizes")
-        s = t = 0
-        for i in range(max(self.length(), other.length())):
-            s += self.parts[i] if i < self.length() else 0
-            t += other.parts[i] if i < other.length() else 0
-            if s > t:
-                return False
-        return True
+def conjugate(lam):
+    """The conjugate of the partition lam: its column lengths."""
+    width = lam[0] if lam else 0
+    return tuple(sum(1 for p in lam if p > i) for i in range(width))
 
 
 def partitions(n, max_part=None):
@@ -148,12 +131,9 @@ def partitions(n, max_part=None):
     if max_part is None:
         max_part = n
     if n == 0:
-        return [Partition(())]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            out.append(Partition((first,) + rest.parts))
-    return out
+        return [()]
+    return [(first,) + rest for first in range(min(n, max_part), 0, -1)
+            for rest in partitions(n - first, first)]
 
 
 @dataclass(frozen=True)
@@ -213,25 +193,21 @@ class SignedPartition:
     gamma: tuple
 
     def __post_init__(self):
-        mu = tuple(self.mu)
+        mu = check_partition(self.mu)
         gamma = tuple(self.gamma)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "gamma", gamma)
-        Partition(mu)
         if len(gamma) != len(mu):
             raise ValueError("gamma must have the same length as mu")
         for m, g in zip(mu, gamma):
             if not 0 <= g <= m:
                 raise ValueError(f"gamma {gamma} not within mu {mu}")
 
-    def n(self):
-        return sum(self.mu)
-
 
 def signed_partitions(n):
     """All signed partitions (mu, gamma) with mu a partition of n."""
-    return [SignedPartition(mu.parts, gamma) for mu in partitions(n)
-            for gamma in product(*(range(m + 1) for m in mu.parts))]
+    return [SignedPartition(mu, gamma) for mu in partitions(n)
+            for gamma in product(*(range(m + 1) for m in mu))]
 
 
 @dataclass(frozen=True)
@@ -243,11 +219,10 @@ class TranslationSequence:
     sets: tuple
 
     def __post_init__(self):
-        mu = tuple(self.mu)
+        mu = check_partition(self.mu)
         sets = tuple(tuple(sorted(s)) for s in self.sets)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sets", sets)
-        Partition(mu)
         if len(sets) != len(mu):
             raise ValueError("one set per part of mu required")
         start = 1
@@ -354,26 +329,9 @@ def fields1_formula(n):
     return total
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    """An ordered set partition of {1..n}: a sequence of disjoint nonempty
-    blocks (sorted tuples) whose union is {1..n}."""
-
-    n: int
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        seen = [x for b in blocks for x in b]
-        if sorted(seen) != list(range(1, self.n + 1)):
-            raise ValueError("blocks must partition 1..n")
-        if any(not b for b in blocks):
-            raise ValueError("empty block")
-
-
 def enumerate_osp(n, k=None, batch_mu=None):
-    """Ordered set partitions of {1..n}, optionally with exactly k blocks
+    """Ordered set partitions of {1..n}, each a tuple of disjoint nonempty
+    sorted blocks whose union is {1..n}, optionally with exactly k blocks
     and/or compatible with a batch order mu.
 
     Compatibility with mu: elements of each mu-interval appear in weakly
@@ -385,7 +343,7 @@ def enumerate_osp(n, k=None, batch_mu=None):
     def rec(remaining, blocks):
         if not remaining:
             if k is None or len(blocks) == k:
-                results.append(OrderedSetPartition(n, tuple(blocks)))
+                results.append(tuple(blocks))
             return
         if k is not None and len(blocks) >= k:
             return
@@ -400,7 +358,7 @@ def enumerate_osp(n, k=None, batch_mu=None):
         results2 = []
         for osp in results:
             pos = {}
-            for bi, b in enumerate(osp.blocks):
+            for bi, b in enumerate(osp):
                 for x in b:
                     pos[x] = bi
             ok = True
@@ -422,17 +380,10 @@ def count_osp(n, mu=None):
     return len(enumerate_osp(n, batch_mu=mu))
 
 
-class OrderedMultisetPartition(NamedTuple):
-    """A sequence of nonempty sets of positive integers (letters may repeat
-    across blocks but not within a block), each block a sorted tuple.
-    ``enumerate_omp`` builds the blocks so; they are not checked here."""
-
-    blocks: tuple
-
-
 def enumerate_omp(content, k):
     """Ordered multiset partitions with k blocks in which letter i lies in
-    exactly content[i-1] blocks.
+    exactly content[i-1] blocks: tuples of nonempty sorted blocks, a letter
+    repeating across blocks but not within one.
 
     Blocks are filled left to right.  A letter whose remaining count equals
     the number of blocks still to fill goes into the current block, and a
@@ -468,15 +419,14 @@ def enumerate_omp(content, k):
 
     if not max(content, default=0) <= k <= sum(content):
         return []
-    return [OrderedMultisetPartition(blocks)
-            for blocks in fill(tuple(content), k)]
+    return fill(tuple(content), k)
 
 
 def _word_maj(w):
     return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
-def omp_minimaj(m):
+def omp_minimaj(blocks):
     """Minimum major index over all words obtained by ordering each block.
 
     The minimising word is built from the right: the last block in
@@ -485,26 +435,26 @@ def omp_minimaj(m):
     where r is the first letter of the word built so far.
     """
     word = []
-    for b in reversed(m.blocks):
+    for b in reversed(blocks):
         r = word[0] if word else b[-1]
         word = [x for x in b if x > r] + [x for x in b if x <= r] + word
     return _word_maj(word)
 
 
-def omp_inv(m):
+def omp_inv(blocks):
     """Inversions: pairs (a, b) with a in an earlier block, b the minimum
     of a later block, and a > b."""
     total = 0
-    mins = [min(b) for b in m.blocks]
-    for i, b in enumerate(m.blocks):
+    mins = [min(b) for b in blocks]
+    for i, b in enumerate(blocks):
         for a in b:
-            for j in range(i + 1, len(m.blocks)):
+            for j in range(i + 1, len(blocks)):
                 if a > mins[j]:
                     total += 1
     return total
 
 
-def omp_maj(m):
+def omp_maj(blocks):
     """Major index: blocks are read in decreasing order; each descent of the
     resulting word contributes the number of blocks whose final letter sits
     weakly left of the descent position.
@@ -516,7 +466,7 @@ def omp_maj(m):
     total = 0
     finished = 0
     last = None
-    for b in m.blocks:
+    for b in blocks:
         total += finished * (len(b) - 1)
         if last is not None and last > max(b):
             total += finished
@@ -525,11 +475,11 @@ def omp_maj(m):
     return total
 
 
-def omp_dinv(m):
+def omp_dinv(blocks):
     """Diagonal inversions: blocks as columns with entries decreasing upward
     from the base row; count same-row pairs a > b (a left of b) and
     adjacent-row pairs a < b with a one row above b."""
-    cols = [sorted(b, reverse=True) for b in m.blocks]
+    cols = [sorted(b, reverse=True) for b in blocks]
     total = 0
     for i, ci in enumerate(cols, 1):
         above = ci[1:]
@@ -546,70 +496,31 @@ OMP_STATISTICS = {
 }
 
 
-def omp_statistic(m, stat):
+def omp_statistic(blocks, stat):
     try:
         fn = OMP_STATISTICS[stat]
     except KeyError:
         raise ValueError(f"unknown statistic {stat!r}") from None
-    return fn(m)
+    return fn(blocks)
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """A standard Young tableau, stored as a tuple of rows."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = sum(len(r) for r in rows)
-        if sorted(x for r in rows for x in r) != list(range(1, n + 1)):
-            raise ValueError("entries must be 1..n exactly once")
-        for r in rows:
-            for a, b in zip(r, r[1:]):
-                if a >= b:
-                    raise ValueError("rows must increase")
-        for r1, r2 in zip(rows, rows[1:]):
-            if len(r2) > len(r1):
-                raise ValueError("shape must be a partition")
-            for a, b in zip(r1, r2):
-                if a >= b:
-                    raise ValueError("columns must increase")
-
-    def n(self):
-        return sum(len(r) for r in self.rows)
-
-    def shape(self):
-        return Partition(tuple(len(r) for r in self.rows))
-
-    def row_of(self, x):
-        for i, r in enumerate(self.rows):
-            if x in r:
-                return i
-        raise ValueError(f"{x} not in tableau")
-
-    def descents(self):
-        """Entries i such that i+1 lies in a strictly lower row."""
-        return tuple(i for i in range(1, self.n())
-                     if self.row_of(i + 1) > self.row_of(i))
-
-    def des(self):
-        return len(self.descents())
-
-    def maj(self):
-        return sum(self.descents())
+def descents(t):
+    """The entries i of the standard tableau t (a tuple of rows) such that
+    i+1 lies in a strictly lower row."""
+    row = {x: i for i, r in enumerate(t) for x in r}
+    return tuple(i for i in range(1, len(row)) if row[i + 1] > row[i])
 
 
 def enumerate_syt(shape):
-    """All standard Young tableaux of the given shape, a tuple of parts."""
+    """All standard Young tableaux of the given shape, a tuple of parts;
+    each is a tuple of rows."""
     n = sum(shape)
     results = []
     grid = [[0] * p for p in shape]
 
     def rec(v):
         if v > n:
-            results.append(StandardTableau(tuple(tuple(r) for r in grid)))
+            results.append(tuple(tuple(r) for r in grid))
             return
         for i, row in enumerate(grid):
             for j in range(len(row)):
@@ -628,7 +539,7 @@ def enumerate_syt_all(n):
     """All standard Young tableaux with n boxes, grouped by shape order."""
     out = []
     for lam in partitions(n):
-        out.extend(enumerate_syt(lam.parts))
+        out.extend(enumerate_syt(lam))
     return out
 
 

@@ -5,7 +5,7 @@ polynomials C_{n,k}(x; q).
 
 from __future__ import annotations
 
-from .combinatorics import (Partition, QZPolynomial, enumerate_omp,
+from .combinatorics import (QZPolynomial, conjugate, descents, enumerate_omp,
                             enumerate_ssyt, enumerate_syt_all,
                             horizontal_strips, kostka, omp_statistic,
                             partitions)
@@ -14,19 +14,15 @@ from .exactalg import MPoly, SparseTerms
 
 class SymFn(SparseTerms):
     """A homogeneous symmetric function of degree ``nvars``: a sparse sum
-    of basis functions indexed by partitions, with QZPolynomial
-    coefficients.  A subclass names the basis, so a Schur and a monomial
-    expansion are never equal and never added."""
+    of basis functions indexed by partitions (tuples of parts), with
+    QZPolynomial coefficients.  A subclass names the basis, so a Schur and
+    a monomial expansion are never equal and never added."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _key(lam):
-        return lam
-
     def __init__(self, degree, terms=None):
         super().__init__(degree, terms)
-        if any(lam.size() != degree for lam in self.terms):
+        if any(sum(lam) != degree for lam in self.terms):
             raise ValueError("index degree mismatch")
 
     @property
@@ -36,17 +32,16 @@ class SymFn(SparseTerms):
     @property
     def coeffs(self):
         """The (partition, coefficient) pairs, largest partition first."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].parts,
-                      reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def render(self):
-        return " + ".join(f"({c.render()})*{self.basis}{list(lam.parts)}"
+        return " + ".join(f"({c.render()})*{self.basis}{list(lam)}"
                           for lam, c in self.coeffs) or "0"
 
     def latex(self):
         parts = []
         for lam, c in self.coeffs:
-            idx = "".join(str(p) if p < 10 else f"({p})" for p in lam.parts)
+            idx = "".join(str(p) if p < 10 else f"({p})" for p in lam)
             parts.append(f"\\left({_qz_latex(c)}\\right)"
                          f" {self.basis}_{{{idx}}}")
         return " + ".join(parts) or "0"
@@ -95,7 +90,7 @@ def _qz_latex(c):
 def _kostka_matrix(n):
     """K[lam][mu] = kostka(lam, mu) over partitions of n."""
     parts = partitions(n)
-    return parts, {lam: {mu: kostka(lam.parts, mu.parts) for mu in parts}
+    return parts, {lam: {mu: kostka(lam, mu) for mu in parts}
                    for lam in parts}
 
 
@@ -140,8 +135,8 @@ def e_perp(mu, f):
     for d in mu:
         out = {}
         for lam, c in g.terms.items():
-            for conj in horizontal_strips(lam.conjugate().parts, d):
-                nu = Partition(conj).conjugate()
+            for conj in horizontal_strips(conjugate(lam), d):
+                nu = conjugate(conj)
                 out[nu] = out.get(nu, 0) + c
         g = Schur(g.degree - d, out)
     return g
@@ -180,14 +175,15 @@ def cnk_syt(n, k):
     binoms = [QZPolynomial.q_binomial(des, r) for des in range(n)]
     out = {}
     for t in enumerate_syt_all(n):
-        des = t.des()
+        ds = descents(t)
+        des = len(ds)
         binom = binoms[des]
         if not binom:
             continue
-        exp = t.maj() + shift - r * des
+        exp = sum(ds) + shift - r * des
         if exp < 0:
             raise AssertionError("negative q-exponent in tableau formula")
-        lam = t.shape()
+        lam = tuple(map(len, t))
         out[lam] = out.get(lam, 0) + QZPolynomial.monomial(exp, 0) * binom
     return Schur(n, out)
 
@@ -204,7 +200,7 @@ def cnk_omp(n, k, stat="minimaj"):
     out = {}
     for mu in partitions(n):
         counts = {}
-        for m in enumerate_omp(mu.parts, k):
+        for m in enumerate_omp(mu, k):
             v = omp_statistic(m, stat)
             counts[v] = counts.get(v, 0) + 1
         out[mu] = QZPolynomial({(v, 0): c for v, c in counts.items()})

@@ -406,8 +406,11 @@ def test_output_matches_goldens(capsys):
         (("frobenius", "3"), "frobenius_n3.tsv"),
         (("frobenius", "4"), "frobenius_n4.tsv"),
         (("frobenius", "4", "--format", "latex"), "frobenius_n4.tex"),
+        (("frobenius", "5"), "frobenius_n5.tsv"),
         (("cnk", "4", "2"), "cnk_n4_k2.tsv"),
         (("cnk", "4", "2", "--stat", "dinv"), "cnk_n4_k2_dinv.tsv"),
+        (("cnk", "6", "3"), "cnk_n6_k3.tsv"),
+        (("cnk", "6", "3", "--stat", "minimaj"), "cnk_n6_k3_minimaj.tsv"),
         (("basis", "artin", "3"), "basis_artin_n3.tsv"),
         (("basis", "colon", "4", "--j", "3,4"), "basis_colon_n4_j34.tsv"),
         (("basis", "parabolic", "4", "--mu", "2,2"),

@@ -10,10 +10,11 @@ from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       SignedPartition, SubsetOfN,
                                       TranslationSequence,
                                       all_translation_sequences,
-                                      block_parameters, count_I,
+                                      block_parameters, check_partition,
+                                      conjugate, count_I,
                                       count_L, count_osp,
                                       count_signed_artin_product,
-                                      enumerate_artin, enumerate_I,
+                                      descents, enumerate_artin, enumerate_I,
                                       enumerate_omp, enumerate_osp,
                                       enumerate_signed_artin,
                                       enumerate_ssyt, enumerate_syt,
@@ -70,7 +71,7 @@ def test_partition_counts():
 def test_conjugate_is_an_involution():
     for n in range(1, 7):
         for lam in partitions(n):
-            assert lam.conjugate().conjugate() == lam
+            assert conjugate(conjugate(lam)) == lam
 
 
 def test_kostka_spot_values():
@@ -96,8 +97,8 @@ def test_kostka_by_strips_matches_filtered_tableaux():
     for n in range(7):
         for lam in partitions(n):
             for mu in partitions(n):
-                assert kostka(lam.parts, mu.parts) == _kostka_by_tableaux(
-                    lam.parts, mu.parts), (lam.parts, mu.parts)
+                assert kostka(lam, mu) == _kostka_by_tableaux(
+                    lam, mu), (lam, mu)
     for lam, mu in (((2, 1), (2,)), ((1,), ()), ((), (1,)), ((3, 2), (2, 2))):
         assert kostka(lam, mu) == 0
 
@@ -110,10 +111,69 @@ def test_syt_counts_match_involutions():
         assert len(enumerate_syt_all(n)) == invol
 
 
+def test_partitions_are_weakly_decreasing_positive_tuples():
+    for n in range(8):
+        for lam in partitions(n):
+            assert type(lam) is tuple and sum(lam) == n
+            assert check_partition(lam) == lam
+
+
+def test_check_partition_rejects_what_is_not_a_partition():
+    assert check_partition([3, 1, 1]) == (3, 1, 1)
+    assert check_partition(()) == ()
+    for bad in ((1, 2), (2, 0), (0,), (-1,), (2, 3, 1)):
+        with pytest.raises(ValueError):
+            check_partition(bad)
+    with pytest.raises(ValueError):
+        SignedPartition((1, 2), (0, 0))
+    with pytest.raises(ValueError):
+        TranslationSequence((1, 2), ((), ()))
+
+
+def test_standard_tableaux_meet_the_definition():
+    for n in range(7):
+        for t in enumerate_syt_all(n):
+            assert sorted(x for row in t for x in row) \
+                == list(range(1, n + 1)), t
+            shape = tuple(map(len, t))
+            assert all(shape) and check_partition(shape) == shape, t
+            for row in t:
+                assert all(a < b for a, b in zip(row, row[1:])), t
+            for upper, lower in zip(t, t[1:]):
+                assert all(a < b for a, b in zip(upper, lower)), t
+
+
+def _descents_by_row_scan(t):
+    """Entries i whose successor i+1 is found in a later row than i when
+    the rows are scanned top to bottom."""
+    def row_of(x):
+        for i, row in enumerate(t):
+            if x in row:
+                return i
+    n = sum(map(len, t))
+    return tuple(i for i in range(1, n) if row_of(i + 1) > row_of(i))
+
+
+def test_descents_match_the_row_scan():
+    for n in range(7):
+        for t in enumerate_syt_all(n):
+            assert descents(t) == _descents_by_row_scan(t), t
+
+
+def test_ordered_set_partitions_split_n_into_sorted_blocks():
+    for n in range(6):
+        for osp in enumerate_osp(n):
+            assert all(osp), osp
+            assert all(list(b) == sorted(set(b)) for b in osp), osp
+            assert sorted(x for b in osp for x in b) \
+                == list(range(1, n + 1)), osp
+
+
 def test_syt_maj_generating_function():
     gens = {}
     for t in enumerate_syt((2, 1)):
-        gens[t.maj()] = gens.get(t.maj(), 0) + 1
+        maj = sum(descents(t))
+        gens[maj] = gens.get(maj, 0) + 1
     assert gens == {1: 1, 2: 1}
 
 
@@ -269,7 +329,7 @@ def test_omp_enumeration_by_content_matches_filtered_products():
                     by_content.setdefault(_content_of(blocks, n),
                                           []).append(blocks)
             for content in _contents(n):
-                got = [m.blocks for m in enumerate_omp(content, k)]
+                got = [m for m in enumerate_omp(content, k)]
                 assert len(set(got)) == len(got), (content, k)
                 assert sorted(got) == sorted(by_content.get(content, [])), \
                     (content, k)
@@ -308,8 +368,8 @@ def test_omp_enumeration_matches_the_plain_recursion_in_order():
     for n in range(7):
         for mu in partitions(n):
             for k in range(n + 2):
-                got = [m.blocks for m in enumerate_omp(mu.parts, k)]
-                assert got == _omp_by_recursion(mu.parts, k), (mu.parts, k)
+                got = [m for m in enumerate_omp(mu, k)]
+                assert got == _omp_by_recursion(mu, k), (mu, k)
 
 
 def test_set_contents_count_ordered_set_partitions():
@@ -323,7 +383,7 @@ def _maj_by_descent_scan(m):
     """omp_maj read off the word: each descent adds the number of blocks
     ending weakly left of it."""
     word, ends = [], []
-    for b in m.blocks:
+    for b in m:
         word.extend(sorted(b, reverse=True))
         ends.append(len(word))
     return sum(sum(1 for e in ends if e <= i + 1)
@@ -335,7 +395,7 @@ def test_omp_maj_matches_the_descent_scan():
         for content in _contents(n):
             for k in range(1, n + 1):
                 for m in enumerate_omp(content, k):
-                    assert omp_maj(m) == _maj_by_descent_scan(m), m.blocks
+                    assert omp_maj(m) == _maj_by_descent_scan(m), m
 
 
 def _brute_minimaj(m):
@@ -343,7 +403,7 @@ def _brute_minimaj(m):
     def maj(w):
         return sum(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
     return min(maj([x for part in words for x in part])
-               for words in product(*(permutations(b) for b in m.blocks)))
+               for words in product(*(permutations(b) for b in m)))
 
 
 def test_direct_minimaj_matches_brute_force():
@@ -352,7 +412,7 @@ def test_direct_minimaj_matches_brute_force():
         for content in _contents(n):
             for k in range(1, n + 1):
                 for m in enumerate_omp(content, k):
-                    assert omp_minimaj(m) == _brute_minimaj(m), m.blocks
+                    assert omp_minimaj(m) == _brute_minimaj(m), m
                     seen += 1
     # every ordered multiset partition over the letters 1..n, n <= 5
     assert seen == 11291
@@ -361,7 +421,7 @@ def test_direct_minimaj_matches_brute_force():
 def _dinv_by_cell_pairs(m):
     """omp_dinv over every pair of cells in two columns: same-row pairs
     a > b and pairs with a one row above b and a < b."""
-    cols = [sorted(b, reverse=True) for b in m.blocks]
+    cols = [sorted(b, reverse=True) for b in m]
     total = 0
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
@@ -378,8 +438,8 @@ def test_omp_dinv_matches_the_cell_pair_count():
     for n in range(1, 7):
         for mu in partitions(n):
             for k in range(1, n + 1):
-                for m in enumerate_omp(mu.parts, k):
-                    assert omp_dinv(m) == _dinv_by_cell_pairs(m), m.blocks
+                for m in enumerate_omp(mu, k):
+                    assert omp_dinv(m) == _dinv_by_cell_pairs(m), m
 
 
 def test_signed_substaircase_at_the_trivial_subgroup_is_the_artin_set():

@@ -26,7 +26,7 @@ from supercoinv.superspace import (SuperElement, antisymmetrize,
 
 def _admissible(n):
     for lam in partitions(n):
-        for tt in all_translation_sequences(lam.parts):
+        for tt in all_translation_sequences(lam):
             if 1 not in tt.sets[0]:
                 yield tt
 
@@ -172,36 +172,35 @@ def test_breakdown_full_first_block_puts_shift_polynomial_in_ideal():
     for n in (2, 3, 4):
         delta = vandermonde(n)
         for lam in partitions(n):
-            for tt in all_translation_sequences(lam.parts):
-                if len(tt.sets[0]) != lam.parts[0] or 1 not in tt.sets[0]:
+            for tt in all_translation_sequences(lam):
+                if len(tt.sets[0]) != lam[0] or 1 not in tt.sets[0]:
                     continue
-                J = j_of_signed(SignedPartition(lam.parts, tt.gamma()))
+                J = j_of_signed(SignedPartition(lam, tt.gamma()))
                 assert odot(f_J(J), delta).is_zero()
 
 
 def test_breakdown_proper_first_block_weight_escapes_staircase():
     for n in (2, 3, 4):
         for lam in partitions(n):
-            for tt in all_translation_sequences(lam.parts):
+            for tt in all_translation_sequences(lam):
                 T1 = tt.sets[0]
-                if 1 not in T1 or len(T1) == lam.parts[0]:
+                if 1 not in T1 or len(T1) == lam[0]:
                     continue
-                st = staircase(j_of_signed(SignedPartition(lam.parts,
-                                                           tt.gamma())))
+                st = staircase(j_of_signed(SignedPartition(lam, tt.gamma())))
                 w = weight(tt)
                 assert any(not all(a < s for a, s in zip(exp, st))
-                           for exp in w.terms), (lam.parts, tt.sets)
+                           for exp in w.terms), (lam, tt.sets)
 
 
 def test_h_matrix_selects_rows_of_the_inverse():
     # H = E * C(mu)^(-1) for the 0/1 selector E, for every proper T
     for n in (1, 2, 3, 4):
         for lam in partitions(n):
-            inv = cmu_inverse(n, lam.parts)
+            inv = cmu_inverse(n, lam)
             for size in range(n):
                 for T in subsets(n, size):
                     product = echelon_selector(n, T.elems).mul(inv)
-                    assert h_matrix(lam.parts, T.elems).grid == product.grid
+                    assert h_matrix(lam, T.elems).grid == product.grid
 
 
 def test_h_matrix_entries_are_block_symmetric():
