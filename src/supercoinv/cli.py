@@ -231,7 +231,7 @@ def _check_ptj_worked_example():
     mu = (3, 3, 2)
     tt = TranslationSequence(mu, ((2,), (4, 6), ()))
     J = j_of_signed(SignedPartition(mu, tt.gamma()))
-    got = ptj_determinant(mu, tt, J)
+    got = ptj_determinant(tt, J)
     expected = weight(tt) * f_J(J).as_mpoly()
     if not _proportional(got, expected):
         raise VerificationFailure(

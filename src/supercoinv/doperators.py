@@ -1,9 +1,9 @@
 """Determinantal operators on superspace built from translation sequences.
 
-The construction works with two alphabets: the x-variables of superspace and
-an auxiliary alphabet y used for matrix entries.  Polynomials here live in
-2n variables, with x_i as variable i and y_i as variable n + i; results are
-projected back down to the x-alphabet before they touch superspace.
+Every polynomial here lives in the n x-variables of superspace.  The
+factor matrix is written with one row per row variable: x_j for j in J in
+the determinant of a translation sequence, x_1..x_n in the check of its
+factorization.
 """
 
 from __future__ import annotations
@@ -11,77 +11,67 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 
 from .combinatorics import (block_parameters, enumerate_signed_artin,
-                            j_of_signed, sequence_bound, staircase)
+                            j_of_signed, staircase)
 from .exactalg import MPoly, PolyMatrix
 from .superspace import SuperElement, euler_chain, odot, star_set
 from .coinvariant import steinberg_independence, VerificationFailure
 from .symfunc import schur_poly
 
 
-def _x(n, i):
-    return MPoly.var(2 * n, i)
+def power_matrix(n, rows):
+    """The #rows x n matrix with (i, j) entry x_(rows_i)^(n - j + 1)."""
+    return PolyMatrix([[MPoly.var(n, v) ** (n - j + 1)
+                        for j in range(1, n + 1)] for v in rows])
 
 
-def _y(n, i):
-    return MPoly.var(2 * n, n + i)
-
-
-def drop_y(p, n):
-    """Project a 2n-variable polynomial without y-support to n variables."""
-    out = {}
-    for exp, c in p.terms.items():
-        if any(exp[n:]):
-            raise ValueError("polynomial still involves the y-alphabet")
-        out[exp[:n]] = c
-    return MPoly(n, out)
-
-
-def power_matrix(n, r):
-    """The r x n matrix with (i, j) entry y_i^(n - j + 1)."""
-    return PolyMatrix([[_y(n, i) ** (n - j + 1) for j in range(1, n + 1)]
-                       for i in range(1, r + 1)])
-
-
-def factor_matrix(n, mu, r):
-    """The r x n factor matrix: the entry in column j of the block ending at
-    position B is y_i^(B - j + 1) times prod_{m > B} (y_i - x_m)."""
+def factor_matrix(mu, rows):
+    """The #rows x n factor matrix, one row per row variable x_v: the entry
+    in column j of the block ending at position B is x_v^(B - j + 1) times
+    prod_{m > B} (x_v - x_m)."""
+    n = sum(mu)
     ends = list(accumulate(mu))
     grid = []
-    for i in range(1, r + 1):
+    for v in rows:
         row = []
-        yi = _y(n, i)
+        xv = MPoly.var(n, v)
         for j in range(1, n + 1):
             B = next(b for b in ends if j <= b)
-            entry = yi ** (B - j + 1)
+            entry = xv ** (B - j + 1)
             for m in range(B + 1, n + 1):
-                entry = entry * (yi - _x(n, m))
+                entry = entry * (xv - MPoly.var(n, m))
             row.append(entry)
         grid.append(row)
     return PolyMatrix(grid)
 
 
-def reduction_matrix(n, mu):
+def reduction_matrix(mu):
     """The lower unitriangular column-operation matrix C(mu): in the column
     of a block with terminal variables x_{B+1}..x_n, the entry l steps below
     the diagonal is (-1)^l e_l of those terminal variables."""
+    n = sum(mu)
     ends = list(accumulate(mu))
-    zero = MPoly.zero(2 * n)
+    zero = MPoly.zero(n)
     grid = [[zero for _ in range(n)] for _ in range(n)]
     for j in range(1, n + 1):
         B = next(b for b in ends if j <= b)
         for l in range(0, n - j + 1):
-            e = MPoly.elementary(2 * n, l, range(B + 1, n + 1))
+            e = MPoly.elementary(n, l, range(B + 1, n + 1))
             if e.is_zero():
                 continue
             grid[j - 1 + l][j - 1] = e.scale(-1) if l % 2 else e
     return PolyMatrix(grid)
 
 
-def verify_factorization(n, mu, r):
-    """Certify the identity F_r = P_r * C(mu)."""
-    F = factor_matrix(n, mu, r)
-    PC = power_matrix(n, r).mul(reduction_matrix(n, mu))
-    for i in range(r):
+def verify_factorization(mu):
+    """Certify the factor matrix identity F = P * C(mu) on the rows
+    x_1..x_n.  For a row variable y, both sides of column j are
+    polynomials in y of degree <= n with a factor y, so agreeing at the n
+    distinct values y = x_1..x_n proves the identity in y."""
+    n = sum(mu)
+    rows = range(1, n + 1)
+    F = factor_matrix(mu, rows)
+    PC = power_matrix(n, rows).mul(reduction_matrix(mu))
+    for i in range(n):
         for j in range(n):
             if F.grid[i][j] != PC.grid[i][j]:
                 raise VerificationFailure(
@@ -90,12 +80,13 @@ def verify_factorization(n, mu, r):
     return True
 
 
-def cmu_inverse(n, mu):
+def cmu_inverse(mu):
     """Inverse of the reduction matrix, by forward substitution; again
     lower unitriangular with polynomial entries."""
-    C = reduction_matrix(n, mu)
-    one = MPoly.const(2 * n, 1)
-    zero = MPoly.zero(2 * n)
+    n = sum(mu)
+    C = reduction_matrix(mu)
+    one = MPoly.const(n, 1)
+    zero = MPoly.zero(n)
     inv = [[zero for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for i in range(j, n):
@@ -108,15 +99,6 @@ def cmu_inverse(n, mu):
                     acc = acc + C.grid[i][k] * inv[k][j]
             inv[i][j] = acc.scale(-1)
     return PolyMatrix(inv)
-
-
-def echelon_selector(n, T):
-    """The (n - #T) x n 0/1 matrix with unit rows in the columns not in T."""
-    rest = [j for j in range(1, n + 1) if j not in set(T)]
-    one = MPoly.const(2 * n, 1)
-    zero = MPoly.zero(2 * n)
-    return PolyMatrix([[one if j == c else zero for j in range(1, n + 1)]
-                       for c in rest])
 
 
 def _memoized(memo, key, compute):
@@ -134,7 +116,7 @@ def h_matrix(mu, T, memo=None):
     in the x-alphabet: the 0/1 selector E keeps the rows of C(mu)^(-1)
     not in T.  A ``memo`` dict keeps C(mu)^(-1) for later calls."""
     n = sum(mu)
-    inv = _memoized(memo, ("inverse", mu), lambda: cmu_inverse(n, mu)).grid
+    inv = _memoized(memo, ("inverse", mu), lambda: cmu_inverse(mu)).grid
     return PolyMatrix([inv[c - 1] for c in range(1, n + 1) if c not in T])
 
 
@@ -159,52 +141,23 @@ def verify_h_invariance(mu, T, memo=None):
     return True
 
 
-def _substituted_factor(mu, r, J):
-    """F_r with y_1..y_r replaced by x_j for j in J, in increasing order."""
-    n = sum(mu)
-    mapping = {n + i: j for i, j in enumerate(sorted(J), start=1)}
-    return PolyMatrix([[p.rename_vars(mapping) for p in row]
-                       for row in factor_matrix(n, mu, r).grid])
+def ptj_determinant(tt, J):
+    """The determinant of the factor matrix on the rows x_j, j in J, stacked
+    over the 0/1 selector of the columns not in T; defined up to sign.
 
-
-def ptj_determinant(mu, tt, J, full_stack=False):
-    """The determinant of the augmented factor matrix with the y-alphabet
-    replaced by x_J; defined up to sign.
-
-    The default route expands along the unit rows of the selector block,
-    which reduces the n x n determinant to the #T x #T minor of the factor
-    block on the columns of T.  ``full_stack=True`` evaluates the full
-    n x n determinant instead (cross-checked in tests).
+    Expanding along the unit rows of the selector reduces the n x n
+    determinant to the #T x #T minor of the factor rows on the columns
+    of T.
     """
-    n = sum(mu)
     T = tt.union_set()
     r = len(T)
-    elems = J.elems
-    if len(elems) != r:
+    if len(J.elems) != r:
         raise ValueError("J must have the same size as T")
     if r == 0:
         # the stacked matrix degenerates to the unit rows, so the
         # determinant is a unit
-        return MPoly.const(n, 1)
-    Fsub = _substituted_factor(mu, r, elems)
-    if full_stack:
-        E = echelon_selector(n, T)
-        grid = [list(row) for row in Fsub.grid] + [list(row) for row in E.grid]
-        det = PolyMatrix(grid).det()
-    else:
-        det = Fsub.minor(range(r), [t - 1 for t in T])
-    return drop_y(det, n)
-
-
-def _shift_poly(p, offset, n):
-    """Move a polynomial in local variables 1..m to variables offset+1..offset+m."""
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * n
-        for pos, a in enumerate(exp):
-            new[offset + pos] = a
-        out[tuple(new)] = c
-    return MPoly(n, out)
+        return MPoly.const(sum(tt.mu), 1)
+    return factor_matrix(tt.mu, J.elems).minor(range(r), [t - 1 for t in T])
 
 
 def nu_of_translation_set(mu, j, T_j):
@@ -230,8 +183,7 @@ def weight(tt):
         if g == 0:
             continue
         nu = tuple(p for p in nu_of_translation_set(mu, j, T_j) if p > 0)
-        local = schur_poly(nu, g)
-        total = total * _shift_poly(local, ends[j] - g, n)
+        total = total * schur_poly(nu, n, range(ends[j] - g + 1, ends[j] + 1))
     return total
 
 
@@ -254,18 +206,15 @@ def apply_D(tt, f, memo=None):
     H = h_matrix(mu, T, memo) if r < n else None
     total = SuperElement.zero(n)
     for I in combinations(range(1, n + 1), n - r):
-        minor = H.minor(range(n - r), [i - 1 for i in I]) if n - r else None
-        if n - r == 0:
-            minor_x = MPoly.const(n, 1)
-        else:
-            minor_x = drop_y(minor, n)
-        if minor_x.is_zero():
+        minor = (H.minor(range(n - r), [i - 1 for i in I]) if n - r
+                 else MPoly.const(n, 1))
+        if minor.is_zero():
             continue
         K = star_set([k for k in range(1, n + 1) if k not in set(I)], n)
         img = _memoized(memo, ("chain", K), lambda: euler_chain(K, f))
         if img.is_zero():
             continue
-        term = odot(SuperElement.from_mpoly(minor_x), img)
+        term = odot(SuperElement.from_mpoly(minor), img)
         sign = -1 if sum(I) % 2 else 1
         total = total + term.scale(sign)
     return total
@@ -303,20 +252,18 @@ def _partitions_in_box(width, height):
     return out
 
 
-def l_polynomials(m, k, t, n=None, offset=0):
-    """The spanning polynomials for one block, embedded into n variables at
-    the given offset: e_lambda over the whole block times s_nu in the last
-    k block variables."""
-    if n is None:
-        n = m
+def l_polynomials(m, k, t, n, offset):
+    """The spanning polynomials for one block on the variables
+    x_(offset+1)..x_(offset+m) of n: e_lambda over the whole block times
+    s_nu in the last k block variables."""
+    block = range(offset + 1, offset + m + 1)
     out = []
     for lam, nu in enumerate_L(m, k, t):
         p = MPoly.const(n, 1)
         for part in lam:
-            p = p * MPoly.elementary(n, part, range(offset + 1, offset + m + 1))
+            p = p * MPoly.elementary(n, part, block)
         if nu:
-            local = schur_poly(nu, k)
-            p = p * _shift_poly(local, offset + m - k, n)
+            p = p * schur_poly(nu, n, block[m - k:])
         out.append(p)
     return out
 
@@ -329,24 +276,12 @@ def build_E_set(sp):
     factors = []
     offset = 0
     for m, g, t in block_parameters(sp):
-        factors.append(l_polynomials(m, g, t, n=n, offset=offset))
+        factors.append(l_polynomials(m, g, t, n, offset))
         offset += m
     out = [MPoly.const(n, 1)]
     for fs in factors:
         out = [p * f for p in out for f in fs]
     return out
-
-
-def verify_L_monomial_bound(m, k, t):
-    """Check the entrywise exponent bound for one block's spanning set."""
-    bound = sequence_bound(m, k, t)
-    for p in l_polynomials(m, k, t):
-        for exp in p.terms:
-            if not all(a <= b for a, b in zip(exp, bound)):
-                raise VerificationFailure(
-                    f"monomial {exp} violates the bound {bound}"
-                    f" for (m, k, t) = ({m}, {k}, {t})")
-    return True
 
 
 def verify_E_set(*sps):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import permutations
-from math import factorial, perm
+from math import perm
 from operator import sub
 
 from .exactalg import MPoly, SparseTerms
@@ -268,13 +268,6 @@ def is_antisymmetric(mu, f):
     ident = tuple(range(1, f.nvars + 1))
     return all(act(ident[:i - 1] + (i + 1, i) + ident[i + 1:], f) == minus_f
                for block in mu_blocks(mu) for i in block[:-1])
-
-
-def young_subgroup_order(mu):
-    out = 1
-    for m in mu:
-        out *= factorial(m)
-    return out
 
 
 def vandermonde(n):

@@ -5,10 +5,10 @@ polynomials C_{n,k}(x; q).
 
 from __future__ import annotations
 
-from .combinatorics import (QZPolynomial, conjugate, descents, enumerate_omp,
-                            enumerate_ssyt, enumerate_syt_all,
-                            horizontal_strips, kostka, omp_statistic,
-                            partitions)
+from .combinatorics import (IntegrityError, QZPolynomial, conjugate,
+                            descents, enumerate_omp, enumerate_ssyt,
+                            enumerate_syt_all, horizontal_strips, kostka,
+                            omp_statistic, partitions)
 from .exactalg import MPoly, SparseTerms
 
 
@@ -147,17 +147,18 @@ def e1_perp(f):
     return e_perp((1,), f)
 
 
-def schur_poly(nu, nvars):
-    """The Schur polynomial s_nu(x_1..x_nvars) via semistandard tableaux;
-    nu is a tuple of parts."""
-    if len(nu) > nvars:
+def schur_poly(nu, nvars, variables=None):
+    """The Schur polynomial s_nu via semistandard tableaux, in the given
+    1-indexed ``variables`` (default all nvars); nu is a tuple of parts."""
+    vs = sorted(variables) if variables is not None else range(1, nvars + 1)
+    if len(nu) > len(vs):
         return MPoly.zero(nvars)
     out = {}
-    for t in enumerate_ssyt(nu, nvars):
+    for t in enumerate_ssyt(nu, len(vs)):
         exp = [0] * nvars
         for row in t:
             for v in row:
-                exp[v - 1] += 1
+                exp[vs[v - 1] - 1] += 1
         e = tuple(exp)
         out[e] = out.get(e, 0) + 1
     return MPoly(nvars, out)
@@ -182,7 +183,7 @@ def cnk_syt(n, k):
             continue
         exp = sum(ds) + shift - r * des
         if exp < 0:
-            raise AssertionError("negative q-exponent in tableau formula")
+            raise IntegrityError("negative q-exponent in tableau formula")
         lam = tuple(map(len, t))
         out[lam] = out.get(lam, 0) + QZPolynomial.monomial(exp, 0) * binom
     return Schur(n, out)

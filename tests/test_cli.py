@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from supercoinv import cli
+from supercoinv import cli, symfunc
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import SuperElement
 
@@ -52,6 +52,18 @@ def test_frobenius_and_cnk(capsys):
                         "--format", "json")
     assert code == 0
     json.loads(omp)
+
+
+def test_cnk_reports_a_negative_q_exponent_as_a_failure(capsys,
+                                                        monkeypatch):
+    # two descents summing to 0 give a negative exponent in C_{3,1}; the
+    # internal certification fails like a check, with no traceback
+    monkeypatch.setattr(symfunc, "descents", lambda t: (0, 0))
+    code = cli.main(["cnk", "3", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("failed: ")
+    assert "negative q-exponent" in captured.err
 
 
 def test_basis_verbs(capsys):

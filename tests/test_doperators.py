@@ -1,5 +1,9 @@
 """Determinantal operators, factor matrices, and block spanning sets."""
 
+import hashlib
+import json
+from math import factorial, prod
+
 import pytest
 
 from supercoinv import doperators
@@ -9,19 +13,19 @@ from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
                                       all_translation_sequences, count_L,
                                       enumerate_signed_artin, gale_leq,
                                       j_of_signed, partitions,
-                                      signed_partitions, staircase, subsets)
-from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse, drop_y,
-                                   echelon_selector, enumerate_L, h_matrix,
-                                   power_matrix, ptj_determinant,
-                                   reduction_matrix, verify_E_set,
-                                   verify_factorization, verify_h_invariance,
-                                   verify_L_monomial_bound, weight)
-from supercoinv.exactalg import MPoly
+                                      sequence_bound, signed_partitions,
+                                      staircase, subsets)
+from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse,
+                                   enumerate_L, factor_matrix, h_matrix,
+                                   l_polynomials, power_matrix,
+                                   ptj_determinant, reduction_matrix,
+                                   verify_E_set, verify_factorization,
+                                   verify_h_invariance, weight)
+from supercoinv.exactalg import MPoly, PolyMatrix
 from supercoinv.superspace import (SuperElement, antisymmetrize,
                                    coinvariant_generators, f_J,
                                    is_antisymmetric, odot,
-                                   power_sum_generators, vandermonde,
-                                   young_subgroup_order)
+                                   power_sum_generators, vandermonde)
 
 
 def _admissible(n):
@@ -31,38 +35,34 @@ def _admissible(n):
                 yield tt
 
 
+def _selector(n, T):
+    """The (n - #T) x n 0/1 matrix with unit rows in the columns not in T."""
+    return PolyMatrix([[MPoly.const(n, int(j == c)) for j in range(1, n + 1)]
+                       for c in range(1, n + 1) if c not in T])
+
+
 def test_factor_matrix_factors_through_column_operations():
     for mu in [(1,), (2,), (1, 1), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1)]:
-        assert verify_factorization(sum(mu), mu, sum(mu))
+        assert verify_factorization(mu)
 
 
 def test_reduction_matrix_is_unitriangular_and_inverts():
     for mu in [(2, 1), (2, 2), (3, 2)]:
         n = sum(mu)
-        C = reduction_matrix(n, mu)
-        Cinv = cmu_inverse(n, mu)
-        prod = C.mul(Cinv)
+        product = reduction_matrix(mu).mul(cmu_inverse(mu))
         for i in range(n):
             for j in range(n):
-                expected = MPoly.const(2 * n, 1 if i == j else 0)
-                assert prod.grid[i][j] == expected
+                expected = MPoly.const(n, 1 if i == j else 0)
+                assert product.grid[i][j] == expected
 
 
 def test_power_matrix_entries():
-    P = power_matrix(3, 2)
-    # entry (i, j) is y_i^(n - j + 1)
-    y1 = MPoly.var(6, 4)
-    assert P.grid[0][0] == y1 ** 3
-    assert P.grid[0][2] == y1
-
-
-def test_drop_y_projects_to_the_x_alphabet():
-    # x1*x3 + 2 written in the 2n = 6 variables x1..x3, y1..y3
-    p = MPoly(6, {(1, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0): 2})
-    assert drop_y(p, 3) == MPoly.var(3, 1) * MPoly.var(3, 3) \
-        + MPoly.const(3, 2)
-    with pytest.raises(ValueError):
-        drop_y(MPoly.var(6, 5), 3)
+    P = power_matrix(3, (2, 3))
+    # entry (i, j) is x_(rows_i)^(n - j + 1)
+    x2 = MPoly.var(3, 2)
+    assert P.grid[0][0] == x2 ** 3
+    assert P.grid[0][2] == x2
+    assert P.grid[1][1] == MPoly.var(3, 3) ** 2
 
 
 def test_worked_determinant_example():
@@ -73,7 +73,7 @@ def test_worked_determinant_example():
     # the weight is s_1(x_3) * s_1(x_5, x_6)
     x3, x5, x6 = (MPoly.var(8, i) for i in (3, 5, 6))
     assert weight(tt) == x3 * (x5 + x6)
-    got = ptj_determinant(mu, tt, J)
+    got = ptj_determinant(tt, J)
     expected = weight(tt) * f_J(J).as_mpoly()
     # proportionality with a nonzero ratio, by cross-multiplication
     exp0, c0 = next(iter(got.terms.items()))
@@ -82,15 +82,18 @@ def test_worked_determinant_example():
 
 
 def test_determinant_routes_agree():
-    mu = (2, 1)
-    for tt in _admissible(3):
-        if tt.mu != mu:
-            continue
-        r = len(tt.union_set())
-        for J in subsets(3, r):
-            fast = ptj_determinant(mu, tt, J)
-            full = ptj_determinant(mu, tt, J, full_stack=True)
-            assert fast == full or fast == full.scale(-1)
+    # the full n x n determinant of the factor rows x_J stacked over the
+    # selector of the columns not in T is the minor route up to sign
+    for n in range(1, 5):
+        for mu in partitions(n):
+            for tt in all_translation_sequences(mu):
+                T = tt.union_set()
+                for J in subsets(n, len(T)):
+                    stacked = PolyMatrix(factor_matrix(mu, J.elems).grid
+                                         + _selector(n, T).grid)
+                    full = stacked.det()
+                    fast = ptj_determinant(tt, J)
+                    assert fast == full or fast == full.scale(-1)
 
 
 def test_determinant_vanishes_outside_gale_cone():
@@ -102,7 +105,7 @@ def test_determinant_vanishes_outside_gale_cone():
         r = len(Jmax.elems)
         for J in subsets(4, r):
             if not gale_leq(J, Jmax):
-                assert ptj_determinant(mu, tt, J).is_zero(), (tt.sets, J)
+                assert ptj_determinant(tt, J).is_zero(), (tt.sets, J)
 
 
 def test_images_are_harmonic_antisymmetric_with_leading_term():
@@ -115,7 +118,7 @@ def test_images_are_harmonic_antisymmetric_with_leading_term():
             assert not v.is_zero()
             for g in gens:
                 assert odot(g, v).is_zero()
-            assert antisymmetrize(mu, v) == v.scale(young_subgroup_order(mu))
+            assert antisymmetrize(mu, v) == v.scale(prod(map(factorial, mu)))
             Jmax = j_of_signed(SignedPartition(mu, tt.gamma()))
             for (exps, thetas), c in v.terms.items():
                 assert gale_leq(SubsetOfN(n, thetas), Jmax)
@@ -154,7 +157,7 @@ def test_transposition_test_agrees_with_the_antisymmetrizer():
     # dop-leading tests antisymmetry by the adjacent transpositions of each
     # mu-block; eps_mu v = |S_mu| v is the reference
     def reference(mu, v):
-        return antisymmetrize(mu, v) == v.scale(young_subgroup_order(mu))
+        return antisymmetrize(mu, v) == v.scale(prod(map(factorial, mu)))
     for n in (2, 3, 4):
         delta = vandermonde(n)
         x1 = SuperElement.monomial(n, (1,) + (0,) * (n - 1))
@@ -196,10 +199,10 @@ def test_h_matrix_selects_rows_of_the_inverse():
     # H = E * C(mu)^(-1) for the 0/1 selector E, for every proper T
     for n in (1, 2, 3, 4):
         for lam in partitions(n):
-            inv = cmu_inverse(n, lam)
+            inv = cmu_inverse(lam)
             for size in range(n):
                 for T in subsets(n, size):
-                    product = echelon_selector(n, T.elems).mul(inv)
+                    product = _selector(n, T.elems).mul(inv)
                     assert h_matrix(lam, T.elems).grid == product.grid
 
 
@@ -225,7 +228,11 @@ def test_block_spanning_counts_and_bounds():
         for k in range(m + 1):
             for t in range(4):
                 assert len(enumerate_L(m, k, t)) == count_L(m, k, t)
-                assert verify_L_monomial_bound(m, k, t)
+                bound = sequence_bound(m, k, t)
+                for p in l_polynomials(m, k, t, m, 0):
+                    for exp in p.terms:
+                        assert all(a <= b for a, b in zip(exp, bound)), \
+                            (m, k, t, exp)
 
 
 def test_spanning_products_bound_and_independence():
@@ -248,3 +255,42 @@ def test_E_set_check_rejects_a_tampered_spanning_set(monkeypatch, edit,
                         lambda arg: edit(list(true_set)))
     with pytest.raises(VerificationFailure, match=message):
         verify_E_set(sp)
+
+
+def _digest(rows):
+    """sha256 of (label, variable count, sorted terms) rows, in order."""
+    out = [[label, p.nvars, sorted([list(k), c] for k, c in p.terms.items())]
+           for label, p in rows]
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_operator_outputs_pinned():
+    # digests of apply_D(tt, Delta) and weight(tt) for every admissible
+    # sequence with n <= 5, ptj_determinant for every (tt, J) with n <= 4
+    # and every spanning product with n <= 4; they depend on the outputs
+    # only, not on how the operators compute them
+    images, weights = [], []
+    for n in range(1, 6):
+        delta = vandermonde(n)
+        memo = {}
+        for tt in _admissible(n):
+            label = [tt.mu, tt.sets]
+            images.append((label, apply_D(tt, delta, memo)))
+            weights.append((label, weight(tt)))
+    dets = []
+    for n in range(1, 5):
+        for mu in partitions(n):
+            for tt in all_translation_sequences(mu):
+                for J in subsets(n, len(tt.union_set())):
+                    dets.append(([tt.sets, J.elems], ptj_determinant(tt, J)))
+    products = [([sp.mu, sp.gamma], p) for n in range(1, 5)
+                for sp in signed_partitions(n) for p in build_E_set(sp)]
+    assert [_digest(rows) for rows in (images, weights, dets, products)] == [
+        "fa366ac8f154d669c7c35879047a4309"
+        "3afd636651d1b9264f0683a608301421",
+        "2e3669ed390a5c60aab5b51d16eca18a"
+        "19cfc71e1a76f15eaf6dd6bfe880681d",
+        "6592e7c5289ea8abb575c0fb0c2a5ba4"
+        "63d9ccea8e1cc02b4aa692a88874603a",
+        "027c43a607b153247d05cadb4e58ca67"
+        "4222b5cb48d9010d87483dd04889e197"]

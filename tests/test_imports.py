@@ -1,12 +1,14 @@
 """Every name a package module imports is used in that module, every
 import sits at module level, no module has an ``assert`` statement
-(``python -O`` strips them, so a check must raise), ``Fraction`` is used
-only where a true rational is needed, only ``SparseTerms._like`` builds a
-sparse-term result without its constructor, no class body holds a
-container, no function is wrapped in a process-global cache and no
-function writes module-level state (one allowed exception), and every
-function, class and method of the package is referenced somewhere.  No
-linter is a dependency, so these tests are the guards."""
+(``python -O`` strips them, so a check must raise) or raises
+``AssertionError`` (the command line reports only its own failure
+types), ``Fraction`` is used only where a true rational is needed, only
+``SparseTerms._like`` builds a sparse-term result without its
+constructor, no class body holds a container, no function is wrapped in
+a process-global cache and no function writes module-level state (one
+allowed exception), and every function, class and method of the package
+is referenced somewhere.  No linter is a dependency, so these tests are
+the guards."""
 
 import ast
 import pathlib
@@ -67,12 +69,26 @@ def test_package_imports_are_at_module_level():
 
 
 def _asserts(source):
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Assert)]
+    """Line numbers of every ``assert`` statement and every ``raise`` of
+    ``AssertionError``, called or not."""
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Raise)
+                  and raises_assertion_error(node))
 
 
 def test_guard_flags_an_assert():
     assert _asserts("x = 1\nassert x\nif x:\n    assert x > 0\n") == [2, 4]
+    source = ("def f(x):\n"
+              "    if x < 0:\n"
+              "        raise AssertionError('negative')\n"
+              "    if x > 9:\n"
+              "        raise AssertionError\n"
+              "    raise ValueError('x')\n")
+    assert _asserts(source) == [3, 5]
 
 
 def test_package_modules_have_no_assert():
