@@ -322,7 +322,8 @@ def check_steinberg(n, ctx):
                 f"e_{k} does not annihilate the Vandermonde")
     rng = random.Random(ctx.seed)
     # f_J = 1 for the empty J, so the rows are the images x^a (.) Vandermonde
-    for d, rows, _ in _catalecticants(SubsetOfN(n, ()), range(eng.top + 2)):
+    for d, rows in _catalecticants(SubsetOfN(n, ()),
+                                   range(eng.top + 2)).items():
         ech = _IntEchelon()
         for row in rows.values():
             ech.add(row)
@@ -463,7 +464,8 @@ def _flags(p, *, cache=False, caps=True, verify=False):
         p.add_argument("--cache", metavar="DIR",
                        help=f"cache directory (default ${CACHE_ENV})")
     if verify:
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_at_least_one("jobs"), default=1,
+                       help="worker processes, at most one per task")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized membership probes")
     if caps:
@@ -473,15 +475,19 @@ def _flags(p, *, cache=False, caps=True, verify=False):
                        help="key=value file overriding the resource caps")
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"n must be an integer >= 1, not {text!r}")
-    return n
+def _at_least_one(name):
+    """An argument type: an integer >= 1, else a usage error naming
+    ``name``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= 1, not {text!r}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -494,17 +500,17 @@ def build_parser():
 
     p = sub.add_parser("hilbert", help="bigraded Hilbert table of the"
                        " superspace coinvariant quotient")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_at_least_one("n"))
     _flags(p, cache=True)
 
     p = sub.add_parser("frobenius", help="bigraded Frobenius image in the"
                        " Schur basis")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_at_least_one("n"))
     _flags(p)
 
     p = sub.add_parser("cnk", help="the fermionic-slice symmetric function"
                        " C_{n,k}")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_at_least_one("n"))
     p.add_argument("k", type=int)
     p.add_argument("--stat", choices=sorted(OMP_STATISTICS),
                    help="compute from multiset partitions with this"
@@ -513,7 +519,7 @@ def build_parser():
 
     p = sub.add_parser("basis", help="list a monomial basis")
     p.add_argument("kind", choices=("artin", "colon", "parabolic"))
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_at_least_one("n"))
     p.add_argument("--j", metavar="SET",
                    help="comma separated subset for the colon basis")
     p.add_argument("--mu", metavar="PARTS",
@@ -522,7 +528,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run named checks")
     p.add_argument("check", choices=sorted(CHECKS) + ["all"])
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_at_least_one("n"), required=True)
     _flags(p, cache=True, verify=True)
     return parser
 
@@ -644,7 +650,9 @@ def cmd_verify(args, ctx):
         # as one task, so its worker builds the engine once
         shared = [x for x in names if "quotient" in CAPS.get(x, ())]
         tasks = [shared] + [[x] for x in names if x not in shared]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool may start all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs,
+                                                 len(tasks))) as pool:
             done = pool.map(_run_checks, tasks, repeat(args.n), repeat(ctx))
             by_name = {r.check: r for group in done for r in group}
         reports = [by_name[x] for x in names]

@@ -59,12 +59,13 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, perm
+from operator import add
 
 from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
                             enumerate_artin, enumerate_signed_artin,
                             conjugate, j_of_signed, kostka, partitions,
                             signed_partitions)
-from .exactalg import MPoly, QMatrix, SparseTerms, _IntEchelon
+from .exactalg import MPoly, QMatrix, SparseTerms, _IntEchelon, collect
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
                          partial_x, vandermonde)
@@ -144,13 +145,15 @@ def omega_basis(n, i, j):
 def element_coords(elem, index):
     """Sparse coordinate row (integers for integer elements) of a
     SuperElement in a basis index."""
-    row = {}
-    for key, c in elem.terms.items():
-        col = index.get(key)
-        if col is None:
-            raise ValueError(f"monomial {key} outside the indexed component")
-        row[col] = row.get(col, 0) + c
-    return {k: v for k, v in row.items() if v}
+    def entries():
+        for key, c in elem.terms.items():
+            col = index.get(key)
+            if col is None:
+                raise ValueError(
+                    f"monomial {key} outside the indexed component")
+            yield col, c
+
+    return collect(entries())
 
 
 def ideal_component(spec, i, j):
@@ -257,15 +260,8 @@ class CoinvariantEngine:
             if missing:
                 stack.extend(missing)
                 continue
-            acc = {}
-            for d in deps:
-                for a, c in memo[d].items():
-                    s = acc.get(a, 0) - c
-                    if s:
-                        acc[a] = s
-                    else:
-                        del acc[a]
-            memo[e] = acc
+            memo[e] = collect((a, -c) for d in deps
+                              for a, c in memo[d].items())
             stack.pop()
         return memo[exp]
 
@@ -293,21 +289,18 @@ class CoinvariantEngine:
         """Coordinates of a superspace element after bosonic reduction and
         the substitution theta_1 = -(theta_2 + ... + theta_n)."""
         images = self._theta_images
-        row = {}
-        for (exp, ts), c in elem.terms.items():
-            image = images.get(ts)
-            if image is None:
-                image = images[ts] = self._theta_image(ts)
-            nf = self.nf(exp).items()
-            for tw, sign in image:
-                for a, c2 in nf:
-                    col = index[(a, tw)]
-                    s = row.get(col, 0) + sign * c * c2
-                    if s:
-                        row[col] = s
-                    else:
-                        del row[col]
-        return row
+
+        def entries():
+            for (exp, ts), c in elem.terms.items():
+                image = images.get(ts)
+                if image is None:
+                    image = images[ts] = self._theta_image(ts)
+                nf = self.nf(exp).items()
+                for tw, sign in image:
+                    for a, c2 in nf:
+                        yield index[(a, tw)], sign * c * c2
+
+        return collect(entries())
 
     def _nf_times_partial(self, b, w, d):
         """Normal form of b * (d/dx_w - d/dx_1) e_d as an integer dict over
@@ -315,15 +308,9 @@ class CoinvariantEngine:
         key = (b, w, d)
         out = self._nf_partials.get(key)
         if out is None:
-            out = {}
-            for m, c in self.partials_e[d][w].items():
-                for a, c2 in self.nf(tuple(x + y for x, y in zip(b, m))).items():
-                    s = out.get(a, 0) + c * c2
-                    if s:
-                        out[a] = s
-                    else:
-                        del out[a]
-            self._nf_partials[key] = out
+            out = self._nf_partials[key] = collect(
+                (a, c * c2) for m, c in self.partials_e[d][w].items()
+                for a, c2 in self.nf(tuple(map(add, b, m))).items())
         return out
 
     def ideal_echelon(self, i, j):
@@ -559,9 +546,8 @@ def operator_closure(n):
 
 
 def _catalecticants(j_subset, degrees):
-    """Yield (d, rows, columns) for each distinct d in degrees, in order:
-    rows[a] is the image (x^a f_J) (.) Vandermonde as an integer row, and
-    columns maps each exponent of the images to its column index.
+    """{d: rows} for each distinct d in degrees, in increasing order:
+    rows[a] is the image (x^a f_J) (.) Vandermonde as an integer row.
 
     x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
     g_J = f_J (.) Vandermonde, computed once here.  Row a of the degree-d
@@ -569,13 +555,15 @@ def _catalecticants(j_subset, degrees):
     for every term c_b x^b of g_J with a <= b; exponents a without such a
     term have a zero image and no row.  The divisors a <= b are walked
     once, each into the catalecticant of degree |a| if that one is asked
-    for; columns are numbered in order of first appearance.
+    for; the columns of each degree are numbered in order of first
+    appearance.  Every requested degree is built before the return, so the
+    memory peak is the sum of their sizes, not the largest.
     """
     g = odot(f_J(j_subset), vandermonde(j_subset.n))
     if any(ts for _, ts in g.terms):
         raise IntegrityError(f"theta term in f_J (.) Vandermonde for"
                              f" J={j_subset.elems}")
-    wanted = {d: ({}, {}) for d in degrees}
+    wanted = {d: ({}, {}) for d in sorted(set(degrees))}
     for (b, _), c in g.terms.items():
         for a in product(*(range(x + 1) for x in b)):
             bucket = wanted.get(sum(a))
@@ -588,25 +576,13 @@ def _catalecticants(j_subset, degrees):
             col = columns.setdefault(tuple(x - y for x, y in zip(b, a)),
                                      len(columns))
             rows.setdefault(a, {})[col] = v
-    for d in list(wanted):
-        # every degree is built before the first yield, so peak memory
-        # holds them all; popping only frees a degree once the caller
-        # drops it
-        rows, columns = wanted.pop(d)
-        yield d, rows, columns
+    return {d: rows for d, (rows, _) in wanted.items()}
 
 
 def _image(p, rows):
     """The combination of the catalecticant rows of p's terms."""
-    image = {}
-    for a, c in p.terms.items():
-        for col, v in rows.get(a, {}).items():
-            s = image.get(col, 0) + c * v
-            if s:
-                image[col] = s
-            else:
-                del image[col]
-    return image
+    return collect((col, c * v) for a, c in p.terms.items()
+                   for col, v in rows.get(a, {}).items())
 
 
 def steinberg_independence(poly_sets, j_subset):
@@ -628,7 +604,7 @@ def steinberg_independence(poly_sets, j_subset):
                 by_degree.setdefault(degrees.pop(),
                                      [[] for _ in poly_sets])[k].append(p)
     ranks = [0] * len(poly_sets)
-    for d, rows, _ in _catalecticants(j_subset, sorted(by_degree)):
+    for d, rows in _catalecticants(j_subset, by_degree).items():
         for k, polys in enumerate(by_degree[d]):
             ech = _IntEchelon()
             for p in polys:
@@ -647,7 +623,7 @@ def verify_colon_basis(j_subset):
     by_degree = {}
     for a in enumerate_artin(j_subset):
         by_degree.setdefault(sum(a), []).append(a)
-    for d, rows, _ in _catalecticants(j_subset, range(top + 3)):
+    for d, rows in _catalecticants(j_subset, range(top + 3)).items():
         ech = _IntEchelon()
         candidates = by_degree.pop(d, [])
         for a in candidates:
@@ -752,20 +728,21 @@ def frobenius_reconstruct(eng):
     bidegrees = set()
     for t in tables.values():
         bidegrees.update(t.terms)
-    out = {}
-    for (i, j) in sorted(bidegrees):
-        b = [tables[mu].get(i, j) for mu in mus]
-        x = M.solve(b)
-        if x is None:
-            raise VerificationFailure(
-                f"Kostka system inconsistent at bidegree ({i},{j})")
-        for c, lam in enumerate(lams):
-            v = x[c]
-            if v.denominator != 1 or v < 0:
+
+    def terms():
+        for (i, j) in sorted(bidegrees):
+            b = [tables[mu].get(i, j) for mu in mus]
+            x = M.solve(b)
+            if x is None:
                 raise VerificationFailure(
-                    f"non-nonnegative-integral Schur coefficient {v} for"
-                    f" {lam} at bidegree ({i},{j})")
-            if v:
-                out[lam] = (out.get(lam, 0)
-                            + QZPolynomial.monomial(i, j, int(v)))
-    return Schur(n, out)
+                    f"Kostka system inconsistent at bidegree ({i},{j})")
+            for c, lam in enumerate(lams):
+                v = x[c]
+                if v.denominator != 1 or v < 0:
+                    raise VerificationFailure(
+                        f"non-nonnegative-integral Schur coefficient {v} for"
+                        f" {lam} at bidegree ({i},{j})")
+                if v:
+                    yield lam, QZPolynomial.monomial(i, j, int(v))
+
+    return Schur(n, collect(terms()))

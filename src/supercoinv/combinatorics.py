@@ -24,7 +24,7 @@ from itertools import (accumulate, combinations,
 from math import comb
 from operator import gt, lt
 
-from .exactalg import SparseTerms
+from .exactalg import SparseTerms, collect
 
 
 class IntegrityError(Exception):
@@ -84,16 +84,9 @@ class QZPolynomial(SparseTerms):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        out = {}
-        for (a, b), c1 in self.terms.items():
-            for (d, e), c2 in other.terms.items():
-                k = (a + d, b + e)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return self._like(out)
+        return self._like(collect(((a + d, b + e), c1 * c2)
+                                  for (a, b), c1 in self.terms.items()
+                                  for (d, e), c2 in other.terms.items()))
 
     __rmul__ = __mul__
 

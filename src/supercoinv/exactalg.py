@@ -10,6 +10,13 @@ rendering; each keeps only its product and key-specific methods.  Every
 element is an immutable value: no method changes ``terms`` after
 construction.
 
+``collect`` is the one place a coefficient is summed by key and a zero sum
+is dropped: every sum, product, derivative, group action and normal form
+of the package lists its (key, coefficient) contributions and builds its
+terms with it, so no stored coefficient is ever zero.  The elimination
+kernel ``_IntEchelon.reduce`` alone subtracts in place, into its own copy
+of a row.
+
 Every computation in this package is exact.  No floating point appears
 anywhere; coefficients are arbitrary-precision integers throughout, and
 every elimination runs on one kernel, ``_IntEchelon``, over Z.
@@ -23,6 +30,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
+
+
+def collect(pairs, out=None):
+    """Sum (key, coefficient) pairs into the dict ``out`` (a new one by
+    default) and return it.  A key whose sum reaches 0 is removed, and a
+    zero contribution leaves the dict unchanged."""
+    if out is None:
+        out = {}
+    for key, c in pairs:
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
 class SparseTerms:
@@ -74,17 +97,10 @@ class SparseTerms:
         if type(other) is not type(self) or other.nvars != self.nvars:
             raise ValueError("sum of elements of different types or"
                              " variable counts")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return self._like(out)
+        return self._like(collect(other.terms.items(), dict(self.terms)))
 
     def __radd__(self, other):
-        # 0 + x, as in sum(...) and out.get(key, 0) + c
+        # 0 + x, as in sum(...) and in collect
         return self if other == 0 else NotImplemented
 
     def __neg__(self):
@@ -113,11 +129,11 @@ class SparseTerms:
         return out
 
     @staticmethod
-    def format_terms(pairs, plus="+"):
+    def format_terms(pairs, plus="+", times="*"):
         """Render (coefficient, factors) pairs as a signed sum: a term is
         its coefficient alone when it has no factor, its factors joined by
-        ``*`` behind the coefficient otherwise (the coefficient 1 is left
-        out, -1 leaves its sign); terms after the first are joined by
+        ``times`` behind the coefficient otherwise (the coefficient 1 is
+        left out, -1 leaves its sign); terms after the first are joined by
         ``plus``, a negative one by ``plus`` with its "+" turned into its
         minus sign, so " + " pairs with " - "; no pairs give "0"."""
         s = ""
@@ -125,11 +141,11 @@ class SparseTerms:
             if not factors:
                 body = str(c)
             elif c == 1:
-                body = "*".join(factors)
+                body = times.join(factors)
             elif c == -1:
-                body = "-" + "*".join(factors)
+                body = "-" + times.join(factors)
             else:
-                body = str(c) + "*" + "*".join(factors)
+                body = str(c) + times + times.join(factors)
             if not s:
                 s = body
             elif body.startswith("-"):
@@ -179,16 +195,10 @@ class MPoly(SparseTerms):
     def __mul__(self, other):
         if not isinstance(other, MPoly):
             return self.scale(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return self._like(out)
+        return self._like(collect(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -204,18 +214,10 @@ class MPoly(SparseTerms):
 
     def partial(self, i):
         """Partial derivative with respect to x_i (1-indexed)."""
-        out = {}
         idx = i - 1
-        for exp, c in self.terms.items():
-            a = exp[idx]
-            if a:
-                e = exp[:idx] + (a - 1,) + exp[idx + 1:]
-                s = out.get(e, 0) + c * a
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return self._like(out)
+        return self._like(collect(
+            (exp[:idx] + (exp[idx] - 1,) + exp[idx + 1:], c * exp[idx])
+            for exp, c in self.terms.items() if exp[idx]))
 
     def rename_vars(self, mapping):
         """Substitute x_i -> x_{mapping[i]} (dict of 1-indexed variables).
@@ -223,21 +225,15 @@ class MPoly(SparseTerms):
         Unmapped variables are left in place.  The image polynomial lives
         in the same number of variables.
         """
-        out = {}
-        for exp, c in self.terms.items():
-            new = [0] * self.nvars
-            for pos, a in enumerate(exp):
-                if not a:
-                    continue
-                tgt = mapping.get(pos + 1, pos + 1)
-                new[tgt - 1] += a
-            e = tuple(new)
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return self._like(out)
+        def renamed():
+            for exp, c in self.terms.items():
+                new = [0] * self.nvars
+                for pos, a in enumerate(exp):
+                    if a:
+                        new[mapping.get(pos + 1, pos + 1) - 1] += a
+                yield tuple(new), c
+
+        return self._like(collect(renamed()))
 
     @classmethod
     def elementary(cls, nvars, d, variables=None):
@@ -267,7 +263,8 @@ class MPoly(SparseTerms):
 
         def rec(pos, remaining, exp):
             if remaining == 0:
-                out[tuple(exp)] = out.get(tuple(exp), 0) + 1
+                # each exponent is reached once
+                out[tuple(exp)] = 1
                 return
             if pos == len(vs):
                 return

@@ -16,9 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import permutations
 from math import perm
-from operator import sub
+from operator import add, sub
 
-from .exactalg import MPoly, SparseTerms
+from .exactalg import MPoly, SparseTerms, collect
 from .combinatorics import mu_blocks
 
 
@@ -78,20 +78,14 @@ class SuperElement(SparseTerms):
     def __mul__(self, other):
         if not isinstance(other, SuperElement):
             return self.scale(other)
-        out = {}
-        for (e1, t1), c1 in self.terms.items():
-            for (e2, t2), c2 in other.terms.items():
-                thetas, sign = _merge_thetas(t1, t2)
-                if sign == 0:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                key = (e, thetas)
-                s = out.get(key, 0) + sign * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return self._like(out)
+        def products():
+            for (e1, t1), c1 in self.terms.items():
+                for (e2, t2), c2 in other.terms.items():
+                    thetas, sign = _merge_thetas(t1, t2)
+                    if sign:
+                        yield (tuple(map(add, e1, e2)), thetas), sign * c1 * c2
+
+        return self._like(collect(products()))
 
     __rmul__ = __mul__
 
@@ -136,35 +130,23 @@ def act(w, f):
 
     ``w`` is a tuple with w[i-1] = w(i).
     """
-    out = {}
-    for (exp, thetas), c in f.terms.items():
-        new_exp = [0] * f.nvars
-        for i, a in enumerate(exp):
-            new_exp[w[i] - 1] = a
-        new_t, sign = _sort_sign(tuple(w[t - 1] for t in thetas))
-        key = (tuple(new_exp), new_t)
-        s = out.get(key, 0) + sign * c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return f._like(out)
+    def images():
+        for (exp, thetas), c in f.terms.items():
+            new_exp = [0] * f.nvars
+            for i, a in enumerate(exp):
+                new_exp[w[i] - 1] = a
+            new_t, sign = _sort_sign(tuple(w[t - 1] for t in thetas))
+            yield (tuple(new_exp), new_t), sign * c
+
+    return f._like(collect(images()))
 
 
 def partial_x(i, f):
     """d/dx_i acting on a superspace element."""
-    out = {}
     idx = i - 1
-    for (exp, thetas), c in f.terms.items():
-        a = exp[idx]
-        if a:
-            key = (exp[:idx] + (a - 1,) + exp[idx + 1:], thetas)
-            s = out.get(key, 0) + c * a
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return f._like(out)
+    return f._like(collect(
+        ((exp[:idx] + (exp[idx] - 1,) + exp[idx + 1:], thetas), c * exp[idx])
+        for (exp, thetas), c in f.terms.items() if exp[idx]))
 
 
 def odot(f, g):
@@ -183,29 +165,26 @@ def odot(f, g):
     for (b, T), d in g.terms.items():
         by_theta.setdefault(T, []).append((b, d))
     groups = [(T, frozenset(T), terms) for T, terms in by_theta.items()]
-    out = {}
-    for (a, S), c in f.terms.items():
-        support = [(i, ai) for i, ai in enumerate(a) if ai]
-        for T, T_set, terms in groups:
-            if not T_set.issuperset(S):
-                continue
-            # T is increasing, so bisect_left(T, s) = #{t in T : t < s}
-            sc = -c if S and sum(bisect_left(T, s) for s in S) % 2 else c
-            rest = tuple(t for t in T if t not in S) if S else T
-            for b, d in terms:
-                coeff = sc * d
-                for i, ai in support:
-                    if b[i] < ai:
-                        break
-                    coeff *= perm(b[i], ai)
-                else:
-                    key = (tuple(map(sub, b, a)), rest)
-                    v = out.get(key, 0) + coeff
-                    if v:
-                        out[key] = v
+
+    def images():
+        for (a, S), c in f.terms.items():
+            support = [(i, ai) for i, ai in enumerate(a) if ai]
+            for T, T_set, terms in groups:
+                if not T_set.issuperset(S):
+                    continue
+                # T is increasing, so bisect_left(T, s) = #{t in T : t < s}
+                sc = -c if S and sum(bisect_left(T, s) for s in S) % 2 else c
+                rest = tuple(t for t in T if t not in S) if S else T
+                for b, d in terms:
+                    coeff = sc * d
+                    for i, ai in support:
+                        if b[i] < ai:
+                            break
+                        coeff *= perm(b[i], ai)
                     else:
-                        del out[key]
-    return f._like(out)
+                        yield (tuple(map(sub, b, a)), rest), coeff
+
+    return f._like(collect(images()))
 
 
 def euler_d(j, f):
@@ -213,21 +192,18 @@ def euler_d(j, f):
     theta factor multiplied on the left.  A term x^b theta_T with i not in T
     and b_i >= j gives perm(b_i, j) x^(b - j e_i) theta_(T + i), with sign
     (-1)^#{t in T : t < i}."""
-    out = {}
-    for i in range(1, f.nvars + 1):
-        idx = i - 1
-        for (b, T), c in f.terms.items():
-            bi = b[idx]
-            if bi < j or i in T:
-                continue
-            k = bisect_left(T, i)
-            key = (b[:idx] + (bi - j,) + b[idx + 1:], T[:k] + (i,) + T[k:])
-            s = out.get(key, 0) + (-c if k % 2 else c) * perm(bi, j)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return f._like(out)
+    def images():
+        for i in range(1, f.nvars + 1):
+            idx = i - 1
+            for (b, T), c in f.terms.items():
+                bi = b[idx]
+                if bi < j or i in T:
+                    continue
+                k = bisect_left(T, i)
+                key = (b[:idx] + (bi - j,) + b[idx + 1:], T[:k] + (i,) + T[k:])
+                yield key, (-c if k % 2 else c) * perm(bi, j)
+
+    return f._like(collect(images()))
 
 
 def euler_chain(K, f):
@@ -253,11 +229,9 @@ def antisymmetrize(mu, f):
         group = [(w + p, sign * _sort_sign(p)[1]) for w, sign in group
                  for p in permutations(block)]
     fixed = tuple(range(sum(mu) + 1, n + 1))
-    out = {}
-    for w, sign in group:
-        for key, c in act(w + fixed, f).terms.items():
-            out[key] = out.get(key, 0) + sign * c
-    return SuperElement(n, out)
+    return SuperElement(n, collect(
+        (key, sign * c) for w, sign in group
+        for key, c in act(w + fixed, f).terms.items()))
 
 
 def is_antisymmetric(mu, f):

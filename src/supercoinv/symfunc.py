@@ -5,11 +5,13 @@ polynomials C_{n,k}(x; q).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .combinatorics import (IntegrityError, QZPolynomial, conjugate,
                             descents, enumerate_omp, enumerate_ssyt,
                             enumerate_syt_all, horizontal_strips, kostka,
                             omp_statistic, partitions)
-from .exactalg import MPoly, SparseTerms
+from .exactalg import MPoly, SparseTerms, collect
 
 
 class SymFn(SparseTerms):
@@ -64,27 +66,14 @@ class Monomial(SymFn):
 
 
 def _qz_latex(c):
-    if c.is_zero():
-        return "0"
-    out = []
-    for (qe, ze) in sorted(c.terms, key=lambda k: (k[1], k[0])):
-        v = c.terms[(qe, ze)]
-        body = ""
-        if qe:
-            body += "q" if qe == 1 else f"q^{{{qe}}}"
-        if ze:
-            body += "z" if ze == 1 else f"z^{{{ze}}}"
-        if not body:
-            body = str(v)
-        elif v == -1:
-            body = "-" + body
-        elif v != 1:
-            body = str(v) + body
-        out.append(body)
-    s = out[0]
-    for p in out[1:]:
-        s += " - " + p[1:] if p.startswith("-") else " + " + p
-    return s
+    """A QZPolynomial in LaTeX: the terms of ``QZPolynomial.render``, in
+    its order, with q^{k} and z^{k} factors written side by side."""
+    def factors(k):
+        return [f"{name}^{{{e}}}" if e > 1 else name
+                for name, e in zip("qz", k) if e]
+    keys = sorted(c.terms, key=lambda k: (k[1], k[0]))
+    return c.format_terms(((c.terms[k], factors(k)) for k in keys),
+                          plus=" + ", times="")
 
 
 def _kostka_matrix(n):
@@ -101,14 +90,10 @@ def to_basis(f, basis):
         return f
     if (f.basis, basis) != ("s", "m"):
         raise ValueError(f"no change from basis {f.basis!r} to {basis!r}")
-    out = {}
     parts, K = _kostka_matrix(f.degree)
-    for lam, c in f.terms.items():
-        for mu in parts:
-            k = K[lam][mu]
-            if k:
-                out[mu] = out.get(mu, 0) + c.scale(k)
-    return Monomial(f.degree, out)
+    return Monomial(f.degree, collect(
+        (mu, c.scale(K[lam][mu])) for lam, c in f.terms.items()
+        for mu in parts if K[lam][mu]))
 
 
 def hall(f, g):
@@ -133,12 +118,9 @@ def e_perp(mu, f):
     lam'/nu' of the conjugates."""
     g = to_basis(f, "s")
     for d in mu:
-        out = {}
-        for lam, c in g.terms.items():
-            for conj in horizontal_strips(conjugate(lam), d):
-                nu = conjugate(conj)
-                out[nu] = out.get(nu, 0) + c
-        g = Schur(g.degree - d, out)
+        g = Schur(g.degree - d, collect(
+            (conjugate(conj), c) for lam, c in g.terms.items()
+            for conj in horizontal_strips(conjugate(lam), d)))
     return g
 
 
@@ -153,15 +135,16 @@ def schur_poly(nu, nvars, variables=None):
     vs = sorted(variables) if variables is not None else range(1, nvars + 1)
     if len(nu) > len(vs):
         return MPoly.zero(nvars)
-    out = {}
-    for t in enumerate_ssyt(nu, len(vs)):
-        exp = [0] * nvars
-        for row in t:
-            for v in row:
-                exp[vs[v - 1] - 1] += 1
-        e = tuple(exp)
-        out[e] = out.get(e, 0) + 1
-    return MPoly(nvars, out)
+    def contents():
+        for t in enumerate_ssyt(nu, len(vs)):
+            exp = [0] * nvars
+            for row in t:
+                for v in row:
+                    exp[vs[v - 1] - 1] += 1
+            yield tuple(exp)
+
+    # a count of tableaux by content, never 0
+    return MPoly(nvars, Counter(contents()))
 
 
 def cnk_syt(n, k):
@@ -174,19 +157,20 @@ def cnk_syt(n, k):
     r = n - k
     shift = r * (r - 1) // 2
     binoms = [QZPolynomial.q_binomial(des, r) for des in range(n)]
-    out = {}
-    for t in enumerate_syt_all(n):
-        ds = descents(t)
-        des = len(ds)
-        binom = binoms[des]
-        if not binom:
-            continue
-        exp = sum(ds) + shift - r * des
-        if exp < 0:
-            raise IntegrityError("negative q-exponent in tableau formula")
-        lam = tuple(map(len, t))
-        out[lam] = out.get(lam, 0) + QZPolynomial.monomial(exp, 0) * binom
-    return Schur(n, out)
+
+    def terms():
+        for t in enumerate_syt_all(n):
+            ds = descents(t)
+            des = len(ds)
+            binom = binoms[des]
+            if not binom:
+                continue
+            exp = sum(ds) + shift - r * des
+            if exp < 0:
+                raise IntegrityError("negative q-exponent in tableau formula")
+            yield tuple(map(len, t)), QZPolynomial.monomial(exp, 0) * binom
+
+    return Schur(n, collect(terms()))
 
 
 def cnk_omp(n, k, stat="minimaj"):
@@ -200,9 +184,7 @@ def cnk_omp(n, k, stat="minimaj"):
         raise ValueError("need 1 <= k <= n")
     out = {}
     for mu in partitions(n):
-        counts = {}
-        for m in enumerate_omp(mu, k):
-            v = omp_statistic(m, stat)
-            counts[v] = counts.get(v, 0) + 1
+        # a count of multiset partitions by statistic value, never 0
+        counts = Counter(omp_statistic(m, stat) for m in enumerate_omp(mu, k))
         out[mu] = QZPolynomial({(v, 0): c for v, c in counts.items()})
     return Monomial(n, out)

@@ -257,6 +257,39 @@ def test_n_below_one_is_a_usage_error(capsys):
         _assert_parser_rejects(capsys, argv, "n must be an integer >= 1")
 
 
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-3", "two"):
+        _assert_parser_rejects(capsys, ("verify", "all", "--n", "2",
+                                        "--jobs", jobs),
+                               "jobs must be an integer >= 1")
+
+
+def test_jobs_are_capped_at_the_number_of_tasks(capsys, monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so
+    # a large --jobs starts no process at all
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    code, out = run_cli(capsys, "verify", "all", "--n", "2", "--jobs", "1000")
+    assert code == 0
+    assert len(out.strip().splitlines()) == len(cli.CHECKS) + 1
+    # the engine-backed checks as one task, plus one task per other check
+    assert sizes == [7]
+
+
 def test_basis_usage_errors_exit_two(capsys):
     for argv, message in (
             (("basis", "colon", "3"), "needs --j"),
@@ -468,8 +501,8 @@ def test_steinberg_fails_when_the_pairing_rank_falls_short(monkeypatch):
     catalecticants = cli._catalecticants
 
     def short(j_subset, degrees):
-        for d, rows, columns in catalecticants(j_subset, degrees):
-            yield d, {a: r for a, r in rows.items() if any(a)}, columns
+        return {d: {a: r for a, r in rows.items() if any(a)}
+                for d, rows in catalecticants(j_subset, degrees).items()}
     monkeypatch.setattr(cli, "_catalecticants", short)
     witness = _steinberg_witness(cli.RunContext())
     assert "rank 0 in degree 0, not the 1 substaircase" in witness

@@ -175,7 +175,8 @@ def test_colon_with_empty_subset_is_the_classical_coinvariant_ring():
     for n in (1, 2, 3, 4):
         top = n * (n - 1) // 2
         dims = {}
-        for d, rows, _ in _catalecticants(SubsetOfN(n, ()), range(top + 3)):
+        catalecticants = _catalecticants(SubsetOfN(n, ()), range(top + 3))
+        for d, rows in catalecticants.items():
             ech = _IntEchelon()
             for row in rows.values():
                 ech.add(row)
@@ -207,7 +208,10 @@ def test_catalecticant_rows_match_the_literal_pairing():
     for n in (1, 2, 3, 4):
         for J in subsets(n):
             top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
-            for d, rows, columns in _catalecticants(J, range(top + 2)):
+            for d, rows in _catalecticants(J, range(top + 2)).items():
+                # the columns as the reference walk numbers them, the same
+                # numbering by test_catalecticants_match_the_walk_per_degree
+                _, columns = _catalecticant_by_degree(J, d)
                 exps = {col: e for e, col in columns.items()}
                 for a in monomials(n, d):
                     got = SuperElement(n, {(exps[col], ()): c for col, c
@@ -238,14 +242,14 @@ def test_catalecticants_match_the_walk_per_degree():
     for n in range(1, 6):
         for J in subsets(n):
             top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
-            # every degree up to two above the bound, highest first
-            degrees = list(range(top + 2, -1, -1))
-            got = list(_catalecticants(J, degrees))
-            assert [d for d, _, _ in got] == degrees
-            for d, rows, columns in got:
-                # dict equality ignores order, so compare the items in order
-                want_rows, want_columns = _catalecticant_by_degree(J, d)
-                assert list(columns.items()) == list(want_columns.items())
+            # every degree up to two above the bound, asked highest first
+            # and returned lowest first
+            got = _catalecticants(J, range(top + 2, -1, -1))
+            assert list(got) == list(range(top + 3))
+            for d, rows in got.items():
+                # dict equality ignores order, so compare the items in order:
+                # equal row items also give equal column numbers
+                want_rows, _ = _catalecticant_by_degree(J, d)
                 assert ([(a, list(row.items())) for a, row in rows.items()]
                         == [(a, list(row.items()))
                             for a, row in want_rows.items()]), (J.elems, d)

@@ -5,7 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 from supercoinv.combinatorics import QZPolynomial
-from supercoinv.exactalg import MPoly, PolyMatrix, QMatrix, _IntEchelon
+from supercoinv.exactalg import (MPoly, PolyMatrix, QMatrix, _IntEchelon,
+                                 collect)
 from supercoinv.superspace import SuperElement
 
 
@@ -15,6 +16,47 @@ def random_poly(rng, nvars, max_deg=3, max_terms=4):
         exp = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         terms[exp] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return MPoly(nvars, {e: c for e, c in terms.items() if c})
+
+
+def _sum_then_filter(pairs, start=None):
+    """The definition of ``collect``: every sum first, zeros dropped last."""
+    sums = dict(start or {})
+    for key, c in pairs:
+        sums[key] = sums.get(key, 0) + c
+    return {key: c for key, c in sums.items() if c}
+
+
+def test_collect_is_sum_then_filter():
+    rng = random.Random(24)
+    for _ in range(300):
+        # few keys and small coefficients, so sums cancel and come back
+        pairs = [(rng.randint(0, 3), rng.randint(-2, 2))
+                 for _ in range(rng.randint(0, 12))]
+        assert collect(pairs) == _sum_then_filter(pairs)
+        start = {k: rng.choice((-2, -1, 1, 2))
+                 for k in range(rng.randint(0, 4))}
+        out = dict(start)
+        assert collect(pairs, out) is out
+        assert out == _sum_then_filter(pairs, start)
+    # a zero contribution leaves the dict unchanged, present key or not
+    assert collect([("a", 0)]) == {}
+    assert collect([("a", 1), ("b", 0), ("a", 0)]) == {"a": 1}
+    # a key that cancels is removed and may come back
+    assert collect([("a", 2), ("a", -2)]) == {}
+    assert collect([("a", 2), ("b", 1), ("a", -2), ("a", 3)]) == {"b": 1,
+                                                                  "a": 3}
+    # a given dict is added into in place, and its own keys may cancel
+    out = {"a": 1, "b": 2}
+    assert collect([("b", -2), ("c", 5)], out) is out
+    assert out == {"a": 1, "c": 5}
+
+
+def test_collect_sums_sparse_coefficients():
+    q, z = QZPolynomial.monomial(1, 0), QZPolynomial.monomial(0, 1)
+    pairs = [("s2", q), ("s11", z), ("s2", -q), ("s11", QZPolynomial.zero()),
+             ("s3", q + z), ("s3", -z)]
+    assert collect(pairs) == _sum_then_filter(pairs) == {"s11": z, "s3": q}
+    assert collect([("s2", QZPolynomial.zero())]) == {}
 
 
 def test_ring_axioms_random():

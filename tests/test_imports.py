@@ -4,11 +4,12 @@ import sits at module level, no module has an ``assert`` statement
 ``AssertionError`` (the command line reports only its own failure
 types), ``Fraction`` is used only where a true rational is needed, only
 ``SparseTerms._like`` builds a sparse-term result without its
-constructor, no class body holds a container, no function is wrapped in
-a process-global cache and no function writes module-level state (one
-allowed exception), and every function, class and method of the package
-is referenced somewhere.  No linter is a dependency, so these tests are
-the guards."""
+constructor, only ``collect`` sums coefficients by key and drops a zero
+sum (the echelon kernel's in-place row subtraction aside), no class body
+holds a container, no function is wrapped in a process-global cache and
+no function writes module-level state (one allowed exception), and every
+function, class and method of the package is referenced somewhere.  No
+linter is a dependency, so these tests are the guards."""
 
 import ast
 import pathlib
@@ -143,6 +144,56 @@ def test_fraction_only_in_back_substitution():
         stray = [(line, scope) for line, scope
                  in _fraction_uses(path.read_text())
                  if scope not in FRACTION_SCOPES]
+        assert stray == [], path.name
+
+
+# the one place coefficients are summed by key and a zero sum is dropped,
+# and the in-place row subtraction of the echelon kernel
+ACCUMULATION_SCOPES = {"collect", "_IntEchelon.reduce"}
+
+
+def _accumulations(source):
+    """(line, enclosing qualified name) of every ``del d[k]`` and every
+    ``d.get(k, 0) + c`` or ``- c``, either side of the operator."""
+    def get_zero(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == 0)
+    return _scoped(source, lambda node: (
+        isinstance(node, ast.Delete)
+        and any(isinstance(t, ast.Subscript) for t in node.targets)
+        or isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub))
+        and (get_zero(node.left) or get_zero(node.right))))
+
+
+def test_guard_flags_a_hand_copied_accumulation():
+    source = ("def collect(pairs, out):\n"
+              "    for k, c in pairs:\n"
+              "        s = out.get(k, 0) + c\n"
+              "class SymFn:\n"
+              "    def add(self, out, k, c):\n"
+              "        out[k] = out.get(k, 0) - c\n"
+              "        n = 1 + out.get(k, 0)\n"
+              "        m = out.get(k, 1) + c\n"
+              "        if not out[k]:\n"
+              "            del out[k]\n"
+              "        del self.cache\n"
+              "        return self.get(k, 0)\n"
+              "def drop(d, k):\n"
+              "    del d.cache, d[k]\n")
+    assert _accumulations(source) == [(3, "collect"), (6, "SymFn.add"),
+                                      (7, "SymFn.add"), (10, "SymFn.add"),
+                                      (14, "drop")]
+
+
+def test_accumulation_only_in_collect():
+    for path in sorted(PACKAGE.glob("*.py")):
+        stray = [(line, scope) for line, scope
+                 in _accumulations(path.read_text())
+                 if scope not in ACCUMULATION_SCOPES]
         assert stray == [], path.name
 
 
