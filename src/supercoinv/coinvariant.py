@@ -56,6 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, perm
@@ -63,13 +64,12 @@ from operator import add
 
 from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
                             enumerate_artin, enumerate_signed_artin,
-                            conjugate, j_of_signed, kostka, partitions,
-                            signed_partitions)
+                            conjugate, j_of_signed, signed_partitions)
 from .exactalg import MPoly, QMatrix, SparseTerms, _IntEchelon, collect
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
                          coinvariant_generators, euler_d, f_J, odot,
                          partial_x, vandermonde)
-from .symfunc import Schur
+from .symfunc import Schur, kostka_matrix, schur_poly
 
 
 class VerificationFailure(Exception):
@@ -189,11 +189,10 @@ class CoinvariantEngine:
         # rewrite rules: h_k(x_k..x_n) is in the bosonic ideal by the t^k
         # coefficient of E(-t) H_{x_k..x_n}(t) = prod_{i<k} (1 - x_i t),
         # sum_{j=0..k} (-1)^j e_j h_{k-j}(x_k..x_n) = 0 (the rule at j = 0)
-        es = [MPoly.elementary(n, d) for d in range(n + 1)]
+        es = [schur_poly((1,) * d, n) for d in range(n + 1)]
         self.hpolys = {}
         for k in range(1, n + 1):
-            hs = [MPoly.complete_homogeneous(n, m, range(k, n + 1))
-                  for m in range(k + 1)]
+            hs = [schur_poly((m,), n, range(k, n + 1)) for m in range(k + 1)]
             coeff = sum(((es[j] * hs[k - j]).scale((-1) ** j)
                          for j in range(k + 1)), MPoly.zero(n))
             if not coeff.is_zero():
@@ -458,11 +457,17 @@ def _cache_write(cache_dir, spec, i, j, rank, dim):
     path = _cache_path(cache_dir, spec, i, j)
     # write-once with atomic rename so concurrent workers never see partials
     tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump({"n": spec.n, "tag": spec.tag, "i": i, "j": j,
-                   "rank": rank, "dim": dim,
-                   "hash": spec.content_hash()}, fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump({"n": spec.n, "tag": spec.tag, "i": i, "j": j,
+                       "rank": rank, "dim": dim,
+                       "hash": spec.content_hash()}, fh)
+        os.replace(tmp, path)
+    except OSError:
+        # an entry that cannot be written (say, a directory in its place)
+        # is left out: the value was computed, not read, so the run goes on
+        with suppress(OSError):
+            os.unlink(tmp)
 
 
 def quotient_hilbert(eng, cache_dir=None):
@@ -715,28 +720,23 @@ def frobenius_reconstruct(eng):
     antisymmetric slice dimensions: solve the Kostka system <s_lam, e_mu> =
     K_{lam', mu} per bidegree and return a Schur expansion over Z[q, z]."""
     n = eng.n
-    mus = partitions(n)
-    lams = partitions(n)
-    tables = {mu: epsilon_dims(eng, mu) for mu in mus}
-    K = {(lam, mu): kostka(conjugate(lam), mu)
-         for lam in lams for mu in mus}
-    rows = []
-    for mu in mus:
-        rows.append({c: K[(lam, mu)] for c, lam in enumerate(lams)
-                     if K[(lam, mu)]})
-    M = QMatrix(len(mus), len(lams), rows)
+    parts, K = kostka_matrix(n)
+    tables = {mu: epsilon_dims(eng, mu) for mu in parts}
+    rows = [{c: K[conjugate(lam)][mu] for c, lam in enumerate(parts)
+             if K[conjugate(lam)][mu]} for mu in parts]
+    M = QMatrix(len(parts), len(parts), rows)
     bidegrees = set()
     for t in tables.values():
         bidegrees.update(t.terms)
 
     def terms():
         for (i, j) in sorted(bidegrees):
-            b = [tables[mu].get(i, j) for mu in mus]
+            b = [tables[mu].get(i, j) for mu in parts]
             x = M.solve(b)
             if x is None:
                 raise VerificationFailure(
                     f"Kostka system inconsistent at bidegree ({i},{j})")
-            for c, lam in enumerate(lams):
+            for c, lam in enumerate(parts):
                 v = x[c]
                 if v.denominator != 1 or v < 0:
                     raise VerificationFailure(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import (accumulate, combinations,
                        combinations_with_replacement, product)
-from math import comb
+from math import comb, prod
 from operator import gt, lt
 
 from .exactalg import SparseTerms, collect
@@ -218,12 +218,9 @@ class TranslationSequence:
         object.__setattr__(self, "sets", sets)
         if len(sets) != len(mu):
             raise ValueError("one set per part of mu required")
-        start = 1
-        for m, s in zip(mu, sets):
-            block = set(range(start, start + m))
-            if not set(s) <= block:
+        for block, s in zip(mu_blocks(mu), sets):
+            if not set(s) <= set(block):
                 raise ValueError(f"set {s} escapes its mu-interval")
-            start += m
 
     def gamma(self):
         return tuple(len(s) for s in self.sets)
@@ -241,13 +238,8 @@ def all_translation_sequences(mu):
 
 
 def mu_blocks(mu):
-    """The consecutive intervals of {1..n} cut out by mu, as lists."""
-    blocks = []
-    start = 1
-    for m in mu:
-        blocks.append(list(range(start, start + m)))
-        start += m
-    return blocks
+    """The consecutive intervals of {1..n} cut out by mu, as ranges."""
+    return [range(end - m + 1, end + 1) for m, end in zip(mu, accumulate(mu))]
 
 
 def j_of_signed(sp):
@@ -290,13 +282,9 @@ def enumerate_signed_artin(sp):
 
 
 def count_signed_artin_product(sp):
-    """Closed product formula for the number of signed substaircase monomials."""
-    total = 1
-    s_prev = 0
-    for m, g in zip(sp.mu, sp.gamma):
-        total *= comb(s_prev + (m - g), m - g) * comb(s_prev + m - 1, g)
-        s_prev += m - g
-    return total
+    """Closed product formula for the number of signed substaircase
+    monomials: the product of the blocks' I-sequence counts."""
+    return prod(count_I(*p) for p in block_parameters(sp))
 
 
 def q_stirling(n, k):

@@ -3,15 +3,16 @@
 Every polynomial here lives in the n x-variables of superspace.  The
 factor matrix is written with one row per row variable: x_j for j in J in
 the determinant of a translation sequence, x_1..x_n in the check of its
-factorization.
+factorization.  The mu-intervals of {1..n} come from ``mu_blocks`` and
+the symmetric polynomials on them from ``schur_poly``.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .combinatorics import (block_parameters, enumerate_signed_artin,
-                            j_of_signed, staircase)
+                            j_of_signed, mu_blocks, staircase)
 from .exactalg import MPoly, PolyMatrix
 from .superspace import SuperElement, euler_chain, odot, star_set
 from .coinvariant import steinberg_independence, VerificationFailure
@@ -29,17 +30,16 @@ def factor_matrix(mu, rows):
     in column j of the block ending at position B is x_v^(B - j + 1) times
     prod_{m > B} (x_v - x_m)."""
     n = sum(mu)
-    ends = list(accumulate(mu))
     grid = []
     for v in rows:
         row = []
         xv = MPoly.var(n, v)
-        for j in range(1, n + 1):
-            B = next(b for b in ends if j <= b)
-            entry = xv ** (B - j + 1)
+        for block in mu_blocks(mu):
+            B = block[-1]
+            tail = MPoly.const(n, 1)
             for m in range(B + 1, n + 1):
-                entry = entry * (xv - MPoly.var(n, m))
-            row.append(entry)
+                tail = tail * (xv - MPoly.var(n, m))
+            row += [xv ** (B - j + 1) * tail for j in block]
         grid.append(row)
     return PolyMatrix(grid)
 
@@ -49,16 +49,15 @@ def reduction_matrix(mu):
     of a block with terminal variables x_{B+1}..x_n, the entry l steps below
     the diagonal is (-1)^l e_l of those terminal variables."""
     n = sum(mu)
-    ends = list(accumulate(mu))
     zero = MPoly.zero(n)
     grid = [[zero for _ in range(n)] for _ in range(n)]
-    for j in range(1, n + 1):
-        B = next(b for b in ends if j <= b)
-        for l in range(0, n - j + 1):
-            e = MPoly.elementary(n, l, range(B + 1, n + 1))
-            if e.is_zero():
-                continue
-            grid[j - 1 + l][j - 1] = e.scale(-1) if l % 2 else e
+    for block in mu_blocks(mu):
+        terminal = range(block[-1] + 1, n + 1)
+        es = [schur_poly((1,) * l, n, terminal).scale((-1) ** l)
+              for l in range(len(terminal) + 1)]
+        for j in block:
+            for l, e in enumerate(es):
+                grid[j - 1 + l][j - 1] = e
     return PolyMatrix(grid)
 
 
@@ -127,17 +126,15 @@ def verify_h_invariance(mu, T, memo=None):
     if len(T) == n:
         return True
     H = h_matrix(mu, T, memo)
-    ends = list(accumulate(mu))
-    starts = [1] + [b + 1 for b in ends[:-1]]
+    swaps = [i for block in mu_blocks(mu) for i in block[:-1]]
     for row in H.grid:
         for p in row:
-            for s, b in zip(starts, ends):
-                for i in range(s, b):
-                    swapped = p.rename_vars({i: i + 1, i + 1: i})
-                    if swapped != p:
-                        raise VerificationFailure(
-                            f"H entry not invariant under swapping x{i}"
-                            f" and x{i+1} for mu={tuple(mu)}, T={tuple(T)}")
+            for i in swaps:
+                swapped = p.rename_vars({i: i + 1, i + 1: i})
+                if swapped != p:
+                    raise VerificationFailure(
+                        f"H entry not invariant under swapping x{i}"
+                        f" and x{i+1} for mu={tuple(mu)}, T={tuple(T)}")
     return True
 
 
@@ -160,30 +157,26 @@ def ptj_determinant(tt, J):
     return factor_matrix(tt.mu, J.elems).minor(range(r), [t - 1 for t in T])
 
 
-def nu_of_translation_set(mu, j, T_j):
-    """The partition nu(T_j) recording how far T_j sits from the top of its
-    mu-interval."""
-    ends = list(accumulate(mu))
-    B = ends[j]
+def nu_of_translation_set(block, T_j):
+    """The partition nu(T_j), zero parts included, recording how far T_j
+    sits from the top of its mu-interval ``block``."""
+    B = block[-1]
     g = len(T_j)
     ts = sorted(T_j)
-    parts = [B - g + (r + 1) - ts[r] for r in range(g)]
-    return tuple(parts)
+    return tuple(B - g + (r + 1) - ts[r] for r in range(g))
 
 
 def weight(tt):
     """The weight s(T): the product over blocks of Schur polynomials
     s_{nu(T_j)} in the top gamma_j variables of the block."""
-    mu = tt.mu
-    n = sum(mu)
-    ends = list(accumulate(mu))
+    n = sum(tt.mu)
     total = MPoly.const(n, 1)
-    for j, T_j in enumerate(tt.sets):
+    for block, T_j in zip(mu_blocks(tt.mu), tt.sets):
         g = len(T_j)
         if g == 0:
             continue
-        nu = tuple(p for p in nu_of_translation_set(mu, j, T_j) if p > 0)
-        total = total * schur_poly(nu, n, range(ends[j] - g + 1, ends[j] + 1))
+        total = total * schur_poly(nu_of_translation_set(block, T_j), n,
+                                   block[-g:])
     return total
 
 
@@ -252,16 +245,19 @@ def _partitions_in_box(width, height):
     return out
 
 
-def l_polynomials(m, k, t, n, offset):
-    """The spanning polynomials for one block on the variables
-    x_(offset+1)..x_(offset+m) of n: e_lambda over the whole block times
-    s_nu in the last k block variables."""
-    block = range(offset + 1, offset + m + 1)
+def l_polynomials(block, k, t, n):
+    """The spanning polynomials for one block, a range of m of the n
+    variables: e_lambda over the whole block times s_nu in the last k
+    block variables."""
+    m = len(block)
+    labels = enumerate_L(m, k, t)
+    es = {d: schur_poly((1,) * d, n, block)
+          for d in {part for lam, _ in labels for part in lam}}
     out = []
-    for lam, nu in enumerate_L(m, k, t):
+    for lam, nu in labels:
         p = MPoly.const(n, 1)
         for part in lam:
-            p = p * MPoly.elementary(n, part, block)
+            p = p * es[part]
         if nu:
             p = p * schur_poly(nu, n, block[m - k:])
         out.append(p)
@@ -273,11 +269,8 @@ def build_E_set(sp):
     drawn from the shifted L-set with the staircase height of the previous
     blocks."""
     n = sum(sp.mu)
-    factors = []
-    offset = 0
-    for m, g, t in block_parameters(sp):
-        factors.append(l_polynomials(m, g, t, n, offset))
-        offset += m
+    factors = [l_polynomials(block, g, t, n) for block, (_, g, t)
+               in zip(mu_blocks(sp.mu), block_parameters(sp))]
     out = [MPoly.const(n, 1)]
     for fs in factors:
         out = [p * f for p in out for f in fs]

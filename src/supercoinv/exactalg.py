@@ -235,48 +235,6 @@ class MPoly(SparseTerms):
 
         return self._like(collect(renamed()))
 
-    @classmethod
-    def elementary(cls, nvars, d, variables=None):
-        """Elementary symmetric polynomial e_d in the given variables.
-
-        ``variables`` is an iterable of 1-indexed variable numbers;
-        defaults to all of them.
-        """
-        vs = sorted(variables) if variables is not None else list(range(1, nvars + 1))
-        if d < 0 or d > len(vs):
-            return cls.zero(nvars)
-        # coefficients of prod (1 + x_v t), built degree by degree
-        layers = [cls.const(nvars, 1)] + [cls.zero(nvars)] * d
-        for v in vs:
-            xv = cls.var(nvars, v)
-            for j in range(min(d, len(layers) - 1), 0, -1):
-                layers[j] = layers[j] + layers[j - 1] * xv
-        return layers[d]
-
-    @classmethod
-    def complete_homogeneous(cls, nvars, d, variables=None):
-        """Complete homogeneous symmetric polynomial h_d in the given variables."""
-        vs = sorted(variables) if variables is not None else list(range(1, nvars + 1))
-        if d < 0:
-            return cls.zero(nvars)
-        out = {}
-
-        def rec(pos, remaining, exp):
-            if remaining == 0:
-                # each exponent is reached once
-                out[tuple(exp)] = 1
-                return
-            if pos == len(vs):
-                return
-            v = vs[pos] - 1
-            for a in range(remaining + 1):
-                exp[v] = a
-                rec(pos + 1, remaining - a, exp)
-            exp[v] = 0
-
-        rec(0, d, [0] * nvars)
-        return cls(nvars, out)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
 

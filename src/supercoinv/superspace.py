@@ -20,6 +20,7 @@ from operator import add, sub
 
 from .exactalg import MPoly, SparseTerms, collect
 from .combinatorics import mu_blocks
+from .symfunc import schur_poly
 
 
 def _sort_sign(seq):
@@ -267,15 +268,9 @@ def f_J(j_subset):
 def coinvariant_generators(n, superspace=True):
     """Generators of the coinvariant ideal: e_1..e_n and, in superspace,
     their Euler derivatives de_1..de_n."""
-    gens = []
-    for d in range(1, n + 1):
-        e = SuperElement.from_mpoly(MPoly.elementary(n, d))
-        gens.append(e)
-    if superspace:
-        for d in range(1, n + 1):
-            e = SuperElement.from_mpoly(MPoly.elementary(n, d))
-            gens.append(euler_d(1, e))
-    return gens
+    es = [SuperElement.from_mpoly(schur_poly((1,) * d, n))
+          for d in range(1, n + 1)]
+    return es + [euler_d(1, e) for e in es] if superspace else es
 
 
 def power_sum_generators(n):

@@ -1,6 +1,9 @@
 """Symmetric functions with coefficients in Z[q, z]: monomial and Schur
 expansions, the Hall pairing, skewing operators, and the graded Frobenius
 polynomials C_{n,k}(x; q).
+
+``schur_poly`` is the one constructor of symmetric polynomials in a set of
+variables: s_nu, and e_d = s_(1^d) and h_d = s_(d).
 """
 
 from __future__ import annotations
@@ -76,8 +79,8 @@ def _qz_latex(c):
                           plus=" + ", times="")
 
 
-def _kostka_matrix(n):
-    """K[lam][mu] = kostka(lam, mu) over partitions of n."""
+def kostka_matrix(n):
+    """The partitions of n and K[lam][mu] = kostka(lam, mu) over them."""
     parts = partitions(n)
     return parts, {lam: {mu: kostka(lam, mu) for mu in parts}
                    for lam in parts}
@@ -90,7 +93,7 @@ def to_basis(f, basis):
         return f
     if (f.basis, basis) != ("s", "m"):
         raise ValueError(f"no change from basis {f.basis!r} to {basis!r}")
-    parts, K = _kostka_matrix(f.degree)
+    parts, K = kostka_matrix(f.degree)
     return Monomial(f.degree, collect(
         (mu, c.scale(K[lam][mu])) for lam, c in f.terms.items()
         for mu in parts if K[lam][mu]))
@@ -131,7 +134,9 @@ def e1_perp(f):
 
 def schur_poly(nu, nvars, variables=None):
     """The Schur polynomial s_nu via semistandard tableaux, in the given
-    1-indexed ``variables`` (default all nvars); nu is a tuple of parts."""
+    1-indexed ``variables`` (default all nvars); nu is a tuple of parts.
+    A column (1,) * d gives e_d and a row (d,) gives h_d; () gives 1, and
+    a shape with more rows than variables gives 0."""
     vs = sorted(variables) if variables is not None else range(1, nvars + 1)
     if len(nu) > len(vs):
         return MPoly.zero(nvars)

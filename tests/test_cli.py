@@ -530,3 +530,25 @@ def test_steinberg_fails_when_the_probes_disagree(monkeypatch):
                         lambda exp: {} if exp == (0, 0, 0) else nf(exp))
     witness = _steinberg_witness(ctx)
     assert "membership routes disagree in degree 0" in witness
+
+
+def test_an_entry_that_cannot_be_written_is_recomputed(tmp_path, capsys):
+    # a directory in place of one entry file: the read rejects it, the
+    # write fails, and the run goes on with the value it computed
+    cache = tmp_path / "D"
+    code, cold = run_cli(capsys, "hilbert", "2", "--cache", str(cache))
+    assert code == 0
+    entry = sorted(cache.iterdir())[0]
+    entry.unlink()
+    entry.mkdir()
+    assert cli.main(["hilbert", "2", "--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    bare_code, bare = run_cli(capsys, "hilbert", "2")
+    assert bare_code == 0
+    assert captured.out == cold == bare
+    assert "cache: 1 rejected entries recomputed" in captured.err
+    code, _ = run_cli(capsys, "verify", "fields1", "--n", "2",
+                      "--cache", str(cache))
+    assert code == 0
+    assert entry.is_dir()
+    assert not [p.name for p in cache.iterdir() if ".tmp" in p.name]

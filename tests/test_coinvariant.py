@@ -71,15 +71,14 @@ def test_engine_set_up_certifies_the_degree_bound(monkeypatch):
 def test_engine_set_up_certifies_the_rewrite_rules(monkeypatch, k):
     # x_4^k pairs to nonzero with the Vandermonde for k < 4, so the rule
     # h_k(x_k..x_4) + x_4^k is not in the ideal and must stop the build
-    true_h = MPoly.complete_homogeneous
+    true_schur = coinvariant.schur_poly
 
-    def wrong(nvars, d, variables):
-        variables = list(variables)
-        h = true_h(nvars, d, variables)
-        if (d, variables[0]) == (k, k):
-            h = h + MPoly.monomial((0,) * (nvars - 1) + (k,))
-        return h
-    monkeypatch.setattr(MPoly, "complete_homogeneous", wrong)
+    def wrong(nu, nvars, variables=None):
+        s = true_schur(nu, nvars, variables)
+        if nu == (k,) and variables is not None and variables[0] == k:
+            s = s + MPoly.monomial((0,) * (nvars - 1) + (k,))
+        return s
+    monkeypatch.setattr(coinvariant, "schur_poly", wrong)
     with pytest.raises(IntegrityError, match=f"rewrite rule h_{k} "):
         CoinvariantEngine(4)
 
@@ -555,3 +554,24 @@ def test_ideal_echelon_pivots_pinned_at_n_five():
     digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
     assert digest == ("688ec3c2b9cc3fb171984ed05aa00a75"
                       "d694dadb3ae0b537acd4a21a6ba0b397")
+
+
+def test_generators_and_rewrite_rules_pinned():
+    # digests of e_1..e_n (and de_1..de_n in superspace) and of the
+    # engine's rewrite rules h_k(x_k..x_n), for every n <= 6
+    def digest(polys):
+        return hashlib.sha256(json.dumps(
+            [[p.nvars, sorted([list(k), c] for k, c in p.terms.items())]
+             for p in polys]).encode()).hexdigest()
+    ns = range(1, 7)
+    assert [digest(g for n in ns
+                   for g in coinvariant_generators(n, superspace=s))
+            for s in (True, False)] == [
+        "82cb7539c14417a330d67770b5152523"
+        "0d251d5a6e033b8e2e4beef61de144fd",
+        "56e5f896848d360653f0c1c33e37430b"
+        "aebe32e333c56f9d7e6e0b3fcc60a224"]
+    assert digest(CoinvariantEngine(n).hpolys[k]
+                  for n in ns for k in range(1, n + 1)) == (
+        "66840dcdd0d9b1f5edaeada0eda48693"
+        "230b8a86014431be68736634085d53fc")

@@ -259,6 +259,15 @@ def test_translation_sequences_count_and_shape():
             assert tt.gamma() == tuple(len(s) for s in tt.sets)
 
 
+def test_mu_blocks_cut_one_to_n_into_consecutive_intervals():
+    for n in range(1, 7):
+        for mu in partitions(n):
+            blocks = mu_blocks(mu)
+            assert [len(block) for block in blocks] == list(mu)
+            assert [v for block in blocks for v in block] \
+                == list(range(1, n + 1))
+
+
 def test_translation_sequence_rejects_out_of_block_entries():
     with pytest.raises(ValueError):
         TranslationSequence((2, 1), ((3,), ()))

@@ -229,7 +229,7 @@ def test_block_spanning_counts_and_bounds():
             for t in range(4):
                 assert len(enumerate_L(m, k, t)) == count_L(m, k, t)
                 bound = sequence_bound(m, k, t)
-                for p in l_polynomials(m, k, t, m, 0):
+                for p in l_polynomials(range(1, m + 1), k, t, m):
                     for exp in p.terms:
                         assert all(a <= b for a, b in zip(exp, bound)), \
                             (m, k, t, exp)
@@ -294,3 +294,24 @@ def test_operator_outputs_pinned():
         "63d9ccea8e1cc02b4aa692a88874603a",
         "027c43a607b153247d05cadb4e58ca67"
         "4222b5cb48d9010d87483dd04889e197"]
+
+
+def test_column_operation_grids_pinned():
+    # digests of the factor matrix on the rows x_1..x_n, C(mu) and
+    # C(mu)^(-1), entry by entry, for every mu of n <= 5
+    grids = {"factor": [], "reduction": [], "inverse": []}
+    for n in range(1, 6):
+        for mu in partitions(n):
+            for name, M in (("factor", factor_matrix(mu, range(1, n + 1))),
+                            ("reduction", reduction_matrix(mu)),
+                            ("inverse", cmu_inverse(mu))):
+                grids[name] += [([mu, i, j], p)
+                                for i, row in enumerate(M.grid)
+                                for j, p in enumerate(row)]
+    assert {name: _digest(rows) for name, rows in grids.items()} == {
+        "factor": "d0575ec546e1a485f248e91bd84a2e07"
+                  "b4f46961a0453776f52a0aed1cb8c0a6",
+        "reduction": "7fa262fe5bd161f87ef078fb172d29d6"
+                     "27c104a1b6851b86d4e2189fcc938238",
+        "inverse": "fa3a396dfa97544a4d5c93eb2bc91c1f"
+                   "20d10aba99c085986fe5575aa2a23ca0"}

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from supercoinv.combinatorics import QZPolynomial
 from supercoinv.exactalg import (MPoly, PolyMatrix, QMatrix, _IntEchelon,
                                  collect)
 from supercoinv.superspace import SuperElement
+from supercoinv.symfunc import schur_poly
 
 
 def random_poly(rng, nvars, max_deg=3, max_terms=4):
@@ -93,13 +95,18 @@ def test_partial_is_a_derivation():
 
 
 def test_elementary_recursion():
-    # e_d(x_1..x_m) = e_d(x_1..x_{m-1}) + x_m e_{d-1}(x_1..x_{m-1})
-    for m in range(1, 6):
-        for d in range(1, m + 1):
-            lhs = MPoly.elementary(m, d)
-            rhs = MPoly.elementary(m, d, range(1, m)) \
-                + MPoly.var(m, m) * MPoly.elementary(m, d - 1, range(1, m))
-            assert lhs == rhs
+    # e_d(S) = e_d(S - x_m) + x_m e_{d-1}(S - x_m) for e_d the one-column
+    # Schur polynomial, in every variable subset S of n <= 6 variables with
+    # x_m its last; d runs one past #S, where both sides vanish
+    for n in range(1, 7):
+        for size in range(1, n + 1):
+            for S in combinations(range(1, n + 1), size):
+                rest, xm = S[:-1], MPoly.var(n, S[-1])
+                for d in range(1, size + 2):
+                    lhs = schur_poly((1,) * d, n, S)
+                    rhs = schur_poly((1,) * d, n, rest) \
+                        + xm * schur_poly((1,) * (d - 1), n, rest)
+                    assert lhs == rhs, (S, d)
 
 
 def test_rank_of_known_matrices():

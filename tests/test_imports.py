@@ -5,11 +5,12 @@ import sits at module level, no module has an ``assert`` statement
 types), ``Fraction`` is used only where a true rational is needed, only
 ``SparseTerms._like`` builds a sparse-term result without its
 constructor, only ``collect`` sums coefficients by key and drops a zero
-sum (the echelon kernel's in-place row subtraction aside), no class body
-holds a container, no function is wrapped in a process-global cache and
-no function writes module-level state (one allowed exception), and every
-function, class and method of the package is referenced somewhere.  No
-linter is a dependency, so these tests are the guards."""
+sum (the echelon kernel's in-place row subtraction aside), only
+``combinatorics`` imports ``accumulate`` (it cuts the mu-blocks), no
+class body holds a container, no function is wrapped in a process-global
+cache and no function writes module-level state (one allowed exception),
+and every function, class and method of the package is referenced
+somewhere.  No linter is a dependency, so these tests are the guards."""
 
 import ast
 import pathlib
@@ -195,6 +196,37 @@ def test_accumulation_only_in_collect():
                  in _accumulations(path.read_text())
                  if scope not in ACCUMULATION_SCOPES]
         assert stray == [], path.name
+
+
+# the one module that sums mu into block ends: ``mu_blocks`` cuts every
+# mu-interval, and ``block_parameters`` runs the staircase heights
+ACCUMULATE_MODULES = {"combinatorics.py"}
+
+
+def _accumulate_uses(source):
+    """Line numbers of every import of ``itertools.accumulate`` and every
+    ``itertools.accumulate`` attribute read."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == "itertools"
+                  and any(a.name == "accumulate" for a in node.names)
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "accumulate")
+
+
+def test_guard_flags_an_accumulate_import():
+    source = ("from itertools import (combinations,\n"
+              "                       accumulate)\n"
+              "import itertools\n"
+              "ends = list(itertools.accumulate((2, 1)))\n"
+              "from math import comb\n")
+    assert _accumulate_uses(source) == [1, 4]
+
+
+def test_only_combinatorics_accumulates():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ACCUMULATE_MODULES:
+            assert _accumulate_uses(path.read_text()) == [], path.name
 
 
 # the one place a result is built without running its class's constructor

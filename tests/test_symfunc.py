@@ -1,7 +1,8 @@
 """Symmetric functions, basis changes, skewing, and the C_{n,k} family."""
 
 import random
-from itertools import permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 
@@ -99,6 +100,22 @@ def test_schur_poly_matches_kostka_expansion():
                     msym = MPoly(nvars, {e: 1 for e in seen})
                     expected = expected + msym.scale(k)
                 assert p == expected
+
+
+def test_one_row_schur_poly_is_every_monomial_once():
+    # h_d(S) = s_(d) in the variables S is the sum of every degree-d
+    # monomial in S, for every variable subset S of n <= 6 variables
+    for n in range(1, 7):
+        for size in range(1, n + 1):
+            for S in combinations(range(1, n + 1), size):
+                for d in range(5):
+                    want = {}
+                    for c in combinations_with_replacement(S, d):
+                        exp = [0] * n
+                        for v in c:
+                            exp[v - 1] += 1
+                        want[tuple(exp)] = 1
+                    assert schur_poly((d,), n, S) == MPoly(n, want), (S, d)
 
 
 def test_cnk_fermionic_slices_at_n_two():
