@@ -70,8 +70,8 @@ class RunContext:
 # the caps (RunContext fields) each capped check or verb is held to; the
 # costs of the Frobenius image and of the closure follow the quotient's
 CAPS = {
-    "fields1": ("quotient", "osp_cap"),
-    "fields2": ("quotient", "osp_cap"),
+    "fields1": ("quotient",),
+    "fields2": ("quotient",),
     "fields3": ("quotient",),
     "artin": ("quotient",),
     "parabolic": ("quotient",),

@@ -49,6 +49,10 @@ eps_mu maps it into itself and every candidate lies in the slice; with the
 candidates independent, equal counts hold exactly when they span it.  At
 mu = (1^n) eps_mu is the identity and the candidates are the substaircase
 basis, the union over J of A_n(J) theta_J.
+
+The Frobenius image comes from the eps_mu slice dimensions through the
+Kostka matrix, unitriangular in dominance order, by forward substitution
+in integers.
 """
 
 from __future__ import annotations
@@ -716,33 +720,35 @@ def verify_parabolic_basis(eng, mu):
 
 
 def frobenius_reconstruct(eng):
-    """Reconstruct the bigraded Frobenius image from the engine's
-    antisymmetric slice dimensions: solve the Kostka system <s_lam, e_mu> =
-    K_{lam', mu} per bidegree and return a Schur expansion over Z[q, z]."""
+    """The bigraded Frobenius image, a Schur expansion over Z[q, z], from
+    the engine's antisymmetric slice dimensions: per bidegree b_mu =
+    sum_nu y_nu K_{nu, mu}, y_nu the coefficient of s_{nu'}, solved by
+    forward substitution over ``partitions`` once K is checked
+    unitriangular in that order."""
     n = eng.n
     parts, K = kostka_matrix(n)
+    for c, mu in enumerate(parts):
+        if K[mu][mu] != 1 or any(K[nu][mu] for nu in parts[c + 1:]):
+            raise IntegrityError(f"Kostka matrix of n={n} is not"
+                                 f" unitriangular in column {mu}")
     tables = {mu: epsilon_dims(eng, mu) for mu in parts}
-    rows = [{c: K[conjugate(lam)][mu] for c, lam in enumerate(parts)
-             if K[conjugate(lam)][mu]} for mu in parts]
-    M = QMatrix(len(parts), len(parts), rows)
     bidegrees = set()
     for t in tables.values():
         bidegrees.update(t.terms)
 
     def terms():
         for (i, j) in sorted(bidegrees):
-            b = [tables[mu].get(i, j) for mu in parts]
-            x = M.solve(b)
-            if x is None:
-                raise VerificationFailure(
-                    f"Kostka system inconsistent at bidegree ({i},{j})")
-            for c, lam in enumerate(parts):
-                v = x[c]
-                if v.denominator != 1 or v < 0:
+            y = {}  # the partitions before mu
+            for mu in parts:
+                y[mu] = tables[mu].get(i, j) - sum(
+                    y[nu] * K[nu][mu] for nu in y)
+            for lam in parts:
+                v = y[conjugate(lam)]
+                if v < 0:
                     raise VerificationFailure(
-                        f"non-nonnegative-integral Schur coefficient {v} for"
-                        f" {lam} at bidegree ({i},{j})")
+                        f"negative Schur coefficient {v} for {lam} at"
+                        f" bidegree ({i},{j})")
                 if v:
-                    yield lam, QZPolynomial.monomial(i, j, int(v))
+                    yield lam, QZPolynomial.monomial(i, j, v)
 
     return Schur(n, collect(terms()))

@@ -310,16 +310,10 @@ def fields1_formula(n):
     return total
 
 
-def enumerate_osp(n, k=None, batch_mu=None):
+def enumerate_osp(n, k=None):
     """Ordered set partitions of {1..n}, each a tuple of disjoint nonempty
-    sorted blocks whose union is {1..n}, optionally with exactly k blocks
-    and/or compatible with a batch order mu.
-
-    Compatibility with mu: elements of each mu-interval appear in weakly
-    increasing block positions, read along the interval.
-    """
+    sorted blocks whose union is {1..n}, optionally with exactly k blocks."""
     results = []
-    elems = list(range(1, n + 1))
 
     def rec(remaining, blocks):
         if not remaining:
@@ -334,31 +328,27 @@ def enumerate_osp(n, k=None, batch_mu=None):
             for chosen in combinations(rest, size):
                 rec(remaining - set(chosen), blocks + [chosen])
 
-    rec(set(elems), [])
-    if batch_mu is not None:
-        results2 = []
-        for osp in results:
-            pos = {}
-            for bi, b in enumerate(osp):
-                for x in b:
-                    pos[x] = bi
-            ok = True
-            for block in mu_blocks(batch_mu):
-                for a, b in zip(block, block[1:]):
-                    if pos[a] > pos[b]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                results2.append(osp)
-        results = results2
+    rec(set(range(1, n + 1)), [])
     return results
 
 
 def count_osp(n, mu=None):
-    """Number of ordered set partitions of {1..n}, optionally mu-compatible."""
-    return len(enumerate_osp(n, batch_mu=mu))
+    """Number of ordered set partitions of {1..n} compatible with mu (no mu
+    is mu = (1^n), which imposes nothing): the elements of each mu-interval
+    lie in weakly increasing block positions, read along the interval.
+
+    With k blocks an interval of length m has C(m + k - 1, m) weakly
+    increasing maps to the positions; inclusion-exclusion over the s
+    positions left empty counts the maps onto all of them:
+    sum_{k=0..n} sum_{s=0..k} (-1)^s C(k, s) prod_i C(mu_i + k - s - 1, mu_i)
+    (the k = 0 term counts the empty partition of n = 0)."""
+    if mu is None:
+        mu = (1,) * n
+    elif sum(mu) != n:
+        raise ValueError("mu must be a partition of n")
+    return sum((-1) ** s * comb(k, s)
+               * prod(comb(m + k - s - 1, m) for m in mu)
+               for k in range(n + 1) for s in range(k + 1))
 
 
 def enumerate_omp(content, k):

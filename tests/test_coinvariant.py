@@ -28,6 +28,7 @@ from supercoinv.doperators import build_E_set
 from supercoinv.exactalg import MPoly, _IntEchelon
 from supercoinv.superspace import (SuperElement, coinvariant_generators,
                                    f_J, odot, vandermonde)
+from supercoinv.symfunc import kostka_matrix
 
 
 def test_direct_and_reduced_routes_agree():
@@ -378,6 +379,39 @@ def test_frobenius_sign_column_at_n_three():
     f = frobenius_reconstruct(CoinvariantEngine(3))
     assert f.terms[(1, 1, 1)] == QZPolynomial(
         {(3, 0): 1, (1, 1): 1, (2, 1): 1, (0, 2): 1})
+
+
+def _tampered_kostka(nu, mu, value):
+    def tampered(n):
+        parts, K = kostka_matrix(n)
+        K[nu][mu] = value
+        return parts, K
+    return tampered
+
+
+@pytest.mark.parametrize("nu, mu, value", [
+    ((1, 1, 1, 1), (2, 1, 1), 1), ((2, 1, 1), (3, 1), 1),
+    ((2, 2), (4,), 2), ((3, 1), (3, 1), 2), ((1, 1, 1, 1), (1, 1, 1, 1), 0)])
+def test_frobenius_checks_the_kostka_matrix_is_unitriangular(
+        monkeypatch, nu, mu, value):
+    # a nonzero K[nu][mu] with nu after mu, or a diagonal entry other than
+    # 1, breaks the forward substitution; the check runs before any table
+    def no_table(eng, mu):
+        raise AssertionError("slice table built before the check")
+    monkeypatch.setattr(coinvariant, "kostka_matrix",
+                        _tampered_kostka(nu, mu, value))
+    monkeypatch.setattr(coinvariant, "epsilon_dims", no_table)
+    with pytest.raises(IntegrityError):
+        frobenius_reconstruct(CoinvariantEngine(4))
+
+
+def test_frobenius_rejects_a_negative_schur_coefficient(monkeypatch):
+    # b_(2) = 1 and b_(1,1) = 0 give y_(1,1) = 0 - y_(2) K_{(2),(1,1)} = -1
+    tables = {(2,): {(0, 0): 1}, (1, 1): {}}
+    monkeypatch.setattr(coinvariant, "epsilon_dims",
+                        lambda eng, mu: BidegreeTable(2, tables[mu]))
+    with pytest.raises(VerificationFailure, match="negative Schur"):
+        frobenius_reconstruct(CoinvariantEngine(2))
 
 
 def test_cache_round_trip_is_bit_exact(tmp_path):

@@ -248,6 +248,28 @@ def test_batch_osp_totals_match_antisymmetric_count():
         assert count_osp(n, mu=(1,) * n) == count_osp(n)
 
 
+def _mu_compatible(osp, mu):
+    """Every mu-interval lies in weakly increasing block positions."""
+    pos = {x: p for p, block in enumerate(osp) for x in block}
+    return all(pos[a] <= pos[b] for block in mu_blocks(mu)
+               for a, b in zip(block, block[1:]))
+
+
+def test_osp_count_closed_form_matches_the_filtered_enumeration():
+    for n in range(7):
+        osps = enumerate_osp(n)
+        for mu in partitions(n):
+            assert count_osp(n, mu) \
+                == sum(_mu_compatible(osp, mu) for osp in osps), mu
+    with pytest.raises(ValueError):
+        count_osp(3, (2,))
+
+
+def test_osp_count_closed_form_matches_the_enumeration():
+    for n in range(8):
+        assert count_osp(n) == len(enumerate_osp(n)), n
+
+
 def test_translation_sequences_count_and_shape():
     for mu in [(1,), (2,), (2, 1), (3, 3, 2)]:
         seqs = all_translation_sequences(mu)
