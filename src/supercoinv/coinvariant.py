@@ -62,8 +62,8 @@ import json
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb, perm
+from itertools import combinations
+from math import comb
 from operator import add
 
 from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
@@ -562,29 +562,38 @@ def _catalecticants(j_subset, degrees):
     g_J = f_J (.) Vandermonde, computed once here.  Row a of the degree-d
     catalecticant of g_J holds c_b prod_i b_i!/(b_i - a_i)! at column b - a
     for every term c_b x^b of g_J with a <= b; exponents a without such a
-    term have a zero image and no row.  The divisors a <= b are walked
-    once, each into the catalecticant of degree |a| if that one is asked
-    for; the columns of each degree are numbered in order of first
-    appearance.  Every requested degree is built before the return, so the
-    memory peak is the sum of their sizes, not the largest.
+    term have a zero image and no row.  The divisors a <= b of each term
+    are walked once, in lex order, by extending them one coordinate at a
+    time: a partial divisor carries the prefixes of a and of b - a, |a|,
+    and c_b times the falling factorials so far, which the next coordinate
+    extends by one factor per step, so a divisor costs one multiply.  A
+    prefix whose |a| already passes the highest requested degree goes no
+    further.  Each full divisor lands in the catalecticant of degree |a| if
+    that one is asked for; the columns of each degree are numbered in order
+    of first appearance.  Every requested degree is built before the
+    return, so the memory peak is the sum of their sizes, not the largest.
     """
     g = odot(f_J(j_subset), vandermonde(j_subset.n))
     if any(ts for _, ts in g.terms):
         raise IntegrityError(f"theta term in f_J (.) Vandermonde for"
                              f" J={j_subset.elems}")
     wanted = {d: ({}, {}) for d in sorted(set(degrees))}
+    high = max(wanted, default=-1)
     for (b, _), c in g.terms.items():
-        for a in product(*(range(x + 1) for x in b)):
-            bucket = wanted.get(sum(a))
-            if bucket is None:
-                continue
-            rows, columns = bucket
-            v = c
-            for x, y in zip(b, a):
-                v *= perm(x, y)
-            col = columns.setdefault(tuple(x - y for x, y in zip(b, a)),
-                                     len(columns))
-            rows.setdefault(a, {})[col] = v
+        walk = [((), (), 0, c)]
+        for x in b:
+            step = []
+            for a, rest, s, v in walk:
+                for y in range(min(x, high - s) + 1):
+                    step.append((a + (y,), rest + (x - y,), s + y, v))
+                    v *= x - y
+            walk = step
+        for a, rest, s, v in walk:
+            bucket = wanted.get(s)
+            if bucket is not None:
+                rows, columns = bucket
+                col = columns.setdefault(rest, len(columns))
+                rows.setdefault(a, {})[col] = v
     return {d: rows for d, (rows, _) in wanted.items()}
 
 

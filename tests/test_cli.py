@@ -7,7 +7,8 @@ import weakref
 
 import pytest
 
-from supercoinv import cli, symfunc
+from supercoinv import cli, coinvariant, symfunc
+from supercoinv.combinatorics import IntegrityError, SubsetOfN
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import SuperElement
 
@@ -494,6 +495,26 @@ def test_steinberg_probes_are_drawn_from_the_seed_option(capsys, monkeypatch):
                       "--seed", "17")
     assert code == 0
     assert seeds == [17]
+
+
+def test_colon_fails_on_a_theta_term_in_the_pairing(capsys, monkeypatch):
+    # f_J (.) Vandermonde must be theta-free; a theta_1 term there is an
+    # inconsistency the catalecticants refuse, a failed check, no traceback
+    odot = coinvariant.odot
+
+    def with_theta(f, g):
+        return odot(f, g) + SuperElement.monomial(g.nvars, (0,) * g.nvars,
+                                                  (1,))
+    monkeypatch.setattr(coinvariant, "odot", with_theta)
+    with pytest.raises(IntegrityError, match="theta term in f_J"):
+        coinvariant.verify_colon_basis(SubsetOfN(3, ()))
+    code = cli.main(["verify", "colon", "--n", "3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report, = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert "theta term in f_J (.) Vandermonde" in report["witness"]
+    assert captured.err == ""
 
 
 def _steinberg_witness(ctx):

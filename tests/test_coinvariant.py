@@ -253,6 +253,16 @@ def test_catalecticants_match_the_walk_per_degree():
                 assert ([(a, list(row.items())) for a, row in rows.items()]
                         == [(a, list(row.items()))
                             for a, row in want_rows.items()]), (J.elems, d)
+            # a sparse, unsorted request as steinberg_independence passes,
+            # with a repeat and a degree above deg g_J = top
+            got = _catalecticants(J, [top, top + 4, 1, top])
+            assert list(got) == sorted({1, top, top + 4})
+            assert got[top + 4] == {}
+            for d in (1, top):
+                want_rows, _ = _catalecticant_by_degree(J, d)
+                assert ([(a, list(row.items())) for a, row in got[d].items()]
+                        == [(a, list(row.items()))
+                            for a, row in want_rows.items()]), (J.elems, d)
 
 
 def test_colon_ranks_match_the_literal_pairing():

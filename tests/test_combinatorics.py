@@ -243,9 +243,16 @@ def test_batch_osp_anchor():
 
 
 def test_batch_osp_totals_match_antisymmetric_count():
-    # mu = (1,..,1) imposes nothing
-    for n in range(1, 6):
-        assert count_osp(n, mu=(1,) * n) == count_osp(n)
+    # mu = (1,..,1) imposes nothing, so both count every ordered set
+    # partition: the ordered Bell numbers, a(n) = sum_{k>=1} C(n, k) a(n - k)
+    # by the size k of the first block
+    ordered_bell = [1]
+    for n in range(1, 9):
+        ordered_bell.append(sum(comb(n, k) * ordered_bell[n - k]
+                                for k in range(1, n + 1)))
+        assert count_osp(n) == ordered_bell[n]
+        assert count_osp(n, mu=(1,) * n) == ordered_bell[n]
+    assert ordered_bell[1:] == [1, 3, 13, 75, 541, 4683, 47293, 545835]
 
 
 def _mu_compatible(osp, mu):
