@@ -255,9 +255,9 @@ def check_dop_gale(n, ctx):
         verify_h_invariance(mu, tt.union_set(), memo)
         v = apply_D(tt, delta, memo)
         Jmax = j_of_signed(SignedPartition(mu, tt.gamma()))
-        for (exps, thetas), c in v.terms.items():
-            K = SubsetOfN(n, thetas)
-            if len(thetas) != len(Jmax.elems) or not gale_leq(K, Jmax):
+        for thetas in dict.fromkeys(thetas for _, thetas in v.terms):
+            if len(thetas) != len(Jmax.elems) or not gale_leq(
+                    SubsetOfN(n, thetas), Jmax):
                 raise VerificationFailure(
                     f"theta support {thetas} escapes the Gale cone of"
                     f" {Jmax.elems} for mu={mu}, T={tt.sets}")

@@ -14,7 +14,6 @@ sign (-1)^#{t in T : t < i}.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import permutations
 from math import perm
 from operator import add, sub
 
@@ -221,18 +220,19 @@ def star_set(K, n):
 
 
 def antisymmetrize(mu, f):
-    """Apply eps_mu = sum over the Young subgroup S_mu of sign(w) w."""
-    n = f.nvars
-    # (w, sign(w)) for every w in S_mu; the blocks are consecutive, so w is
-    # the concatenation of one permutation of each block
-    group = [((), 1)]
+    """Apply eps_mu = sum over the Young subgroup S_mu of sign(w) w, without
+    the group: each w in Sym{b..k} is u or (i k) u with u fixing k, i = w(k)
+    < k and sign((i k) u) = -sign(u), so eps_{b..k} = (1 - sum_{i<k} (i k))
+    eps_{b..k-1}, and the factors of different mu-blocks commute."""
+    ident = tuple(range(1, f.nvars + 1))
     for block in mu_blocks(mu):
-        group = [(w + p, sign * _sort_sign(p)[1]) for w, sign in group
-                 for p in permutations(block)]
-    fixed = tuple(range(sum(mu) + 1, n + 1))
-    return SuperElement(n, collect(
-        (key, sign * c) for w, sign in group
-        for key, c in act(w + fixed, f).terms.items()))
+        for k in block[1:]:
+            swaps = (ident[:i - 1] + (k,) + ident[i:k - 1] + (i,) + ident[k:]
+                     for i in range(block[0], k))
+            f = f._like(collect(((key, -c) for w in swaps
+                                 for key, c in act(w, f).terms.items()),
+                                dict(f.terms)))
+    return f
 
 
 def is_antisymmetric(mu, f):

@@ -517,6 +517,34 @@ def test_colon_fails_on_a_theta_term_in_the_pairing(capsys, monkeypatch):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("size, extra, witness", [
+    # theta_3 lies outside the Gale cone of J = (2,)
+    (1, (3,), "theta support (3,) escapes the Gale cone of (2,) for"
+              " mu=(2, 1), T=((2,), ())"),
+    # a support of the wrong size, which the Gale order cannot compare
+    (0, (1, 2), "theta support (1, 2) escapes the Gale cone of () for"
+                " mu=(3,), T=((),)"),
+])
+def test_dop_gale_fails_on_a_theta_support_outside_the_cone(
+        size, extra, witness, capsys, monkeypatch):
+    # add x^0 theta_extra to every image holding a support of that size
+    apply_D = cli.apply_D
+
+    def with_term(tt, delta, memo):
+        v = apply_D(tt, delta, memo)
+        if any(len(thetas) == size for _, thetas in v.terms):
+            return v + SuperElement.monomial(3, (0, 0, 0), extra)
+        return v
+    monkeypatch.setattr(cli, "apply_D", with_term)
+    code = cli.main(["verify", "dop-gale", "--n", "3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report, = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert report["witness"] == witness
+    assert captured.err == ""
+
+
 def _steinberg_witness(ctx):
     """Run the steinberg check at n = 3; it must fail.  Return the witness."""
     report = cli.run("steinberg", 3, ctx)

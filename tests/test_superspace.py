@@ -165,6 +165,20 @@ def test_antisymmetrizer_is_the_signed_group_sum():
                     n, tuple(rng.randint(0, 2) for _ in range(n)),
                     tuple(i for i in range(1, n + 1) if rng.random() < 0.4), c)
             assert antisymmetrize(mu, f) == _literal_antisymmetrize(mu, f)
+    # n = 5, blocks of sizes 4 and 5: the first term has x_1 and x_2 at one
+    # exponent outside its theta-set, so eps_mu cancels it whenever 1 and 2
+    # share a block; every term has thetas inside a block
+    inputs = [
+        SuperElement(5, {((1, 1, 0, 2, 0), (3, 4)): 1,
+                         ((0, 1, 2, 3, 0), (4, 5)): 2}),
+        SuperElement(5, {((3, 0, 1, 0, 2), (2, 4)): 1,
+                         ((0, 0, 1, 2, 3), (1,)): -3}),
+        SuperElement(5, {((2, 0, 0, 1, 0), (2, 3, 5)): 1,
+                         ((0, 2, 1, 0, 0), (1, 4, 5)): 1}),
+    ]
+    for mu in ((5,), (4, 1), (3, 2), (2, 2, 1), (4,)):
+        for f in inputs:
+            assert antisymmetrize(mu, f) == _literal_antisymmetrize(mu, f)
 
 
 def test_f_j_expands_as_shifted_product():
