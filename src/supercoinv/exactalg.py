@@ -14,8 +14,8 @@ construction.
 is dropped: every sum, product, derivative, group action and normal form
 of the package lists its (key, coefficient) contributions and builds its
 terms with it, so no stored coefficient is ever zero.  The elimination
-kernel ``_IntEchelon.reduce`` alone subtracts in place, into its own copy
-of a row.
+kernel ``_IntEchelon.reduce`` works on a dense working list of its own
+and keeps only the nonzero entries of its result.
 
 Every computation in this package is exact.  No floating point appears
 anywhere; coefficients are arbitrary-precision integers throughout, and
@@ -252,8 +252,10 @@ def _int_row(row):
 class _IntEchelon:
     """Incremental sparse echelon form over Z, for rank computations.
 
-    Rows are dicts mapping column index to a nonzero integer.  Each stored
-    row is primitive and has a distinct pivot (its smallest column); rows
+    Rows are dicts mapping column index to a nonzero integer; a column
+    index is a non-negative int, since it indexes the working list of
+    ``reduce``.  Each stored row is primitive, holds its columns in
+    ascending order and has a distinct pivot (its smallest column); rows
     are combined by cross-multiplication so all arithmetic stays in Z.
     """
 
@@ -265,43 +267,60 @@ class _IntEchelon:
         return len(self.pivots)
 
     def reduce(self, row):
-        """Reduce a copy of the integer ``row`` against the stored rows
-        until its leading column is not a pivot; return it divided by its
-        content (empty if the row lies in the span).
+        """Reduce the integer ``row`` against the stored rows until its
+        leading column is not a pivot; return it divided by its content,
+        columns ascending (empty if the row lies in the span).  ``row`` is
+        left unchanged.
 
-        Each step works in place on the copy: when the pivot entry b
-        divides the leading entry a, it subtracts (a // b) times the pivot
-        row, touching only the pivot row's columns; otherwise it first
-        scales the row by b / gcd(a, b).
+        The row is spread into a dense working list.  At leading column j
+        with entry a and pivot entry b, a step subtracts (a // b) times the
+        pivot row over the pivot row's own columns when b divides a, and
+        otherwise first scales the tail from j by b / gcd(a, b).  Every
+        change lies right of j, so the next leading column is the first
+        nonzero found scanning on from j + 1.  The result takes its column
+        keys from ``row`` and the pivot rows used, so a stored row shares
+        their key objects.
         """
-        row = dict(row)
+        if not row:
+            return {}
         pivots = self.pivots
-        while row:
-            j = min(row)
+        dense = [0] * (max(row) + 1)
+        for k, v in row.items():
+            dense[k] = v
+        width = len(dense)
+        j = min(row)
+        used = []
+        while True:
             prow = pivots.get(j)
             if prow is None:
                 break
-            a = row[j]
+            a = dense[j]
             b = prow[j]
             if a % b:
                 g = gcd(a, b)
                 m = b // g
-                for k in row:
-                    row[k] *= m
+                dense[j:] = [v * m for v in dense[j:]]
                 q = a // g
             else:
                 q = a // b
+            last = next(reversed(prow))
+            if last >= width:
+                dense.extend([0] * (last + 1 - width))
+                width = last + 1
             for k, v in prow.items():
-                s = row.get(k, 0) - q * v
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
-        if row:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-        return row
+                dense[k] -= q * v
+            used.append(prow)
+            j += 1
+            while j < width and not dense[j]:
+                j += 1
+            if j == width:
+                return {}
+        out = {k: dense[k] for k in sorted(set(row).union(*used))
+               if k >= j and dense[k]}
+        g = gcd(*out.values())
+        if g > 1:
+            out = {k: v // g for k, v in out.items()}
+        return out
 
     def add(self, row):
         """Reduce the integer ``row`` against the echelon; store it and
@@ -309,7 +328,7 @@ class _IntEchelon:
         row = self.reduce(row)
         if not row:
             return False
-        self.pivots[min(row)] = row
+        self.pivots[next(iter(row))] = row
         return True
 
     def fork(self):

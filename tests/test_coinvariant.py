@@ -274,11 +274,15 @@ def test_colon_ranks_match_the_literal_pairing():
         for J, poly_sets in by_J.items():
             want = []
             for polys in poly_sets:
-                ech = _IntEchelon()
+                # the echelon takes int columns: number the exponent keys
+                # in order of first appearance; the rank does not depend on
+                # the labels
+                ech, cols = _IntEchelon(), {}
                 for p in polys:
                     image = _literal_colon_image(p, J)
                     if image.terms:
-                        ech.add(image.terms)
+                        ech.add({cols.setdefault(k, len(cols)): c
+                                 for k, c in image.terms.items()})
                 want.append(ech.rank)
             assert steinberg_independence(poly_sets, J) == want, J.elems
     x1 = MPoly.var(3, 1)
@@ -598,6 +602,23 @@ def test_ideal_echelon_pivots_pinned_at_n_five():
     digest = hashlib.sha256(json.dumps(pivots).encode()).hexdigest()
     assert digest == ("688ec3c2b9cc3fb171984ed05aa00a75"
                       "d694dadb3ae0b537acd4a21a6ba0b397")
+
+
+def test_ideal_echelon_stored_rows_pinned_at_n_five():
+    # digest of [i, j, #basis, [pivot, sorted entries] per stored row] over
+    # every ideal echelon at n = 5; taken with the dict-row kernel, so the
+    # dense working row must reproduce its cross-multiplication bit for bit
+    eng = CoinvariantEngine(5)
+    stored = []
+    for i in range(eng.top + 3):
+        for j in range(6):
+            ech, basis, _ = eng.ideal_echelon(i, j)
+            stored.append([i, j, len(basis),
+                           [[p, sorted(row.items())]
+                            for p, row in sorted(ech.pivots.items())]])
+    digest = hashlib.sha256(json.dumps(stored).encode()).hexdigest()
+    assert digest == ("65d16203aeac9f4e2b47dd0cb7334707"
+                      "82f104d0b7f0e726fb77c56286a679c7")
 
 
 def test_generators_and_rewrite_rules_pinned():

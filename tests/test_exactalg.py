@@ -192,31 +192,69 @@ def _random_int_rows(rng, nrows, ncols):
 
 
 def test_int_echelon_matches_fraction_rref():
-    rng = random.Random(31)
+    # the reference runs on columns 0..ncols-1; the echelon runs on those
+    # and on a pool of wide columns (in the thousands), an order-preserving
+    # relabelling that keeps the rank and carries the pivots along
+    rng, spread = random.Random(31), random.Random(37)
     for _ in range(300):
         ncols = rng.randint(1, 9)
         rows = _random_int_rows(rng, rng.randint(1, 10), ncols)
-        ech = _IntEchelon()
-        kept = [ech.add(r) for r in rows if r]
         rank, pivots = _fraction_rref(rows, ncols)
-        assert ech.rank == rank == sum(kept)
-        assert set(ech.pivots) == pivots
-        for key, row in ech.pivots.items():
-            assert key == min(row)
-            assert all(type(v) is int and v for v in row.values())
-            assert gcd(*row.values()) == 1
-            # a stored row lies in the row space of the input
-            assert _fraction_rref(rows + [row], ncols)[0] == rank
-        # a fork takes new rows; the parent keeps its rows and rank
-        before = {k: dict(r) for k, r in ech.pivots.items()}
         extra = _random_int_rows(rng, rng.randint(1, 4), ncols)
-        fork = ech.fork()
-        for r in extra:
-            if r:
-                fork.add(r)
-        assert ech.pivots == before and ech.rank == rank
-        assert (fork.rank, set(fork.pivots)) == \
-            _fraction_rref(rows + extra, ncols)
+        pool = sorted(spread.sample(range(300, 6000), ncols))
+        for cols in (range(ncols), pool):
+            ech = _IntEchelon()
+            kept = []
+            for r in rows:
+                if r:
+                    r = {cols[c]: v for c, v in r.items()}
+                    before = list(r.items())
+                    kept.append(ech.add(r))
+                    assert list(r.items()) == before
+            assert ech.rank == rank == sum(kept)
+            assert set(ech.pivots) == {cols[c] for c in pivots}
+            position = {c: k for k, c in enumerate(cols)}
+            ids = {id(c) for c in cols}
+            for key, row in ech.pivots.items():
+                assert key == min(row) and list(row) == sorted(row)
+                assert all(type(v) is int and v for v in row.values())
+                assert gcd(*row.values()) == 1
+                # every key is one of the caller's key objects, so no
+                # column above 256 is allocated once per stored row
+                assert all(id(k) in ids for k in row)
+                # a stored row lies in the row space of the input
+                back = {position[c]: v for c, v in row.items()}
+                assert _fraction_rref(rows + [back], ncols)[0] == rank
+            # a fork takes new rows; the parent keeps its rows and rank
+            before = {k: dict(r) for k, r in ech.pivots.items()}
+            fork = ech.fork()
+            for r in extra:
+                if r:
+                    fork.add({cols[c]: v for c, v in r.items()})
+            assert ech.pivots == before and ech.rank == rank
+            rank2, pivots2 = _fraction_rref(rows + extra, ncols)
+            assert fork.rank == rank2
+            assert set(fork.pivots) == {cols[c] for c in pivots2}
+
+
+def test_int_echelon_kernel_steps():
+    ech = _IntEchelon()
+    assert ech.reduce({}) == {} and not ech.add({})
+    assert ech.add({5: 2, 4000: 3})
+    # the pivot row reaches past the incoming row's last column
+    assert ech.reduce({5: 4, 7: 1}) == {7: 1, 4000: -6}
+    # the pivot entry 2 does not divide 3: the row is scaled by 2 first
+    assert ech.reduce({5: 3, 6: 1}) == {6: 2, 4000: -9}
+    # a multiple of a stored row reduces to zero and is not stored
+    assert ech.reduce({5: -4, 4000: -6}) == {}
+    assert not ech.add({5: 6, 4000: 9}) and ech.rank == 1
+    # the result is divided by its content
+    assert ech.reduce({5: 2, 6: 4, 4000: 3}) == {6: 1}
+    # two steps, the second one scaling the tail by 3; columns ascending
+    assert ech.add({6: 3, 9: 1})
+    out = ech.reduce({5: 3, 6: 1})
+    assert out == {9: -2, 4000: -27} and list(out) == [9, 4000]
+    assert ech.add({5: 3, 6: 1}) and ech.pivots[9] == out
 
 
 def test_kernel_and_solve_fix_free_columns():

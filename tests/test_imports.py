@@ -5,12 +5,12 @@ import sits at module level, no module has an ``assert`` statement
 types), ``Fraction`` is used only where a true rational is needed, only
 ``SparseTerms._like`` builds a sparse-term result without its
 constructor, only ``collect`` sums coefficients by key and drops a zero
-sum (the echelon kernel's in-place row subtraction aside), only
-``combinatorics`` imports ``accumulate`` (it cuts the mu-blocks), no
-class body holds a container, no function is wrapped in a process-global
-cache and no function writes module-level state (one allowed exception),
-and every function, class and method of the package is referenced
-somewhere.  No linter is a dependency, so these tests are the guards."""
+sum, only ``combinatorics`` imports ``accumulate`` (it cuts the
+mu-blocks), no class body holds a container, no function is wrapped in a
+process-global cache and no function writes module-level state (one
+allowed exception), and every function, class and method of the package
+is referenced somewhere.  No linter is a dependency, so these tests are
+the guards."""
 
 import ast
 import pathlib
@@ -148,9 +148,9 @@ def test_fraction_only_in_back_substitution():
         assert stray == [], path.name
 
 
-# the one place coefficients are summed by key and a zero sum is dropped,
-# and the in-place row subtraction of the echelon kernel
-ACCUMULATION_SCOPES = {"collect", "_IntEchelon.reduce"}
+# the one place coefficients are summed by key and a zero sum is dropped;
+# the echelon kernel subtracts on a dense working list, not on a dict
+ACCUMULATION_SCOPES = {"collect"}
 
 
 def _accumulations(source):
