@@ -62,7 +62,7 @@ import json
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import add
 
@@ -71,7 +71,7 @@ from .combinatorics import (IntegrityError, QZPolynomial, SubsetOfN,
                             conjugate, j_of_signed, signed_partitions)
 from .exactalg import MPoly, QMatrix, SparseTerms, _IntEchelon, collect
 from .superspace import (SuperElement, _merge_thetas, antisymmetrize,
-                         coinvariant_generators, euler_d, f_J, odot,
+                         coinvariant_generators, euler_chain, f_J, odot,
                          partial_x, vandermonde)
 from .symfunc import Schur, kostka_matrix, schur_poly
 
@@ -119,21 +119,15 @@ class BidegreeTable(SparseTerms):
 
 
 def monomials(nvars, deg):
-    """All exponent tuples of total degree deg, in lexicographic order."""
-    out = []
-    def rec(pos, remaining, acc):
-        if pos == nvars - 1:
-            out.append(tuple(acc) + (remaining,))
-            return
-        for a in range(remaining + 1):
-            acc.append(a)
-            rec(pos + 1, remaining - a, acc)
-            acc.pop()
+    """All exponent tuples of total degree deg, in descending lex order,
+    e.g. [(2, 0), (1, 1), (0, 2)].  The order fixes the columns of
+    ``omega_basis`` and the probes ``check_steinberg`` draws by seed."""
     if nvars == 0:
         return [()] if deg == 0 else []
-    rec(0, deg, [])
-    out.sort(reverse=True)
-    return out
+    out = [()]
+    for _ in range(nvars - 1):
+        out = [e + (a,) for e in out for a in range(deg - sum(e), -1, -1)]
+    return [e + (deg - sum(e),) for e in out]
 
 
 def omega_dimension(n, i, j):
@@ -410,20 +404,20 @@ class CoinvariantEngine:
         return [basis[c] for c in range(len(basis)) if c not in ech.pivots]
 
 
-def _cache_path(cache_dir, spec, i, j):
-    name = f"{spec.tag}_n{spec.n}_{i}_{j}_{spec.content_hash()}.json"
+def _cache_path(cache_dir, spec, digest, i, j):
+    name = f"{spec.tag}_n{spec.n}_{i}_{j}_{digest}.json"
     return os.path.join(cache_dir, name)
 
 
 CACHE_STATS = {"hits": 0, "misses": 0, "rejects": 0}
 
 
-def _cache_entry_ok(data, spec, i, j):
+def _cache_entry_ok(data, spec, digest, i, j):
     """A cache entry is trusted only if it names this request and its rank
     and dimension split the superspace component exactly."""
     if not isinstance(data, dict):
         return False
-    if (data.get("hash") != spec.content_hash() or data.get("n") != spec.n
+    if (data.get("hash") != digest or data.get("n") != spec.n
             or data.get("tag") != spec.tag or data.get("i") != i
             or data.get("j") != j):
         return False
@@ -433,12 +427,12 @@ def _cache_entry_ok(data, spec, i, j):
     return rank + dim == omega_dimension(spec.n, i, j)
 
 
-def _cache_read(cache_dir, spec, i, j):
+def _cache_read(cache_dir, spec, digest, i, j):
     """The cached entry for (i, j), or None.  An unreadable or inconsistent
     entry counts as a reject; the caller recomputes and rewrites it."""
     if not cache_dir:
         return None
-    path = _cache_path(cache_dir, spec, i, j)
+    path = _cache_path(cache_dir, spec, digest, i, j)
     if not os.path.exists(path):
         CACHE_STATS["misses"] += 1
         return None
@@ -447,25 +441,25 @@ def _cache_read(cache_dir, spec, i, j):
             data = json.load(fh)
     except (OSError, ValueError):
         data = None
-    if not _cache_entry_ok(data, spec, i, j):
+    if not _cache_entry_ok(data, spec, digest, i, j):
         CACHE_STATS["rejects"] += 1
         return None
     CACHE_STATS["hits"] += 1
     return data
 
 
-def _cache_write(cache_dir, spec, i, j, rank, dim):
+def _cache_write(cache_dir, spec, digest, i, j, rank, dim):
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, spec, i, j)
+    path = _cache_path(cache_dir, spec, digest, i, j)
     # write-once with atomic rename so concurrent workers never see partials
     tmp = path + f".tmp{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
             json.dump({"n": spec.n, "tag": spec.tag, "i": i, "j": j,
                        "rank": rank, "dim": dim,
-                       "hash": spec.content_hash()}, fh)
+                       "hash": digest}, fh)
         os.replace(tmp, path)
     except OSError:
         # an entry that cannot be written (say, a directory in its place)
@@ -484,15 +478,16 @@ def quotient_hilbert(eng, cache_dir=None):
     """
     n, top = eng.n, eng.top
     spec = superspace_ideal(n)
+    digest = spec.content_hash() if cache_dir else None
     dims = {}
     for i in range(top + 3):
         for j in range(n + 1):
-            cached = _cache_read(cache_dir, spec, i, j)
+            cached = _cache_read(cache_dir, spec, digest, i, j)
             if cached is not None:
                 dims[(i, j)] = cached["dim"]
                 continue
             dim = dims[(i, j)] = eng.quotient_dim(i, j)
-            _cache_write(cache_dir, spec, i, j,
+            _cache_write(cache_dir, spec, digest, i, j,
                          omega_dimension(n, i, j) - dim, dim)
     table = BidegreeTable(n, dims)
     for (i, j), v in table.terms.items():
@@ -527,31 +522,32 @@ def harmonic_basis(spec, i, j):
 
 def operator_closure(n):
     """Bigraded dimensions of the smallest space containing the Vandermonde
-    that is closed under d_1..d_(n-1) and all partial x-derivatives."""
-    echelons = {}
-    indexes = {}
+    that is closed under d_1..d_(n-1) and all partial x-derivatives.
 
-    def coords(elem, i, j):
-        if (i, j) not in indexes:
-            basis = omega_basis(n, i, j)
-            indexes[(i, j)] = {key: c for c, key in enumerate(basis)}
-            echelons[(i, j)] = _IntEchelon()
-        return element_coords(elem, indexes[(i, j)])
-
-    queue = [vandermonde(n)]
-    while queue:
-        elem = queue.pop()
-        if elem.is_zero():
-            continue
-        (i, j), = elem.bidegrees()
-        row = coords(elem, i, j)
-        if not echelons[(i, j)].add(row):
-            continue
-        for jj in range(1, n):
-            queue.append(euler_d(jj, elem))
-        for v in range(1, n + 1):
-            queue.append(partial_x(v, elem))
-    return BidegreeTable(n, {key: ech.rank for key, ech in echelons.items()})
+    d/dx_v commutes with every d_j, the d_j anticommute and d_j d_j = 0, so
+    the closure is spanned by the x-derivatives of the seeds d_K Vandermonde
+    (``euler_chain``) over K inside {1..n-1}, and its (i, j) component by
+    the seeds of that bidegree and d/dx_v of the (i + 1, j) component.  Each
+    j walks i down from its top seed on one ``omega_basis`` echelon at a
+    time, fed the seeds and the derivatives of the elements kept one level
+    up; only those are carried to the next level.
+    """
+    delta = vandermonde(n)
+    top = n * (n - 1) // 2
+    dims = {}
+    for j in range(n):
+        seeds = {}
+        for K in combinations(range(1, n), j):
+            seeds.setdefault(top - sum(K), []).append(euler_chain(K, delta))
+        kept = []
+        for i in range(max(seeds), -1, -1):
+            index = {key: c for c, key in enumerate(omega_basis(n, i, j))}
+            ech = _IntEchelon()
+            feed = chain(seeds.get(i, ()), (partial_x(v, e) for e in kept
+                                             for v in range(1, n + 1)))
+            kept = [e for e in feed if ech.add(element_coords(e, index))]
+            dims[(i, j)] = ech.rank
+    return BidegreeTable(n, dims)
 
 
 def _catalecticants(j_subset, degrees):

@@ -12,7 +12,8 @@ from supercoinv.coinvariant import BidegreeTable
 from supercoinv.combinatorics import (QZPolynomial, gale_leq, kostka,
                                       partitions, subsets)
 from supercoinv.exactalg import MPoly, QMatrix
-from supercoinv.superspace import SuperElement, antisymmetrize, odot
+from supercoinv.superspace import (SuperElement, antisymmetrize, euler_d,
+                                   odot, partial_x)
 from supercoinv.symfunc import Monomial, Schur
 
 
@@ -117,8 +118,9 @@ def suite_sparse_terms(cases, seed):
 
 def suite_superspace(cases, seed):
     """Anticommutation, contraction relations, the module law of the
-    superderivative action on bosonic inputs, and quasi-idempotence of the
-    parabolic antisymmetrizer."""
+    superderivative action on bosonic inputs, x-derivatives commuting with
+    the Euler derivatives d_j, and quasi-idempotence of the parabolic
+    antisymmetrizer."""
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -147,6 +149,9 @@ def suite_superspace(cases, seed):
         f = random_bosonic(rng, n)
         g = random_bosonic(rng, n)
         assert odot(f * g, h) == odot(f, odot(g, h))
+        # d/dx_i commutes with d_j = sum_k theta_k (d/dx_k)^j, the lemma
+        # ``operator_closure`` rests on
+        assert partial_x(i, euler_d(j, h)) == euler_d(j, partial_x(i, h))
         mu = random_partition(rng, n)
         v = antisymmetrize(mu, h)
         assert antisymmetrize(mu, v) == v.scale(prod(map(factorial, mu)))
