@@ -454,10 +454,11 @@ def _build_context(args):
     return ctx
 
 
-def _flags(p, *, cache=False, caps=True, verify=False):
+def _flags(p, *, cache=False, caps=(), verify=False):
     """Register the flags a verb reads: ``--format`` always, ``--cache``
-    where the verb caches, the cap flags where it is capped, and
-    ``--jobs``/``--seed`` for ``verify``."""
+    where the verb caches, ``--config`` where it is admitted under the
+    ``CAPS`` names ``caps``, ``--force`` where one of those is held to the
+    quotient cap, and ``--jobs``/``--seed`` for ``verify``."""
     p.add_argument("--format", choices=("json", "tsv", "latex"),
                    default="tsv")
     if cache:
@@ -468,9 +469,10 @@ def _flags(p, *, cache=False, caps=True, verify=False):
                        help="worker processes, at most one per task")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized membership probes")
-    if caps:
+    if any("quotient" in CAPS.get(x, ()) for x in caps):
         p.add_argument("--force", action="store_true",
                        help="admit one more n under the quotient cap")
+    if caps:
         p.add_argument("--config", metavar="FILE",
                        help="key=value file overriding the resource caps")
 
@@ -501,12 +503,12 @@ def build_parser():
     p = sub.add_parser("hilbert", help="bigraded Hilbert table of the"
                        " superspace coinvariant quotient")
     p.add_argument("n", type=_at_least_one("n"))
-    _flags(p, cache=True)
+    _flags(p, cache=True, caps=("hilbert",))
 
     p = sub.add_parser("frobenius", help="bigraded Frobenius image in the"
                        " Schur basis")
     p.add_argument("n", type=_at_least_one("n"))
-    _flags(p)
+    _flags(p, caps=("frobenius",))
 
     p = sub.add_parser("cnk", help="the fermionic-slice symmetric function"
                        " C_{n,k}")
@@ -515,7 +517,7 @@ def build_parser():
     p.add_argument("--stat", choices=sorted(OMP_STATISTICS),
                    help="compute from multiset partitions with this"
                         " statistic instead of tableaux")
-    _flags(p)
+    _flags(p, caps=("cnk --stat",))
 
     p = sub.add_parser("basis", help="list a monomial basis")
     p.add_argument("kind", choices=("artin", "colon", "parabolic"))
@@ -524,12 +526,12 @@ def build_parser():
                    help="comma separated subset for the colon basis")
     p.add_argument("--mu", metavar="PARTS",
                    help="comma separated partition for the parabolic basis")
-    _flags(p, caps=False)
+    _flags(p)
 
     p = sub.add_parser("verify", help="run named checks")
     p.add_argument("check", choices=sorted(CHECKS) + ["all"])
     p.add_argument("--n", type=_at_least_one("n"), required=True)
-    _flags(p, cache=True, verify=True)
+    _flags(p, cache=True, caps=CHECKS, verify=True)
     return parser
 
 

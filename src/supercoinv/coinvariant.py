@@ -498,28 +498,6 @@ def quotient_hilbert(eng, cache_dir=None):
     return table
 
 
-def harmonic_basis(spec, i, j):
-    """Basis of the harmonic component: the joint kernel of g (.) - over all
-    ideal generators, inside the (i, j) component of superspace."""
-    n = spec.n
-    basis = omega_basis(n, i, j)
-    index = {key: c for c, key in enumerate(basis)}
-    target_rows = {}
-    for col, (exp, ts) in enumerate(basis):
-        m = SuperElement.monomial(n, exp, ts)
-        for gi, g in enumerate(spec.generators):
-            img = odot(g, m)
-            for key, c in img.terms.items():
-                target_rows.setdefault((gi, key), {})[col] = c
-    rows = [target_rows[k] for k in sorted(target_rows)]
-    M = QMatrix(len(rows), len(basis), rows)
-    out = []
-    for v in M.kernel_basis():
-        terms = {basis[c]: val for c, val in enumerate(v) if val}
-        out.append(SuperElement(n, terms))
-    return out
-
-
 def operator_closure(n):
     """Bigraded dimensions of the smallest space containing the Vandermonde
     that is closed under d_1..d_(n-1) and all partial x-derivatives.

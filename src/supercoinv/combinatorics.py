@@ -312,24 +312,10 @@ def fields1_formula(n):
 
 def enumerate_osp(n, k=None):
     """Ordered set partitions of {1..n}, each a tuple of disjoint nonempty
-    sorted blocks whose union is {1..n}, optionally with exactly k blocks."""
-    results = []
-
-    def rec(remaining, blocks):
-        if not remaining:
-            if k is None or len(blocks) == k:
-                results.append(tuple(blocks))
-            return
-        if k is not None and len(blocks) >= k:
-            return
-        rest = sorted(remaining)
-        m = len(rest)
-        for size in range(1, m + 1):
-            for chosen in combinations(rest, size):
-                rec(remaining - set(chosen), blocks + [chosen])
-
-    rec(set(range(1, n + 1)), [])
-    return results
+    sorted blocks whose union is {1..n}, optionally with exactly k blocks:
+    the ordered multiset partitions of content (1^n)."""
+    ks = range(n + 1) if k is None else (k,)
+    return [osp for j in ks for osp in enumerate_omp((1,) * n, j)]
 
 
 def count_osp(n, mu=None):
@@ -482,36 +468,16 @@ def descents(t):
     return tuple(i for i in range(1, len(row)) if row[i + 1] > row[i])
 
 
-def enumerate_syt(shape):
-    """All standard Young tableaux of the given shape, a tuple of parts;
-    each is a tuple of rows."""
-    n = sum(shape)
-    results = []
-    grid = [[0] * p for p in shape]
-
-    def rec(v):
-        if v > n:
-            results.append(tuple(tuple(r) for r in grid))
-            return
-        for i, row in enumerate(grid):
-            for j in range(len(row)):
-                if row[j] == 0:
-                    if (j == 0 or row[j - 1] != 0) and (i == 0 or grid[i - 1][j] != 0):
-                        row[j] = v
-                        rec(v + 1)
-                        row[j] = 0
-                    break
-
-    rec(1)
-    return results
-
-
 def enumerate_syt_all(n):
-    """All standard Young tableaux with n boxes, grouped by shape order."""
-    out = []
-    for lam in partitions(n):
-        out.extend(enumerate_syt(lam))
-    return out
+    """All standard Young tableaux with n boxes, grown one entry at a time:
+    v goes at the end of row i when i = 0 or row i - 1 is longer, or
+    starts a new row."""
+    tableaux = [()]
+    for v in range(1, n + 1):
+        tableaux = [t[:i] + (row + (v,),) + t[i + 1:]
+                    for t in tableaux for i, row in enumerate(t + ((),))
+                    if i == 0 or len(t[i - 1]) > len(row)]
+    return tableaux
 
 
 def enumerate_ssyt(shape, max_entry):

@@ -18,14 +18,14 @@ from supercoinv.coinvariant import (CACHE_STATS, BidegreeTable,
                                     CoinvariantEngine, VerificationFailure,
                                     _catalecticants, epsilon_dims,
                                     frobenius_reconstruct,
-                                    harmonic_basis, ideal_component,
-                                    monomials, operator_closure,
+                                    ideal_component, monomials,
+                                    omega_basis, operator_closure,
                                     quotient_hilbert, steinberg_independence,
                                     superspace_ideal,
                                     verify_colon_basis,
                                     verify_parabolic_basis)
 from supercoinv.doperators import build_E_set
-from supercoinv.exactalg import MPoly, _IntEchelon
+from supercoinv.exactalg import MPoly, QMatrix, _IntEchelon
 from supercoinv.superspace import (SuperElement, coinvariant_generators,
                                    f_J, odot, vandermonde)
 from supercoinv.symfunc import kostka_matrix
@@ -151,6 +151,22 @@ def test_engine_at_n_seven_holds_few_normal_forms():
     assert len(eng._nf) < 5000
     for v in range(7):
         assert eng.nf(tuple(i + (i == v) for i in range(7))) == {}
+
+
+def harmonic_basis(spec, i, j):
+    """The harmonic reference: a basis of the joint kernel of g (.) - over
+    all ideal generators, inside the (i, j) component of superspace."""
+    n = spec.n
+    basis = omega_basis(n, i, j)
+    target_rows = {}
+    for col, (exp, ts) in enumerate(basis):
+        m = SuperElement.monomial(n, exp, ts)
+        for gi, g in enumerate(spec.generators):
+            for key, c in odot(g, m).terms.items():
+                target_rows.setdefault((gi, key), {})[col] = c
+    rows = [target_rows[k] for k in sorted(target_rows)]
+    return [SuperElement(n, {basis[c]: val for c, val in enumerate(v) if val})
+            for v in QMatrix(len(rows), len(basis), rows).kernel_basis()]
 
 
 def test_harmonic_dimensions_match_quotient():

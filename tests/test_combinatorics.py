@@ -1,7 +1,8 @@
 """Combinatorial objects and q-analogs."""
 
+from collections import Counter
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,8 +18,7 @@ from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       descents, enumerate_artin, enumerate_I,
                                       enumerate_omp, enumerate_osp,
                                       enumerate_signed_artin,
-                                      enumerate_ssyt, enumerate_syt,
-                                      enumerate_syt_all,
+                                      enumerate_ssyt, enumerate_syt_all,
                                       fields1_formula, gale_leq, j_of_signed,
                                       kostka, mu_blocks, omp_dinv, omp_maj,
                                       omp_minimaj, partitions, q_stirling,
@@ -111,6 +111,22 @@ def test_syt_counts_match_involutions():
         assert len(enumerate_syt_all(n)) == invol
 
 
+def _hook_product(lam):
+    lam_c = conjugate(lam)
+    return prod(lam[i] - j + lam_c[j] - i - 1
+                for i in range(len(lam)) for j in range(lam[i]))
+
+
+def test_grown_tableaux_are_distinct_and_counted_by_the_hook_formula():
+    for n in range(9):
+        tableaux = enumerate_syt_all(n)
+        assert len(set(tableaux)) == len(tableaux), n
+        by_shape = Counter(tuple(map(len, t)) for t in tableaux)
+        assert set(by_shape) == set(partitions(n)), n
+        for lam, count in by_shape.items():
+            assert count == factorial(n) // _hook_product(lam), lam
+
+
 def test_partitions_are_weakly_decreasing_positive_tuples():
     for n in range(8):
         for lam in partitions(n):
@@ -171,7 +187,9 @@ def test_ordered_set_partitions_split_n_into_sorted_blocks():
 
 def test_syt_maj_generating_function():
     gens = {}
-    for t in enumerate_syt((2, 1)):
+    for t in enumerate_syt_all(3):
+        if tuple(map(len, t)) != (2, 1):
+            continue
         maj = sum(descents(t))
         gens[maj] = gens.get(maj, 0) + 1
     assert gens == {1: 1, 2: 1}
