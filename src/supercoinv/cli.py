@@ -1,8 +1,9 @@
 """Command line harness: compute Hilbert and Frobenius data, list bases,
 and run the named verification checks with caching and structured reports.
 
-Exit codes: 0 all pass, 1 a verification failed, 2 usage error, 3 a check
-was refused for resource reasons (and nothing failed).
+Exit codes: 0 all pass, 1 a verification failed (or standard output was
+closed before the output was written), 2 usage error, 3 a check was
+refused for resource reasons (and nothing failed).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .coinvariant import (CACHE_STATS, CoinvariantEngine, IntegrityError,
                           epsilon_dims, frobenius_reconstruct, monomials,
                           operator_closure, quotient_hilbert,
                           verify_colon_basis, verify_parabolic_basis)
-from .doperators import (apply_D, ptj_determinant, verify_E_set,
-                         verify_h_invariance, weight, enumerate_L)
+from .doperators import (apply_D, ptj_determinant, verify_block_symmetry,
+                         verify_E_set, verify_factorization, weight,
+                         enumerate_L)
 from .exactalg import MPoly, SparseTerms, _IntEchelon
 from .superspace import (SuperElement, coinvariant_generators, f_J,
                          is_antisymmetric, odot, power_sum_generators,
@@ -248,11 +250,15 @@ def _proportional(a, b):
 
 
 def check_dop_gale(n, ctx):
+    # the C(mu) that the operators read: the column operations of the
+    # factor matrix, symmetric within each mu-block
+    for mu in partitions(n):
+        verify_factorization(mu)
+        verify_block_symmetry(mu)
     delta = vandermonde(n)
     memo = {}
     for tt in _admissible_sequences(n):
         mu = tt.mu
-        verify_h_invariance(mu, tt.union_set(), memo)
         v = apply_D(tt, delta, memo)
         Jmax = j_of_signed(SignedPartition(mu, tt.gamma()))
         for thetas in dict.fromkeys(thetas for _, thetas in v.terms):
@@ -678,7 +684,15 @@ def main(argv=None):
     dispatch = {"hilbert": cmd_hilbert, "frobenius": cmd_frobenius,
                 "cnk": cmd_cnk, "basis": cmd_basis, "verify": cmd_verify}
     try:
-        return dispatch[args.verb](args, ctx)
+        code = dispatch[args.verb](args, ctx)
+        # a reader that went away shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the Python documentation's recipe: the flush at exit goes to
+        # os.devnull, so no second BrokenPipeError is raised there
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ResourceRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

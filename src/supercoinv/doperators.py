@@ -79,27 +79,6 @@ def verify_factorization(mu):
     return True
 
 
-def cmu_inverse(mu):
-    """Inverse of the reduction matrix, by forward substitution; again
-    lower unitriangular with polynomial entries."""
-    n = sum(mu)
-    C = reduction_matrix(mu)
-    one = MPoly.const(n, 1)
-    zero = MPoly.zero(n)
-    inv = [[zero for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            if i == j:
-                inv[i][j] = one
-                continue
-            acc = zero
-            for k in range(j, i):
-                if not C.grid[i][k].is_zero() and not inv[k][j].is_zero():
-                    acc = acc + C.grid[i][k] * inv[k][j]
-            inv[i][j] = acc.scale(-1)
-    return PolyMatrix(inv)
-
-
 def _memoized(memo, key, compute):
     """compute(), kept under ``key`` in the caller's dict ``memo`` (if
     given) and reused from there."""
@@ -110,31 +89,20 @@ def _memoized(memo, key, compute):
     return memo[key]
 
 
-def h_matrix(mu, T, memo=None):
-    """H = E * C(mu)^(-1), an (n - #T) x n matrix of symmetric polynomials
-    in the x-alphabet: the 0/1 selector E keeps the rows of C(mu)^(-1)
-    not in T.  A ``memo`` dict keeps C(mu)^(-1) for later calls."""
-    n = sum(mu)
-    inv = _memoized(memo, ("inverse", mu), lambda: cmu_inverse(mu)).grid
-    return PolyMatrix([inv[c - 1] for c in range(1, n + 1) if c not in T])
-
-
-def verify_h_invariance(mu, T, memo=None):
-    """Check every entry of H = E * C(mu)^(-1) is symmetric within each
-    mu-interval of the x-alphabet (adjacent transpositions suffice)."""
-    n = sum(mu)
-    if len(T) == n:
-        return True
-    H = h_matrix(mu, T, memo)
+def verify_block_symmetry(mu):
+    """Check every entry of C(mu) is symmetric within each mu-interval of
+    the x-alphabet (adjacent transpositions suffice).  Polynomials
+    symmetric within the blocks form a ring, and C(mu)^(-1) = I + N + ...
+    + N^(n-1) for N = I - C(mu), so the entries of C(mu)^(-1), and every
+    minor of C(mu) that ``apply_D`` takes, are block symmetric too."""
     swaps = [i for block in mu_blocks(mu) for i in block[:-1]]
-    for row in H.grid:
-        for p in row:
+    for r, row in enumerate(reduction_matrix(mu).grid, 1):
+        for c, p in enumerate(row, 1):
             for i in swaps:
-                swapped = p.rename_vars({i: i + 1, i + 1: i})
-                if swapped != p:
+                if p.rename_vars({i: i + 1, i + 1: i}) != p:
                     raise VerificationFailure(
-                        f"H entry not invariant under swapping x{i}"
-                        f" and x{i+1} for mu={tuple(mu)}, T={tuple(T)}")
+                        f"C(mu) entry ({r},{c}) not invariant under swapping"
+                        f" x{i} and x{i+1} for mu={tuple(mu)}")
     return True
 
 
@@ -184,33 +152,38 @@ def apply_D(tt, f, memo=None):
     """The determinantal operator attached to a translation sequence,
     applied to a superspace element:
 
-        sum over #I = n - r of (-1)^(sum I) Delta_I(H) (.) d_{([n]-I)*}(f)
+        (-1)^(sum([n] - T)) sum over #K = #T of det C(mu)[K, T] (.) d_{K*}(f)
 
-    where H = E C(mu)^(-1) and Delta_I is the maximal minor on columns I.
-    A caller applying many operators to one f passes the same ``memo``
-    dict to each call (and to ``verify_h_invariance``), so each
-    C(mu)^(-1) and each d_K(f) is computed once; a memo must not be
-    shared between different f.
+    This is sum over #I = n - #T of (-1)^(sum I) Delta_I(H) (.)
+    d_{([n]-I)*}(f), with Delta_I the maximal minor on columns I of the
+    rows H = E C(mu)^(-1) not in T: det C(mu) = 1, so Jacobi's
+    complementary minor theorem gives Delta_I(H) = (-1)^(sum([n] - T) +
+    sum I) det C(mu)[[n] - I, T].  C(mu) is lower triangular, so the minor
+    on the rows K = [n] - I vanishes unless K lies above T in Gale order,
+    and only those K are taken.  A caller applying many operators to one
+    f passes the same ``memo`` dict to each call, so each C(mu) and each
+    d_K(f) is computed once; a memo must not be shared between different
+    f.
     """
     mu = tt.mu
     n = sum(mu)
     T = tt.union_set()
-    r = len(T)
-    H = h_matrix(mu, T, memo) if r < n else None
+    C = _memoized(memo, ("reduction", mu), lambda: reduction_matrix(mu))
+    cols = [t - 1 for t in T]
     total = SuperElement.zero(n)
-    for I in combinations(range(1, n + 1), n - r):
-        minor = (H.minor(range(n - r), [i - 1 for i in I]) if n - r
+    for K in combinations(range(1, n + 1), len(T)):
+        if any(k < t for k, t in zip(K, T)):
+            continue
+        minor = (C.minor([k - 1 for k in K], cols) if T
                  else MPoly.const(n, 1))
         if minor.is_zero():
             continue
-        K = star_set([k for k in range(1, n + 1) if k not in set(I)], n)
-        img = _memoized(memo, ("chain", K), lambda: euler_chain(K, f))
-        if img.is_zero():
-            continue
-        term = odot(SuperElement.from_mpoly(minor), img)
-        sign = -1 if sum(I) % 2 else 1
-        total = total + term.scale(sign)
-    return total
+        K_star = star_set(K, n)
+        img = _memoized(memo, ("chain", K_star),
+                        lambda: euler_chain(K_star, f))
+        if not img.is_zero():
+            total = total + odot(SuperElement.from_mpoly(minor), img)
+    return total.scale(-1) if (n * (n + 1) // 2 - sum(T)) % 2 else total
 
 
 def enumerate_L(m, k, t):

@@ -443,11 +443,11 @@ class PolyMatrix:
         zero entries.  No division: integer polynomial entries give an
         integer polynomial.
 
-        The expansion stays small for its callers.  The H-minors of
-        ``apply_D`` are submatrices of rows of the lower unitriangular
-        C(mu)^(-1), so most entries are zero, and the dense minors of
-        ``ptj_determinant`` are r x r with r <= n (r = 3 in the worked
-        example).
+        The expansion stays small for its callers.  The minors of
+        ``apply_D`` are minors of the lower unitriangular C(mu) on the
+        columns T and rows above T in Gale order, so most entries are zero,
+        and the dense minors of ``ptj_determinant`` are r x r with r <= n
+        (r = 3 in the worked example).
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")

@@ -2,15 +2,21 @@
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from supercoinv import cli, coinvariant, symfunc
+from supercoinv import cli, coinvariant, doperators, symfunc
 from supercoinv.combinatorics import IntegrityError, SubsetOfN
 from supercoinv.exactalg import MPoly
 from supercoinv.superspace import SuperElement
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -548,6 +554,43 @@ def test_dop_gale_fails_on_a_theta_support_outside_the_cone(
     assert report["status"] == "fail"
     assert report["witness"] == witness
     assert captured.err == ""
+
+
+def test_dop_gale_fails_on_a_tampered_column_operation(capsys, monkeypatch):
+    # a 1 added below the diagonal of every C(mu) keeps its entries
+    # symmetric within the blocks; the operators would read it, and the
+    # factor matrix identity F = P * C(mu) rejects it
+    reduction_matrix = doperators.reduction_matrix
+
+    def tampered(mu):
+        C = reduction_matrix(mu)
+        n = sum(mu)
+        C.grid[n - 1][0] = C.grid[n - 1][0] + MPoly.const(n, 1)
+        return C
+    monkeypatch.setattr(doperators, "reduction_matrix", tampered)
+    code = cli.main(["verify", "dop-gale", "--n", "3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report, = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert report["witness"] == ("factor matrix identity fails at entry"
+                                 " (1,1) for mu=(3,)")
+    assert captured.err == ""
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # the reader leaves after one line of a 1.2 MB listing, more than a
+    # pipe holds, so the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supercoinv.cli", "basis", "artin", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"j_set\tmonomial\ttheta\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode()
+    assert "BrokenPipeError" not in err.decode()
 
 
 def _steinberg_witness(ctx):

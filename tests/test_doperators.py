@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 from math import factorial, prod
 
 import pytest
@@ -12,20 +13,21 @@ from supercoinv.combinatorics import (SignedPartition, SubsetOfN,
                                       TranslationSequence,
                                       all_translation_sequences, count_L,
                                       enumerate_signed_artin, gale_leq,
-                                      j_of_signed, partitions,
+                                      j_of_signed, mu_blocks, partitions,
                                       sequence_bound, signed_partitions,
                                       staircase, subsets)
-from supercoinv.doperators import (apply_D, build_E_set, cmu_inverse,
-                                   enumerate_L, factor_matrix, h_matrix,
-                                   l_polynomials, power_matrix,
-                                   ptj_determinant, reduction_matrix,
+from supercoinv.doperators import (apply_D, build_E_set, enumerate_L,
+                                   factor_matrix, l_polynomials,
+                                   power_matrix, ptj_determinant,
+                                   reduction_matrix, verify_block_symmetry,
                                    verify_E_set, verify_factorization,
-                                   verify_h_invariance, weight)
+                                   weight)
 from supercoinv.exactalg import MPoly, PolyMatrix
 from supercoinv.superspace import (SuperElement, antisymmetrize,
-                                   coinvariant_generators, f_J,
+                                   coinvariant_generators, euler_chain, f_J,
                                    is_antisymmetric, odot,
-                                   power_sum_generators, vandermonde)
+                                   power_sum_generators, star_set,
+                                   vandermonde)
 
 
 def _admissible(n):
@@ -41,6 +43,53 @@ def _selector(n, T):
                        for c in range(1, n + 1) if c not in T])
 
 
+def _cmu_inverse(mu):
+    """The reference inverse of the reduction matrix, by forward
+    substitution; again lower unitriangular with polynomial entries."""
+    n = sum(mu)
+    C = reduction_matrix(mu)
+    inv = [[MPoly.const(n, int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            acc = MPoly.zero(n)
+            for k in range(j, i):
+                acc = acc + C.grid[i][k] * inv[k][j]
+            inv[i][j] = acc.scale(-1)
+    return PolyMatrix(inv)
+
+
+def _h_matrix(mu, T):
+    """The reference H = E * C(mu)^(-1): the rows of C(mu)^(-1) not in T."""
+    inv = _cmu_inverse(mu).grid
+    return PolyMatrix([row for c, row in enumerate(inv, 1) if c not in T])
+
+
+def _apply_D_by_h_minors(tt, f, chains):
+    """The reference route of the determinantal operator: the sum over
+    #I = n - r of (-1)^(sum I) Delta_I(H) (.) d_{([n]-I)*}(f), with Delta_I
+    the maximal minor of H on the columns I.  ``chains`` keeps d_K(f) per
+    K for one f."""
+    n = sum(tt.mu)
+    T = tt.union_set()
+    r = len(T)
+    H = _h_matrix(tt.mu, T) if r < n else None
+    total = SuperElement.zero(n)
+    for I in combinations(range(1, n + 1), n - r):
+        minor = (H.minor(range(n - r), [i - 1 for i in I]) if n - r
+                 else MPoly.const(n, 1))
+        K = star_set([k for k in range(1, n + 1) if k not in I], n)
+        if K not in chains:
+            chains[K] = euler_chain(K, f)
+        term = odot(SuperElement.from_mpoly(minor), chains[K])
+        total = total + term.scale(-1 if sum(I) % 2 else 1)
+    return total
+
+
+def _block_symmetric(mu, p):
+    return all(p.rename_vars({i: i + 1, i + 1: i}) == p
+               for block in mu_blocks(mu) for i in block[:-1])
+
+
 def test_factor_matrix_factors_through_column_operations():
     for mu in [(1,), (2,), (1, 1), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1)]:
         assert verify_factorization(mu)
@@ -49,7 +98,7 @@ def test_factor_matrix_factors_through_column_operations():
 def test_reduction_matrix_is_unitriangular_and_inverts():
     for mu in [(2, 1), (2, 2), (3, 2)]:
         n = sum(mu)
-        product = reduction_matrix(mu).mul(cmu_inverse(mu))
+        product = reduction_matrix(mu).mul(_cmu_inverse(mu))
         for i in range(n):
             for j in range(n):
                 expected = MPoly.const(n, 1 if i == j else 0)
@@ -196,31 +245,74 @@ def test_breakdown_proper_first_block_weight_escapes_staircase():
 
 
 def test_h_matrix_selects_rows_of_the_inverse():
-    # H = E * C(mu)^(-1) for the 0/1 selector E, for every proper T
+    # the reference H = E * C(mu)^(-1) for the 0/1 selector E, for every
+    # proper T
     for n in (1, 2, 3, 4):
         for lam in partitions(n):
-            inv = cmu_inverse(lam)
+            inv = _cmu_inverse(lam)
             for size in range(n):
                 for T in subsets(n, size):
                     product = _selector(n, T.elems).mul(inv)
-                    assert h_matrix(lam, T.elems).grid == product.grid
+                    assert _h_matrix(lam, T.elems).grid == product.grid
 
 
 def test_h_matrix_entries_are_block_symmetric():
+    # the check on C(mu) once per mu, and the per-T property of H it
+    # implies
     for n in (2, 3, 4):
+        for lam in partitions(n):
+            assert verify_block_symmetry(lam)
         for tt in _admissible(n):
-            assert verify_h_invariance(tt.mu, tt.union_set())
+            H = _h_matrix(tt.mu, tt.union_set())
+            assert all(_block_symmetric(tt.mu, p)
+                       for row in H.grid for p in row)
+
+
+def test_block_symmetry_check_rejects_an_asymmetric_entry(monkeypatch):
+    # x_1 below the diagonal of C((2, 1)) is not symmetric in x_1, x_2
+    C = reduction_matrix((2, 1))
+    C.grid[2][0] = MPoly.var(3, 1)
+    monkeypatch.setattr(doperators, "reduction_matrix", lambda mu: C)
+    with pytest.raises(VerificationFailure,
+                       match=r"entry \(3,1\) not invariant under swapping x1"
+                             r" and x2 for mu=\(2, 1\)"):
+        verify_block_symmetry((2, 1))
+
+
+def test_apply_D_matches_the_h_minor_route():
+    # every translation sequence with n <= 5, admissible or not
+    for n in range(1, 6):
+        delta = vandermonde(n)
+        memo, chains = {}, {}
+        for lam in partitions(n):
+            for tt in all_translation_sequences(lam):
+                assert (apply_D(tt, delta, memo)
+                        == _apply_D_by_h_minors(tt, delta, chains))
+
+
+def test_reduction_minors_vanish_outside_the_gale_cone():
+    # C(mu) is lower triangular: det C(mu)[K, T] = 0 unless T <= K in
+    # Gale order, so apply_D takes the K above T only
+    for n in range(1, 6):
+        for lam in partitions(n):
+            C = reduction_matrix(lam)
+            for r in range(1, n + 1):
+                for T in subsets(n, r):
+                    cols = [t - 1 for t in T.elems]
+                    for K in subsets(n, r):
+                        if not gale_leq(T, K):
+                            rows = [k - 1 for k in K.elems]
+                            assert C.minor(rows, cols).is_zero(), (lam, T, K)
 
 
 def test_apply_D_with_a_shared_memo_matches_fresh_calls():
-    # the checks keep one memo per f: C(mu)^(-1) per mu and d_K(f) per K
+    # the checks keep one memo per f: C(mu) per mu and d_K(f) per K
     for n in (2, 3, 4):
         delta = vandermonde(n)
         memo = {}
         for tt in _admissible(n):
-            assert verify_h_invariance(tt.mu, tt.union_set(), memo)
             assert apply_D(tt, delta, memo) == apply_D(tt, delta)
-        assert {tag for tag, _ in memo} == {"inverse", "chain"}
+        assert {tag for tag, _ in memo} == {"reduction", "chain"}
 
 
 def test_block_spanning_counts_and_bounds():
@@ -298,13 +390,13 @@ def test_operator_outputs_pinned():
 
 def test_column_operation_grids_pinned():
     # digests of the factor matrix on the rows x_1..x_n, C(mu) and
-    # C(mu)^(-1), entry by entry, for every mu of n <= 5
+    # the reference C(mu)^(-1), entry by entry, for every mu of n <= 5
     grids = {"factor": [], "reduction": [], "inverse": []}
     for n in range(1, 6):
         for mu in partitions(n):
             for name, M in (("factor", factor_matrix(mu, range(1, n + 1))),
                             ("reduction", reduction_matrix(mu)),
-                            ("inverse", cmu_inverse(mu))):
+                            ("inverse", _cmu_inverse(mu))):
                 grids[name] += [([mu, i, j], p)
                                 for i, row in enumerate(M.grid)
                                 for j, p in enumerate(row)]
