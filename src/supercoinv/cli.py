@@ -599,7 +599,12 @@ def _parse_ints(text):
 
 def _basis_argument(args):
     """The subset J of a colon basis or the partition mu of a parabolic
-    basis; raises ValueError when it is missing or malformed."""
+    basis; raises ValueError when it is missing or malformed, or when the
+    flag is given to a kind that does not read it."""
+    if args.j is not None and args.kind != "colon":
+        raise ValueError("--j is read only by the colon basis")
+    if args.mu is not None and args.kind != "parabolic":
+        raise ValueError("--mu is read only by the parabolic basis")
     if args.kind == "colon":
         if args.j is None:
             raise ValueError("the colon basis needs --j (use --j '' for the"

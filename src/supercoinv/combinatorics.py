@@ -480,32 +480,6 @@ def enumerate_syt_all(n):
     return tableaux
 
 
-def enumerate_ssyt(shape, max_entry):
-    """Semistandard tableaux of a shape (a tuple of parts) with entries in
-    1..max_entry."""
-    results = []
-    grid = [[0] * p for p in shape]
-    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
-
-    def rec(idx):
-        if idx == len(cells):
-            results.append(tuple(tuple(r) for r in grid))
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, max_entry + 1):
-            grid[i][j] = v
-            rec(idx + 1)
-        grid[i][j] = 0
-
-    rec(0)
-    return results
-
-
 def horizontal_strips(lam, size):
     """Partitions nu (as tuples without trailing zeros) with lam/nu a
     horizontal strip of the given size: lam_1 >= nu_1 >= lam_2 >= nu_2 ...
@@ -537,7 +511,8 @@ def kostka(lam, mu):
     The entries equal to the last letter l = len(mu) form a horizontal strip
     lam/nu of size mu_l, and the rest is a tableau of shape nu and content
     (mu_1, ..., mu_{l-1}), so K(lam, mu) sums K(nu, mu[:-1]) over those nu
-    (Pieri).  The values are memoized for the call.
+    (Pieri).  The values are memoized for the call.  ``symfunc.schur_poly``
+    peels the same strips, one per variable.
     """
     if sum(lam) != sum(mu):
         return 0

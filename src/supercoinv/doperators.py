@@ -22,7 +22,7 @@ from .symfunc import schur_poly
 def power_matrix(n, rows):
     """The #rows x n matrix with (i, j) entry x_(rows_i)^(n - j + 1)."""
     return PolyMatrix([[MPoly.var(n, v) ** (n - j + 1)
-                        for j in range(1, n + 1)] for v in rows])
+                        for j in range(1, n + 1)] for v in rows], n)
 
 
 def factor_matrix(mu, rows):
@@ -41,7 +41,7 @@ def factor_matrix(mu, rows):
                 tail = tail * (xv - MPoly.var(n, m))
             row += [xv ** (B - j + 1) * tail for j in block]
         grid.append(row)
-    return PolyMatrix(grid)
+    return PolyMatrix(grid, n)
 
 
 def reduction_matrix(mu):
@@ -58,7 +58,7 @@ def reduction_matrix(mu):
         for j in block:
             for l, e in enumerate(es):
                 grid[j - 1 + l][j - 1] = e
-    return PolyMatrix(grid)
+    return PolyMatrix(grid, n)
 
 
 def verify_factorization(mu):
@@ -118,10 +118,6 @@ def ptj_determinant(tt, J):
     r = len(T)
     if len(J.elems) != r:
         raise ValueError("J must have the same size as T")
-    if r == 0:
-        # the stacked matrix degenerates to the unit rows, so the
-        # determinant is a unit
-        return MPoly.const(sum(tt.mu), 1)
     return factor_matrix(tt.mu, J.elems).minor(range(r), [t - 1 for t in T])
 
 
@@ -174,8 +170,7 @@ def apply_D(tt, f, memo=None):
     for K in combinations(range(1, n + 1), len(T)):
         if any(k < t for k, t in zip(K, T)):
             continue
-        minor = (C.minor([k - 1 for k in K], cols) if T
-                 else MPoly.const(n, 1))
+        minor = C.minor([k - 1 for k in K], cols)
         if minor.is_zero():
             continue
         K_star = star_set(K, n)

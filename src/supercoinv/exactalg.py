@@ -412,36 +412,37 @@ def _back_substitute(pivots, x):
 
 
 class PolyMatrix:
-    """Dense matrix with MPoly entries."""
+    """Dense matrix with MPoly entries in ``nvars`` variables."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, nvars):
         self.grid = [list(row) for row in grid]
+        self.nvars = nvars
         self.nrows = len(self.grid)
         self.ncols = len(self.grid[0]) if self.grid else 0
 
     def mul(self, other):
-        nv = self.grid[0][0].nvars
         out = []
         for i in range(self.nrows):
             row = []
             for j in range(other.ncols):
-                s = MPoly.zero(nv)
+                s = MPoly.zero(self.nvars)
                 for k in range(self.ncols):
                     s = s + self.grid[i][k] * other.grid[k][j]
                 row.append(s)
             out.append(row)
-        return PolyMatrix(out)
+        return PolyMatrix(out, self.nvars)
 
     def submatrix(self, row_idx, col_idx):
-        return PolyMatrix([[self.grid[i][j] for j in col_idx] for i in row_idx])
+        return PolyMatrix([[self.grid[i][j] for j in col_idx]
+                           for i in row_idx], self.nvars)
 
     def minor(self, row_idx, col_idx):
         return self.submatrix(row_idx, col_idx).det()
 
     def det(self):
         """Determinant by cofactor expansion along the first row, skipping
-        zero entries.  No division: integer polynomial entries give an
-        integer polynomial.
+        zero entries; a 0 x 0 matrix has determinant 1.  No division:
+        integer polynomial entries give an integer polynomial.
 
         The expansion stays small for its callers.  The minors of
         ``apply_D`` are minors of the lower unitriangular C(mu) on the
@@ -452,14 +453,14 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if not self.nrows:
-            raise ValueError("determinant of an empty matrix")
+            return MPoly.const(self.nvars, 1)
         grid = self.grid
         last = self.nrows - 1
 
         def expand(i, cols):
             if i == last:
                 return grid[i][cols[0]]
-            total = MPoly.zero(grid[0][0].nvars)
+            total = MPoly.zero(self.nvars)
             for pos, j in enumerate(cols):
                 a = grid[i][j]
                 if a.is_zero():

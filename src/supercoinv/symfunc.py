@@ -3,7 +3,11 @@ expansions, the Hall pairing, skewing operators, and the graded Frobenius
 polynomials C_{n,k}(x; q).
 
 ``schur_poly`` is the one constructor of symmetric polynomials in a set of
-variables: s_nu, and e_d = s_(1^d) and h_d = s_(d).
+variables: s_nu, and e_d = s_(1^d) and h_d = s_(d).  It and ``kostka``
+share one step, ``horizontal_strips``: the cells of a semistandard tableau
+holding its largest letter form a horizontal strip, which ``kostka``
+peels to count tableaux by content and ``schur_poly`` peels once per
+variable (the branching rule).
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 
 from .combinatorics import (IntegrityError, QZPolynomial, conjugate,
-                            descents, enumerate_omp, enumerate_ssyt,
-                            enumerate_syt_all, horizontal_strips, kostka,
-                            omp_statistic, partitions)
+                            descents, enumerate_omp, enumerate_syt_all,
+                            horizontal_strips, kostka, omp_statistic,
+                            partitions)
 from .exactalg import MPoly, SparseTerms, collect
 
 
@@ -133,23 +137,31 @@ def e1_perp(f):
 
 
 def schur_poly(nu, nvars, variables=None):
-    """The Schur polynomial s_nu via semistandard tableaux, in the given
-    1-indexed ``variables`` (default all nvars); nu is a tuple of parts.
-    A column (1,) * d gives e_d and a row (d,) gives h_d; () gives 1, and
-    a shape with more rows than variables gives 0."""
-    vs = sorted(variables) if variables is not None else range(1, nvars + 1)
-    if len(nu) > len(vs):
-        return MPoly.zero(nvars)
-    def contents():
-        for t in enumerate_ssyt(nu, len(vs)):
-            exp = [0] * nvars
-            for row in t:
-                for v in row:
-                    exp[vs[v - 1] - 1] += 1
-            yield tuple(exp)
+    """The Schur polynomial s_nu in the given 1-indexed ``variables``
+    (default all nvars); nu is a tuple of parts, zero parts ignored.  A
+    column (1,) * d gives e_d and a row (d,) gives h_d; () gives 1, and a
+    shape with more rows than variables gives 0.
 
-    # a count of tableaux by content, never 0
-    return MPoly(nvars, Counter(contents()))
+    By the branching rule (Macdonald I (5.11)), s_lam(x_1..x_m) sums
+    x_m^|lam/rho| s_rho(x_1..x_{m-1}) over the horizontal strips lam/rho,
+    so the variables are taken last to first, each peeling a strip from
+    every shape still to fill; a shape with more rows than variables left
+    is dropped.
+    """
+    vs = sorted(variables) if variables is not None else range(1, nvars + 1)
+    # shape still to fill -> the terms of the variables already taken
+    states = {tuple(p for p in nu if p): {(0,) * nvars: 1}}
+    for left, v in reversed(list(enumerate(vs))):
+        peeled = {}
+        for shape, terms in states.items():
+            for a in range(shape[0] + 1 if shape else 1):
+                for rho in horizontal_strips(shape, a):
+                    if len(rho) <= left:
+                        collect(((e[:v - 1] + (a,) + e[v:], c)
+                                 for e, c in terms.items()),
+                                peeled.setdefault(rho, {}))
+        states = peeled
+    return MPoly(nvars, states.get((), {}))
 
 
 def cnk_syt(n, k):

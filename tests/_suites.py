@@ -1,6 +1,9 @@
 """Randomized property suites, shared between the standalone property tests
 and the acceptance run.  Each suite takes a case budget and a seed and
 raises AssertionError on the first violated property.
+
+``enumerate_ssyt`` is the independent reference for ``kostka`` and
+``schur_poly``, which both peel horizontal strips instead.
 """
 
 import random
@@ -15,6 +18,32 @@ from supercoinv.exactalg import MPoly, QMatrix
 from supercoinv.superspace import (SuperElement, antisymmetrize, euler_d,
                                    odot, partial_x)
 from supercoinv.symfunc import Monomial, Schur
+
+
+def enumerate_ssyt(shape, max_entry):
+    """Semistandard tableaux of a shape (a tuple of parts) with entries in
+    1..max_entry, filled cell by cell."""
+    results = []
+    grid = [[0] * p for p in shape]
+    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
+
+    def rec(idx):
+        if idx == len(cells):
+            results.append(tuple(tuple(r) for r in grid))
+            return
+        i, j = cells[idx]
+        lo = 1
+        if j > 0:
+            lo = max(lo, grid[i][j - 1])
+        if i > 0:
+            lo = max(lo, grid[i - 1][j] + 1)
+        for v in range(lo, max_entry + 1):
+            grid[i][j] = v
+            rec(idx + 1)
+        grid[i][j] = 0
+
+    rec(0)
+    return results
 
 
 def random_partition(rng, n):

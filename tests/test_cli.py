@@ -315,7 +315,13 @@ def test_basis_usage_errors_exit_two(capsys):
             (("basis", "colon", "3", "--j", "5"), "outside 1..3"),
             (("basis", "parabolic", "3"), "needs --mu"),
             (("basis", "parabolic", "3", "--mu", "2,2"), "partition of n"),
-            (("basis", "parabolic", "3", "--mu", "1,2"), "weakly decreasing")):
+            (("basis", "parabolic", "3", "--mu", "1,2"), "weakly decreasing"),
+            (("basis", "artin", "2", "--mu", "1,1"), "--mu is read only"),
+            (("basis", "colon", "3", "--j", "2", "--mu", "2,1"),
+             "--mu is read only"),
+            (("basis", "artin", "2", "--j", "1"), "--j is read only"),
+            (("basis", "parabolic", "3", "--mu", "2,1", "--j", "2"),
+             "--j is read only")):
         assert cli.main(list(argv)) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv

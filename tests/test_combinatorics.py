@@ -6,6 +6,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from _suites import enumerate_ssyt
 from supercoinv import combinatorics
 from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       SignedPartition, SubsetOfN,
@@ -18,7 +19,7 @@ from supercoinv.combinatorics import (IntegrityError, QZPolynomial,
                                       descents, enumerate_artin, enumerate_I,
                                       enumerate_omp, enumerate_osp,
                                       enumerate_signed_artin,
-                                      enumerate_ssyt, enumerate_syt_all,
+                                      enumerate_syt_all,
                                       fields1_formula, gale_leq, j_of_signed,
                                       kostka, mu_blocks, omp_dinv, omp_maj,
                                       omp_minimaj, partitions, q_stirling,

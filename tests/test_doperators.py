@@ -40,7 +40,7 @@ def _admissible(n):
 def _selector(n, T):
     """The (n - #T) x n 0/1 matrix with unit rows in the columns not in T."""
     return PolyMatrix([[MPoly.const(n, int(j == c)) for j in range(1, n + 1)]
-                       for c in range(1, n + 1) if c not in T])
+                       for c in range(1, n + 1) if c not in T], n)
 
 
 def _cmu_inverse(mu):
@@ -55,13 +55,14 @@ def _cmu_inverse(mu):
             for k in range(j, i):
                 acc = acc + C.grid[i][k] * inv[k][j]
             inv[i][j] = acc.scale(-1)
-    return PolyMatrix(inv)
+    return PolyMatrix(inv, n)
 
 
 def _h_matrix(mu, T):
     """The reference H = E * C(mu)^(-1): the rows of C(mu)^(-1) not in T."""
     inv = _cmu_inverse(mu).grid
-    return PolyMatrix([row for c, row in enumerate(inv, 1) if c not in T])
+    return PolyMatrix([row for c, row in enumerate(inv, 1) if c not in T],
+                      sum(mu))
 
 
 def _apply_D_by_h_minors(tt, f, chains):
@@ -139,10 +140,13 @@ def test_determinant_routes_agree():
                 T = tt.union_set()
                 for J in subsets(n, len(T)):
                     stacked = PolyMatrix(factor_matrix(mu, J.elems).grid
-                                         + _selector(n, T).grid)
+                                         + _selector(n, T).grid, n)
                     full = stacked.det()
                     fast = ptj_determinant(tt, J)
                     assert fast == full or fast == full.scale(-1)
+    # T = () takes the 0 x 0 minor, whose determinant is 1
+    assert reduction_matrix((1,)).minor([], []) == MPoly.const(1, 1)
+    assert reduction_matrix((2, 1)).minor([], []) == MPoly.const(3, 1)
 
 
 def test_determinant_vanishes_outside_gale_cone():

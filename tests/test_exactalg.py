@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from supercoinv.combinatorics import QZPolynomial
 from supercoinv.exactalg import (MPoly, PolyMatrix, QMatrix, _IntEchelon,
                                  collect)
@@ -286,7 +288,7 @@ def test_five_by_five_determinant_agrees_with_cofactor_oracle():
         n = 5
         grid = [[MPoly.const(1, rng.randint(-3, 3)) for _ in range(n)]
                 for _ in range(n)]
-        big = PolyMatrix(grid).det()
+        big = PolyMatrix(grid, 1).det()
         # cofactor expansion along the first row for the oracle
         def cof(rows, cols):
             if len(rows) == 1:
@@ -306,10 +308,17 @@ def test_determinant_multiplicative_on_numeric_matrices():
     for _ in range(20):
         n = rng.randint(1, 4)
         A = PolyMatrix([[MPoly.const(1, rng.randint(-2, 2)) for _ in range(n)]
-                        for _ in range(n)])
+                        for _ in range(n)], 1)
         B = PolyMatrix([[MPoly.const(1, rng.randint(-2, 2)) for _ in range(n)]
-                        for _ in range(n)])
+                        for _ in range(n)], 1)
         assert A.mul(B).det() == A.det() * B.det()
+    # the 0 x 0 determinant is 1, in the variables of the matrix, and
+    # multiplicativity holds there too; a 1 x 0 matrix has none
+    empty = PolyMatrix([], 3)
+    assert empty.det() == MPoly.const(3, 1)
+    assert empty.mul(empty).det() == empty.det() * empty.det()
+    with pytest.raises(ValueError):
+        PolyMatrix([[MPoly.const(1, 1)]], 1).minor([0], [])
 
 
 def test_substitution_renames_and_evaluates():
@@ -325,7 +334,7 @@ def test_vandermonde_determinant_identity():
     # det(x_i^(n-j)) = prod_{i<j} (x_i - x_j), above 4 x 4 too
     for n in range(2, 7):
         V = PolyMatrix([[MPoly.var(n, i) ** (n - j) for j in range(1, n + 1)]
-                        for i in range(1, n + 1)])
+                        for i in range(1, n + 1)], n)
         prod = MPoly.const(n, 1)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

@@ -1,11 +1,13 @@
 """Symmetric functions, basis changes, skewing, and the C_{n,k} family."""
 
 import random
+from collections import Counter
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
 import pytest
 
+from _suites import enumerate_ssyt
 from supercoinv.combinatorics import (OMP_STATISTICS, QZPolynomial,
                                       enumerate_omp, kostka, partitions)
 from supercoinv.exactalg import MPoly
@@ -116,6 +118,31 @@ def test_one_row_schur_poly_is_every_monomial_once():
                             exp[v - 1] += 1
                         want[tuple(exp)] = 1
                     assert schur_poly((d,), n, S) == MPoly(n, want), (S, d)
+
+
+def test_schur_poly_is_the_content_count_of_tableaux():
+    # s_nu(S) counts the semistandard tableaux of shape nu with entries in
+    # 1..|S| by content, entry i standing for the i-th variable of S: every
+    # nu with |nu| <= 7 and n <= 7, on all variables, x_2..x_n, the
+    # odd-indexed ones and none
+    contents = {}
+    for n in range(1, 8):
+        for S in (range(1, n + 1), range(2, n + 1), range(1, n + 1, 2), ()):
+            for size in range(8):
+                for nu in partitions(size):
+                    key = (nu, len(S))
+                    if key not in contents:
+                        contents[key] = Counter(
+                            tuple(sum(row.count(i) for row in t)
+                                  for i in range(1, len(S) + 1))
+                            for t in enumerate_ssyt(nu, len(S)))
+                    want = {}
+                    for content, count in contents[key].items():
+                        exp = [0] * n
+                        for v, a in zip(S, content):
+                            exp[v - 1] = a
+                        want[tuple(exp)] = count
+                    assert schur_poly(nu, n, S) == MPoly(n, want), (nu, n, S)
 
 
 def test_cnk_fermionic_slices_at_n_two():
