@@ -9,12 +9,12 @@ refused for resource reasons (and nothing failed).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -328,8 +328,8 @@ def check_steinberg(n, ctx):
                 f"e_{k} does not annihilate the Vandermonde")
     rng = random.Random(ctx.seed)
     # f_J = 1 for the empty J, so the rows are the images x^a (.) Vandermonde
-    for d, rows in _catalecticants(SubsetOfN(n, ()),
-                                   range(eng.top + 2)).items():
+    for d, (rows, _) in _catalecticants(SubsetOfN(n, ()),
+                                        range(eng.top + 2)).items():
         ech = _IntEchelon()
         for row in rows.values():
             ech.add(row)
@@ -664,8 +664,8 @@ def cmd_verify(args, ctx):
         shared = [x for x in names if "quotient" in CAPS.get(x, ())]
         tasks = [shared] + [[x] for x in names if x not in shared]
         # the pool may start all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs,
-                                                 len(tasks))) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(tasks))) as pool:
             done = pool.map(_run_checks, tasks, repeat(args.n), repeat(ctx))
             by_name = {r.check: r for group in done for r in group}
         reports = [by_name[x] for x in names]

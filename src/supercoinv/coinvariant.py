@@ -37,11 +37,12 @@ reference for the reduced route.
 The colon quotients C[x]/(I_n : f_J) come from one catalecticant builder:
 x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
 g_J = f_J (.) Vandermonde computed once per J, and the images of the
-degree-d monomials are the rows of the degree-d catalecticant of g_J.
+degree-d monomials are the rows of the degree-d catalecticant C_d of g_J.
 
-A colon basis certificate is one elimination per catalecticant: the
-candidate rows go in first and each must be kept (independence), then the
-other catalecticant rows and none may be kept (span).  A parabolic basis
+A colon basis certificate pairs degree d <= D/2 with D - d, D = deg g_J,
+on C_d, the transpose of C_(D-d) up to diagonal scalings (see
+``verify_colon_basis``): its rows certify degree d, and its columns at the
+candidates of degree D - d certify that degree.  A parabolic basis
 certificate keeps each candidate eps_mu x^a theta_J on a fork of its
 bidegree's ideal echelon and then compares the counts with the eps_mu
 slice table of ``epsilon_dims``.  The ideal is generated by invariants, so
@@ -529,23 +530,24 @@ def operator_closure(n):
 
 
 def _catalecticants(j_subset, degrees):
-    """{d: rows} for each distinct d in degrees, in increasing order:
-    rows[a] is the image (x^a f_J) (.) Vandermonde as an integer row.
+    """{d: (rows, columns)} for each distinct d in degrees, in increasing
+    order: rows[a] is the image (x^a f_J) (.) Vandermonde as an integer row,
+    and columns[c] is the column of the exponent c there.
 
     x acts by derivatives, so (p f_J) (.) Vandermonde = p(d) g_J with
     g_J = f_J (.) Vandermonde, computed once here.  Row a of the degree-d
-    catalecticant of g_J holds c_b prod_i b_i!/(b_i - a_i)! at column b - a
-    for every term c_b x^b of g_J with a <= b; exponents a without such a
-    term have a zero image and no row.  The divisors a <= b of each term
-    are walked once, in lex order, by extending them one coordinate at a
-    time: a partial divisor carries the prefixes of a and of b - a, |a|,
-    and c_b times the falling factorials so far, which the next coordinate
-    extends by one factor per step, so a divisor costs one multiply.  A
-    prefix whose |a| already passes the highest requested degree goes no
-    further.  Each full divisor lands in the catalecticant of degree |a| if
-    that one is asked for; the columns of each degree are numbered in order
-    of first appearance.  Every requested degree is built before the
-    return, so the memory peak is the sum of their sizes, not the largest.
+    catalecticant of g_J holds c_b b!/c! at column c = b - a for every term
+    c_b x^b of g_J with a <= b; exponents a without such a term have a zero
+    image and no row.  The divisors a <= b of each term are walked once, in
+    lex order, by extending them one coordinate at a time: a partial
+    divisor carries the prefixes of a and of c, |a|, and c_b times the
+    falling factorials so far, which the next coordinate extends by one
+    factor per step, so a divisor costs one multiply.  A prefix whose |a|
+    already passes the highest requested degree goes no further.  Each full
+    divisor lands in the catalecticant of degree |a| if that one is asked
+    for; the columns of each degree are numbered in order of first
+    appearance.  Every requested degree is built before the return, so the
+    memory peak is the sum of their sizes, not the largest.
     """
     g = odot(f_J(j_subset), vandermonde(j_subset.n))
     if any(ts for _, ts in g.terms):
@@ -568,7 +570,7 @@ def _catalecticants(j_subset, degrees):
                 rows, columns = bucket
                 col = columns.setdefault(rest, len(columns))
                 rows.setdefault(a, {})[col] = v
-    return {d: rows for d, (rows, _) in wanted.items()}
+    return wanted
 
 
 def _image(p, rows):
@@ -596,7 +598,7 @@ def steinberg_independence(poly_sets, j_subset):
                 by_degree.setdefault(degrees.pop(),
                                      [[] for _ in poly_sets])[k].append(p)
     ranks = [0] * len(poly_sets)
-    for d, rows in _catalecticants(j_subset, by_degree).items():
+    for d, (rows, _) in _catalecticants(j_subset, by_degree).items():
         for k, polys in enumerate(by_degree[d]):
             ech = _IntEchelon()
             for p in polys:
@@ -607,28 +609,61 @@ def steinberg_independence(poly_sets, j_subset):
 
 def verify_colon_basis(j_subset):
     """Check the substaircase monomials A_n(J) form a graded basis of the
-    colon quotient, one elimination per catalecticant; the two degrees above
-    the bound have no candidates, so they must vanish.  Returns True or
-    raises VerificationFailure."""
+    colon quotient.  Returns True or raises VerificationFailure.
+
+    g_J is homogeneous of degree D = top.  Its term c_b x^b, b = a + c, puts
+    c_b b!/c! at C_d[a][c] and c_b b!/a! at C_(D-d)[c][a], so C_d =
+    diag(a!) C_(D-d)^T diag(1/c!): rank C_(D-d) = rank C_d, and rows of
+    C_(D-d) are independent exactly when the columns of C_d at the same
+    exponents are.  So only C_d with d <= D/2 is built.  Its candidate rows
+    go in first, each kept, then the others, none kept: A_d is a basis.  For
+    e = D - d != d, the columns at A_e go on a fresh echelon, each kept (no
+    column is a zero image), and |A_e| = rank C_d: A_e is a basis.  None
+    may lie above D.
+    """
     n = j_subset.n
     top = n * (n - 1) // 2 - f_J(j_subset).bosonic_part().degree()
     by_degree = {}
     for a in enumerate_artin(j_subset):
         by_degree.setdefault(sum(a), []).append(a)
-    for d, rows in _catalecticants(j_subset, range(top + 3)).items():
+
+    def dependent(a):
+        return VerificationFailure(
+            f"A_n(J) monomial {a} is dependent modulo the colon ideal for"
+            f" J={j_subset.elems}")
+
+    for d, (rows, columns) in _catalecticants(j_subset,
+                                              range(top // 2 + 1)).items():
+        if any(sum(c) != top - d for c in columns):
+            raise IntegrityError(f"f_J (.) Vandermonde is not homogeneous of"
+                                 f" degree {top} for J={j_subset.elems}")
         ech = _IntEchelon()
         candidates = by_degree.pop(d, [])
         for a in candidates:
             if a not in rows or not ech.add(rows[a]):
-                raise VerificationFailure(
-                    f"A_n(J) monomial {a} is dependent modulo the colon"
-                    f" ideal for J={j_subset.elems}")
+                raise dependent(a)
         kept = set(candidates)
         for a, row in rows.items():
             if a not in kept and ech.add(row):
                 raise VerificationFailure(
                     f"A_n(J) does not span the colon quotient in degree {d}"
                     f" for J={j_subset.elems}: x^{a} is independent of it")
+        e = top - d
+        if e == d:
+            continue
+        candidates = by_degree.pop(e, [])
+        # each candidate's column of C_d, indexed by row position
+        dual, image = _IntEchelon(), list(rows.values())
+        for a in candidates:
+            col = columns.get(a)
+            if col is None or not dual.add(
+                    {k: row[col] for k, row in enumerate(image) if col in row}):
+                raise dependent(a)
+        if len(candidates) != ech.rank:
+            raise VerificationFailure(
+                f"A_n(J) does not span the colon quotient in degree {e}"
+                f" for J={j_subset.elems}: {len(candidates)} independent,"
+                f" rank {ech.rank}")
     if by_degree:
         raise VerificationFailure(
             f"A_n(J) monomials of degrees {sorted(by_degree)} lie above the"

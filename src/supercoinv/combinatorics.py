@@ -559,7 +559,7 @@ def enumerate_I(m, k, t):
     for part, part_bound in ((strict_part, bound[:m - k]),
                              (weak_part, bound[m - k:])):
         for seq in part:
-            if any(c > b for c, b in zip(seq, part_bound)):
+            if any(map(gt, seq, part_bound)):
                 raise IntegrityError(
                     f"sequence part {seq} exceeds the bound {bound} for"
                     f" (m, k, t) = ({m}, {k}, {t})")

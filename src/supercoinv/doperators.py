@@ -9,7 +9,7 @@ the symmetric polynomials on them from ``schur_poly``.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .combinatorics import (block_parameters, enumerate_signed_artin,
                             j_of_signed, mu_blocks, staircase)
@@ -193,8 +193,7 @@ def enumerate_L(m, k, t):
     for nu in _partitions_in_box(m - k, k):
         nu_top = nu[0] if nu else 0
         chi = t if nu_top < m - k else t - 1
-        for lam in lams.get(chi, ()):
-            out.append((lam, nu))
+        out.extend(zip(lams.get(chi, ()), repeat(nu)))
     return out
 
 

@@ -1,5 +1,6 @@
 """The command line harness: verbs, formats, exit codes, caching."""
 
+import concurrent.futures
 import gc
 import json
 import os
@@ -301,12 +302,25 @@ def test_jobs_are_capped_at_the_number_of_tasks(capsys, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     code, out = run_cli(capsys, "verify", "all", "--n", "2", "--jobs", "1000")
     assert code == 0
     assert len(out.strip().splitlines()) == len(cli.CHECKS) + 1
     # the engine-backed checks as one task, plus one task per other check
     assert sizes == [7]
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    # only verify --jobs above 1 uses a process pool; the package loads it
+    # on first use
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, supercoinv.cli; print(sorted(m for m in"
+            " ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_basis_usage_errors_exit_two(capsys):
@@ -611,8 +625,9 @@ def test_steinberg_fails_when_the_pairing_rank_falls_short(monkeypatch):
     catalecticants = cli._catalecticants
 
     def short(j_subset, degrees):
-        return {d: {a: r for a, r in rows.items() if any(a)}
-                for d, rows in catalecticants(j_subset, degrees).items()}
+        return {d: ({a: r for a, r in rows.items() if any(a)}, columns)
+                for d, (rows, columns)
+                in catalecticants(j_subset, degrees).items()}
     monkeypatch.setattr(cli, "_catalecticants", short)
     witness = _steinberg_witness(cli.RunContext())
     assert "rank 0 in degree 0, not the 1 substaircase" in witness

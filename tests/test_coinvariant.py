@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
-from math import comb, perm
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -192,7 +192,7 @@ def test_colon_with_empty_subset_is_the_classical_coinvariant_ring():
         top = n * (n - 1) // 2
         dims = {}
         catalecticants = _catalecticants(SubsetOfN(n, ()), range(top + 3))
-        for d, rows in catalecticants.items():
+        for d, (rows, _) in catalecticants.items():
             ech = _IntEchelon()
             for row in rows.values():
                 ech.add(row)
@@ -224,7 +224,7 @@ def test_catalecticant_rows_match_the_literal_pairing():
     for n in (1, 2, 3, 4):
         for J in subsets(n):
             top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
-            for d, rows in _catalecticants(J, range(top + 2)).items():
+            for d, (rows, _) in _catalecticants(J, range(top + 2)).items():
                 # the columns as the reference walk numbers them, the same
                 # numbering by test_catalecticants_match_the_walk_per_degree
                 _, columns = _catalecticant_by_degree(J, d)
@@ -262,7 +262,7 @@ def test_catalecticants_match_the_walk_per_degree():
             # and returned lowest first
             got = _catalecticants(J, range(top + 2, -1, -1))
             assert list(got) == list(range(top + 3))
-            for d, rows in got.items():
+            for d, (rows, _) in got.items():
                 # dict equality ignores order, so compare the items in order:
                 # equal row items also give equal column numbers
                 want_rows, _ = _catalecticant_by_degree(J, d)
@@ -273,10 +273,11 @@ def test_catalecticants_match_the_walk_per_degree():
             # with a repeat and a degree above deg g_J = top
             got = _catalecticants(J, [top, top + 4, 1, top])
             assert list(got) == sorted({1, top, top + 4})
-            assert got[top + 4] == {}
+            assert got[top + 4] == ({}, {})
             for d in (1, top):
                 want_rows, _ = _catalecticant_by_degree(J, d)
-                assert ([(a, list(row.items())) for a, row in got[d].items()]
+                rows, _ = got[d]
+                assert ([(a, list(row.items())) for a, row in rows.items()]
                         == [(a, list(row.items()))
                             for a, row in want_rows.items()]), (J.elems, d)
 
@@ -340,6 +341,138 @@ def test_colon_basis_rejects_a_tampered_candidate_set(monkeypatch, edit,
                         _tampered(enumerate_artin, edit))
     with pytest.raises(VerificationFailure, match=message):
         verify_colon_basis(SubsetOfN(4, (3,)))
+
+
+def _colon_basis_one_pass(J, catalecticants):
+    """The colon certificate with one pass per degree: each catalecticant
+    ``catalecticants[d]`` up to two above the bound takes the candidate rows
+    first, each kept, then the other rows, none kept."""
+    top = J.n * (J.n - 1) // 2 - f_J(J).bosonic_part().degree()
+    by_degree = {}
+    for a in coinvariant.enumerate_artin(J):
+        by_degree.setdefault(sum(a), []).append(a)
+    for d in range(top + 3):
+        rows = catalecticants[d]
+        ech = _IntEchelon()
+        candidates = by_degree.pop(d, [])
+        for a in candidates:
+            if a not in rows or not ech.add(rows[a]):
+                raise VerificationFailure(f"{a} is dependent")
+        if any(ech.add(row) for a, row in rows.items()
+               if a not in candidates):
+            raise VerificationFailure(f"does not span degree {d}")
+    if by_degree:
+        raise VerificationFailure("above the colon degree bound")
+    return True
+
+
+# in this order: a failure to span names an independent monomial
+_COLON_FAILURES = ("does not span", "above the colon degree bound",
+                   "is dependent")
+
+
+def _colon_outcome(certificate, *args):
+    """True, or the kind of failure the certificate raises."""
+    try:
+        return certificate(*args)
+    except VerificationFailure as exc:
+        return next(k for k in _COLON_FAILURES if k in str(exc))
+
+
+def _append_power_of_x1(above):
+    """An edit appending x_1^k, k the highest candidate degree plus
+    ``above``."""
+    def edit(out):
+        k = max(map(sum, out)) + above
+        return out + [(k,) + (0,) * (len(out[0]) - 1)]
+    return edit
+
+
+def test_colon_basis_agrees_with_the_one_pass_certificate(monkeypatch):
+    # a candidate one or two above the bound is dependent for the one-pass
+    # certificate and above the bound for the paired one, so no edit puts
+    # one there
+    edits = [list, _drop_middle, _repeat_first, lambda out: out[:-1],
+             lambda out: out + out[-1:], _append_power_of_x1(0),
+             _append_power_of_x1(3)]
+    for n in range(1, 6):
+        for J in subsets(n):
+            top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
+            catalecticants = {d: _catalecticant_by_degree(J, d)[0]
+                              for d in range(top + 3)}
+            # every edit changes a nonempty candidate list
+            for edit in edits if enumerate_artin(J) else edits[:1]:
+                monkeypatch.setattr(coinvariant, "enumerate_artin",
+                                    _tampered(enumerate_artin, edit))
+                want = _colon_outcome(_colon_basis_one_pass, J,
+                                      catalecticants)
+                assert _colon_outcome(verify_colon_basis, J) == want, \
+                    (J.elems, edits.index(edit))
+                assert (want is True) == (edit is list)
+
+
+def _exponent_factorial(e):
+    return prod(map(factorial, e))
+
+
+def test_catalecticants_are_dual_across_the_degree():
+    # C_d[a][c] c! = C_(D-d)[c][a] a! for D = deg g_J, so the ranks agree
+    for n in range(1, 6):
+        for J in subsets(n):
+            top = n * (n - 1) // 2 - f_J(J).bosonic_part().degree()
+            entries, ranks = {}, {}
+            for d in range(top + 1):
+                rows, columns = _catalecticant_by_degree(J, d)
+                exps = {col: c for c, col in columns.items()}
+                entries[d] = {(a, exps[col]): v for a, row in rows.items()
+                              for col, v in row.items()}
+                ech = _IntEchelon()
+                for row in rows.values():
+                    ech.add(row)
+                ranks[d] = ech.rank
+            for d in range(top + 1):
+                dual = entries[top - d]
+                assert {(c, a) for a, c in entries[d]} == set(dual)
+                for (a, c), v in entries[d].items():
+                    assert (v * _exponent_factorial(c)
+                            == dual[(c, a)] * _exponent_factorial(a)), \
+                        (J.elems, a, c)
+                assert ranks[d] == ranks[top - d], (J.elems, d)
+
+
+def _edit_first_of_degree(d, replace):
+    """An edit putting the list ``replace(a)`` in place of the first
+    candidate a of degree d."""
+    def edit(out):
+        k = next(k for k, a in enumerate(out) if sum(a) == d)
+        return out[:k] + replace(out[k]) + out[k + 1:]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_first_of_degree(5, lambda a: []),
+     "does not span the colon quotient in degree 5"),
+    (_edit_first_of_degree(6, lambda a: [a, a]), "is dependent"),
+    (_edit_first_of_degree(5, lambda a: [(0, 0, 0, 5)]),
+     r"\(0, 0, 0, 5\) is dependent")])
+def test_colon_basis_rejects_a_tampered_candidate_above_the_midpoint(
+        monkeypatch, edit, message):
+    # J = () at n = 4 has D = 6: degrees 5 and 6 are certified by the
+    # columns of C_1 and C_0, and x_4^5 names no column, a zero image
+    monkeypatch.setattr(coinvariant, "enumerate_artin",
+                        _tampered(enumerate_artin, edit))
+    with pytest.raises(VerificationFailure, match=message):
+        verify_colon_basis(SubsetOfN(4, ()))
+
+
+def test_colon_basis_refuses_an_inhomogeneous_pairing(monkeypatch):
+    # the duality needs g_J homogeneous of degree D: a constant term added
+    # to f_J (.) Vandermonde is an inconsistency, not a failed basis
+    pairing = coinvariant.odot
+    monkeypatch.setattr(coinvariant, "odot", lambda f, g: pairing(f, g)
+                        + SuperElement.monomial(g.nvars, (0,) * g.nvars, ()))
+    with pytest.raises(IntegrityError, match="not homogeneous of degree 6"):
+        verify_colon_basis(SubsetOfN(4, ()))
 
 
 @pytest.mark.parametrize("edit, message", [

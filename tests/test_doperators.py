@@ -73,11 +73,10 @@ def _apply_D_by_h_minors(tt, f, chains):
     n = sum(tt.mu)
     T = tt.union_set()
     r = len(T)
-    H = _h_matrix(tt.mu, T) if r < n else None
+    H = _h_matrix(tt.mu, T)
     total = SuperElement.zero(n)
     for I in combinations(range(1, n + 1), n - r):
-        minor = (H.minor(range(n - r), [i - 1 for i in I]) if n - r
-                 else MPoly.const(n, 1))
+        minor = H.minor(range(n - r), [i - 1 for i in I])
         K = star_set([k for k in range(1, n + 1) if k not in I], n)
         if K not in chains:
             chains[K] = euler_chain(K, f)
